@@ -310,7 +310,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (KeyError, ValueError, FileNotFoundError) as e:
+    except (KeyError, ValueError, FileNotFoundError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -54,6 +54,8 @@ class BimatrixGame:
         if self.R1.shape[0] < 1 or self.R1.shape[1] < 1:
             raise ValueError("need at least one action per player")
         for m in (self.R1, self.R2):
+            if not np.isfinite(m).all():
+                raise ValueError(f"rewards of game '{self.name}' must be finite")
             if np.any(m < -_TOL) or np.any(m > 1 + _TOL):
                 raise ValueError(f"rewards of game '{self.name}' must lie in [0, 1]")
 

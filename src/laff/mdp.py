@@ -2,14 +2,18 @@
 
 Against an opponent whose action distribution depends only on the current
 state (and whose signal weight is constant), the repeated game seen by
-player 1 is an MDP.  This module enumerates the state space, builds the
-transition/reward tensors, and solves for the optimal gain (relative value
-iteration) or a given policy's gain (distribution iteration).
+player 1 is an MDP.  This module builds dense transition/reward tensors
+over the states reachable from the engine's start only, and solves for the
+optimal gain (relative value iteration) or a given policy's gain
+(distribution iteration).  K=3 then takes well under a second on most
+built-in games; at K=4 the tensors still need 0.5-3.5 GB on train_mixed and
+asym_biased against bully, ftft or egal (62 GB on asym_secondbest).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,20 +23,6 @@ from .engine import HistoryState
 
 _SPAN_TOL = 1e-8
 _MAX_SWEEPS = 10 ** 6
-
-
-def enumerate_states(game, K: int):
-    """All memory-K states, in a fixed deterministic order."""
-    acts1 = range(game.n1)
-    acts2 = range(game.n2)
-    bits = (0, 1)
-    states = []
-    for a1h in itertools.product(acts1, repeat=K):
-        for a2h in itertools.product(acts2, repeat=K):
-            for y1h in itertools.product(bits, repeat=K + 1):
-                for y2h in itertools.product(bits, repeat=K + 1):
-                    states.append(HistoryState(a1h, a2h, y1h, y2h))
-    return states
 
 
 def signal_outcome_probs(w1: float, w2: float):
@@ -48,7 +38,10 @@ def signal_outcome_probs(w1: float, w2: float):
 
 @dataclass
 class InducedMdp:
-    """Player 1's decision process against a fixed Markov opponent."""
+    """Player 1's decision process against a fixed Markov opponent.
+
+    Built by ``induce_mdp``, every state is reachable from ``initial``.
+    """
 
     states: list
     index: dict
@@ -80,49 +73,65 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
     """Build the MDP for player 1 against ``opp_policy``.
 
     ``opp_policy(state) -> array of len n2`` gives the opponent's action
-    distribution at each state.  Transitions shift the action histories and
-    refresh the signal bits with the four joint outcomes implied by the
-    shared draw.  Rewards are the expected stage rewards of the current
-    joint action.
+    distribution; it is called, and checked to be a distribution, once per
+    reachable state.  States are explored forward from the support of the
+    engine's start distribution under every player-1 action, and listed in
+    ``sorted()`` order.  Transitions shift the action histories and refresh
+    the signal bits with the four joint outcomes implied by the shared draw.
+    Rewards are the expected stage rewards of the current joint action.
     """
-    states = enumerate_states(game, K)
+    probs = signal_outcome_probs(w1, w2)
+    sig = [(bits, p) for bits, p in probs.items() if p > 0]
+    A = game.n1
+
+    # engine start: action histories all zero, signal bits drawn independently
+    start = {}
+    zero = (0,) * K
+    for y1h in itertools.product((0, 1), repeat=K + 1):
+        for y2h in itertools.product((0, 1), repeat=K + 1):
+            p = math.prod(probs[bits] for bits in zip(y1h, y2h))
+            if p > 0:
+                start[HistoryState(zero, zero, y1h, y2h)] = p
+
+    explored = {}  # reachable state -> (opponent distribution, [(a, next, prob)])
+    seen = set(start)
+    frontier = list(start)
+    while frontier:
+        s = frontier.pop()
+        pi2 = np.asarray(opp_policy(s), dtype=float)
+        if pi2.shape != (game.n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
+            raise ValueError(f"opponent policy is not a distribution at state {s}")
+        out = []
+        explored[s] = (pi2, out)
+        for a in range(A):
+            a1h = s.a1[1:] + (a,)
+            for b, pb in enumerate(pi2):
+                if pb <= 0:
+                    continue
+                a2h = s.a2[1:] + (b,)
+                for (b1, b2), ps in sig:
+                    nxt = HistoryState(a1h, a2h, s.y1[1:] + (b1,), s.y2[1:] + (b2,))
+                    out.append((a, nxt, pb * ps))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+
+    states = sorted(explored)
     index = {s: i for i, s in enumerate(states)}
     S = len(states)
-    A = game.n1
-    sig = [(bits, p) for bits, p in signal_outcome_probs(w1, w2).items() if p > 0]
-
     transition = np.zeros((S, A, S))
     reward1 = np.zeros((S, A))
     reward2 = np.zeros((S, A))
     for i, s in enumerate(states):
-        pi2 = np.asarray(opp_policy(s), dtype=float)
-        if pi2.shape != (game.n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
-            raise ValueError(f"opponent policy is not a distribution at state {s}")
+        pi2, out = explored[s]
         for a in range(A):
             reward1[i, a] = float(game.R1[a] @ pi2)
             reward2[i, a] = float(game.R2[a] @ pi2)
-            for b, pb in enumerate(pi2):
-                if pb <= 0:
-                    continue
-                a1h = s.a1[1:] + (a,)
-                a2h = s.a2[1:] + (b,)
-                for (b1, b2), ps in sig:
-                    nxt = HistoryState(a1h, a2h, s.y1[1:] + (b1,), s.y2[1:] + (b2,))
-                    transition[i, a, index[nxt]] += pb * ps
-
-    # engine start: action histories all zero, signal bits drawn independently
-    probs = signal_outcome_probs(w1, w2)
+        for a, nxt, p in out:
+            transition[i, a, index[nxt]] += p
     initial = np.zeros(S)
-    zero1 = (0,) * K
-    for y1h in itertools.product((0, 1), repeat=K + 1):
-        for y2h in itertools.product((0, 1), repeat=K + 1):
-            p = 1.0
-            for b1, b2 in zip(y1h, y2h):
-                p *= probs[(b1, b2)]
-                if p == 0:
-                    break
-            if p > 0:
-                initial[index[HistoryState(zero1, (0,) * K, y1h, y2h)]] += p
+    for s, p in start.items():
+        initial[index[s]] += p
 
     return InducedMdp(states=states, index=index, n_actions=A,
                       transition=transition, reward1=reward1, reward2=reward2,
@@ -142,7 +151,9 @@ def optimal_average_reward(mdp: InducedMdp, tol: float = _SPAN_TOL,
     action (argmax ties to the lowest index).
     """
     reach = mdp.reachable_from_initial()
-    P = mdp.transition[np.ix_(reach, range(mdp.n_actions), reach)]
+    P = mdp.transition
+    if len(reach) < mdp.n_states:
+        P = P[np.ix_(reach, range(mdp.n_actions), reach)]
     r = mdp.reward1[reach]
     init = mdp.initial[reach]
     init = init / init.sum()
@@ -250,23 +261,3 @@ def policy_average_reward(mdp: InducedMdp, policy, player: int = 1,
             return float(nxt @ r_pol)
         pi = nxt
     raise RuntimeError("policy chain distribution did not converge")
-
-
-def enumerate_deterministic_gains(mdp: InducedMdp) -> list:
-    """Gain of every deterministic Markov policy on the reachable class.
-
-    Exponential in the number of reachable states; intended for tiny
-    verification MDPs only.
-    """
-    reach = mdp.reachable_from_initial()
-    gains = []
-    for choice in itertools.product(range(mdp.n_actions), repeat=len(reach)):
-        policy = {int(s): a for s, a in zip(reach, choice)}
-
-        def pol(state, _p=policy):
-            d = np.zeros(mdp.n_actions)
-            d[_p.get(mdp.index[state], 0)] = 1.0
-            return d
-
-        gains.append(policy_average_reward(mdp, pol))
-    return gains

@@ -1,8 +1,12 @@
 """Brute-force reference computations used to check the solvers."""
 
+import itertools
+
 import numpy as np
 
-from laff import security_value
+from laff import policy_average_reward, security_value
+from laff.engine import HistoryState
+from laff.mdp import InducedMdp, signal_outcome_probs
 
 
 def maximin_grid(M, step=1e-3):
@@ -51,3 +55,86 @@ def _dev_profit(game, X):
         alt = max((row[j] for j in range(game.n2) if j != x2), default=-np.inf)
         best = max(best, alt - row[x2])
     return best
+
+
+def enumerate_states(game, K: int):
+    """All memory-K states, in a fixed deterministic order."""
+    acts1 = range(game.n1)
+    acts2 = range(game.n2)
+    bits = (0, 1)
+    states = []
+    for a1h in itertools.product(acts1, repeat=K):
+        for a2h in itertools.product(acts2, repeat=K):
+            for y1h in itertools.product(bits, repeat=K + 1):
+                for y2h in itertools.product(bits, repeat=K + 1):
+                    states.append(HistoryState(a1h, a2h, y1h, y2h))
+    return states
+
+
+def induce_mdp_full(game, opp_policy, w1: float, w2: float, K: int) -> InducedMdp:
+    """The induced MDP over every memory-K state, reachable or not.
+
+    Dense (S, A, S) over all (n1*n2)^K * 4^(K+1) states, so only small K.
+    """
+    states = enumerate_states(game, K)
+    index = {s: i for i, s in enumerate(states)}
+    S = len(states)
+    A = game.n1
+    sig = [(bits, p) for bits, p in signal_outcome_probs(w1, w2).items() if p > 0]
+
+    transition = np.zeros((S, A, S))
+    reward1 = np.zeros((S, A))
+    reward2 = np.zeros((S, A))
+    for i, s in enumerate(states):
+        pi2 = np.asarray(opp_policy(s), dtype=float)
+        if pi2.shape != (game.n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
+            raise ValueError(f"opponent policy is not a distribution at state {s}")
+        for a in range(A):
+            reward1[i, a] = float(game.R1[a] @ pi2)
+            reward2[i, a] = float(game.R2[a] @ pi2)
+            for b, pb in enumerate(pi2):
+                if pb <= 0:
+                    continue
+                a1h = s.a1[1:] + (a,)
+                a2h = s.a2[1:] + (b,)
+                for (b1, b2), ps in sig:
+                    nxt = HistoryState(a1h, a2h, s.y1[1:] + (b1,), s.y2[1:] + (b2,))
+                    transition[i, a, index[nxt]] += pb * ps
+
+    # engine start: action histories all zero, signal bits drawn independently
+    probs = signal_outcome_probs(w1, w2)
+    initial = np.zeros(S)
+    zero1 = (0,) * K
+    for y1h in itertools.product((0, 1), repeat=K + 1):
+        for y2h in itertools.product((0, 1), repeat=K + 1):
+            p = 1.0
+            for b1, b2 in zip(y1h, y2h):
+                p *= probs[(b1, b2)]
+                if p == 0:
+                    break
+            if p > 0:
+                initial[index[HistoryState(zero1, (0,) * K, y1h, y2h)]] += p
+
+    return InducedMdp(states=states, index=index, n_actions=A,
+                      transition=transition, reward1=reward1, reward2=reward2,
+                      initial=initial)
+
+
+def enumerate_deterministic_gains(mdp: InducedMdp) -> list:
+    """Gain of every deterministic Markov policy on the reachable class.
+
+    Exponential in the number of reachable states; intended for tiny
+    verification MDPs only.
+    """
+    reach = mdp.reachable_from_initial()
+    gains = []
+    for choice in itertools.product(range(mdp.n_actions), repeat=len(reach)):
+        policy = {int(s): a for s, a in zip(reach, choice)}
+
+        def pol(state, _p=policy):
+            d = np.zeros(mdp.n_actions)
+            d[_p.get(mdp.index[state], 0)] = 1.0
+            return d
+
+        gains.append(policy_average_reward(mdp, pol))
+    return gains

@@ -16,9 +16,8 @@ from laff import (EnforceParams, GAME_NAMES, EVALUATION_GAMES, MatchConfig,
                   round_robin, security_value, PopulationState)
 from laff.cli import main as cli_main
 from laff.evaluation import benchmark_for
-from laff.mdp import enumerate_deterministic_gains
 from laff.opponents import bounded_memory_policy
-from oracles import bargaining_grid
+from oracles import bargaining_grid, enumerate_deterministic_gains
 
 from test_evaluation import ALGS, M1, M2
 

@@ -71,6 +71,28 @@ def test_bad_reward_file(tmp_path, capsys):
     assert "must lie in [0, 1]" in err
 
 
+def test_non_finite_reward_file(tmp_path, capsys):
+    # NaN slips past every range comparison, so it needs its own check
+    for bad in (float("nan"), float("inf")):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"R1": [[bad, 0.5]], "R2": [[0.2, 0.3]]}))
+        code, _, err = run_cli(capsys, "solve", "--game", str(p))
+        assert code == 2
+        assert err == "error: rewards of game 'bad' must be finite\n"
+
+
+def test_runtime_error_is_one_line(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("multichain gain LP failed: infeasible")
+
+    monkeypatch.setattr("laff.cli.benchmark_for", fail)
+    code, out, err = run_cli(capsys, "benchmark", "--game", "chicken",
+                             "--opponent", "bully")
+    assert code == 2
+    assert out == ""
+    assert err == "error: multichain gain LP failed: infeasible\n"
+
+
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     outs = []
     for mode in ("env", "flag"):

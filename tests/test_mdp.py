@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from laff import (EnforceParams, LeaderKit, builtin_game,
-                  induce_mdp, optimal_average_reward, policy_average_reward,
-                  security_value)
+import laff.mdp
+from laff import (GAME_NAMES, BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
+                  builtin_game, induce_mdp, optimal_average_reward,
+                  policy_average_reward, security_value)
 from laff.engine import HistoryState
 from laff.experts import LeaderCore, compliant_policy
-from laff.mdp import InducedMdp, enumerate_deterministic_gains, enumerate_states
+from laff.mdp import InducedMdp
+from laff.opponents import bounded_memory_policy
+from oracles import enumerate_deterministic_gains, enumerate_states, induce_mdp_full
+
+RECT = BimatrixGame("rect3x2",
+                    [[0.512, 0.95], [0.144, 0.949], [0.312, 0.423]],
+                    [[0.828, 0.409], [0.55, 0.028], [0.754, 0.538]])
 
 
 def _point(n, a):
@@ -130,3 +137,51 @@ def test_optimal_gain_at_least_security_vs_leaders():
             mdp = induce_mdp(g, pol, w1=kit.ebs_weight, w2=w2, K=1)
             gain, _ = optimal_average_reward(mdp)
             assert gain >= muS1 - 1e-6, (name, opp)
+
+
+@pytest.mark.parametrize("name,K", [(n, 1) for n in GAME_NAMES]
+                         + [("chicken", 2), ("rect3x2", 2)])
+def test_reachable_mdp_equals_full_space_block(name, K):
+    # the explored MDP is exactly the reachable block of the full-space one
+    g = RECT if name == "rect3x2" else builtin_game(name)
+    cfg = MatchConfig(T=1, K=K)
+    w1 = LeaderKit.build(g, 1, EnforceParams(K, cfg.eps)).ebs_weight
+    for opp in ("bully", "ftft", "egal", "maximin", "fixed:0", "fixed:1"):
+        pol, w2 = bounded_memory_policy(opp, g, 2, cfg)
+        mdp = induce_mdp(g, pol, w1=w1, w2=w2, K=K)
+        full = induce_mdp_full(g, pol, w1=w1, w2=w2, K=K)
+        reach = full.reachable_from_initial()
+        assert mdp.states == [full.states[i] for i in reach], opp
+        assert np.array_equal(mdp.transition,
+                              full.transition[np.ix_(reach, range(g.n1), reach)]), opp
+        assert np.array_equal(mdp.reward1, full.reward1[reach]), opp
+        assert np.array_equal(mdp.reward2, full.reward2[reach]), opp
+        assert np.array_equal(mdp.initial, full.initial[reach]), opp
+        assert optimal_average_reward(mdp)[0] == optimal_average_reward(full)[0], opp
+
+
+def test_multichain_fallback_two_absorbing_states(monkeypatch):
+    # two absorbing classes with different gains: the span never contracts,
+    # so the stall detector must hand over to the multichain LP
+    calls = []
+    lp = laff.mdp._multichain_lp
+
+    def spy(*args):
+        calls.append(args)
+        return lp(*args)
+
+    monkeypatch.setattr(laff.mdp, "_multichain_lp", spy)
+    s0 = HistoryState((0,), (0,), (0, 0), (0, 0))
+    s1 = HistoryState((1,), (0,), (0, 0), (0, 0))
+    trans = np.zeros((2, 2, 2))
+    trans[0, :, 0] = 1.0
+    trans[1, :, 1] = 1.0
+    mdp = InducedMdp(states=[s0, s1], index={s0: 0, s1: 1}, n_actions=2,
+                     transition=trans,
+                     reward1=np.array([[0.0, 0.0], [1.0, 1.0]]),
+                     reward2=np.zeros((2, 2)),
+                     initial=np.array([0.5, 0.5]))
+    gain, policy = optimal_average_reward(mdp)
+    assert gain == pytest.approx(0.5, abs=1e-9)
+    assert len(calls) == 1
+    assert set(policy) == {0, 1}

@@ -4,10 +4,10 @@ import pytest
 from laff import (EnforceParams, MatchConfig, builtin_game, enforceable_ebs,
                   play_match, run_match)
 from laff.engine import FixedActionAgent, agent_rng
-from laff.mdp import enumerate_states
 from laff.opponents import (AGENT_NAMES, EpsGreedyQAgent,
                             FictitiousPlayAgent, bounded_memory_policy,
                             build_agent, ftft_agent)
+from oracles import enumerate_states
 
 CFG = MatchConfig(T=1000, seed=0)
 
