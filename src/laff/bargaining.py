@@ -266,18 +266,3 @@ def slack_b_enforced(tau: int, T: int, delta: float, xi_val: float, Kp: int,
     root = c3 * (3.0 + xi_val) / xi_val * math.sqrt(math.log(T / delta) / (2 * tau))
     return lead + root
 
-
-def slack_b_theoretical(tau: int, T: int, delta: float, xi_val: float, Kp: int,
-                        S: int, A: int, c1: float = 0.05, c2: float = 1.0,
-                        t0: float = 0.0) -> float:
-    """Analysis-form slack; needs constants (C2, T0) no experiment can observe.
-
-    Kept behind a switch for experimentation; the tuned form `slack_b` is the
-    shipped default.
-    """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    rq = (S * A * math.log(tau * T / delta)) ** (1 / 3) * tau ** (2 / 3)
-    first = (Kp * xi_val + c1 * t0 + Kp + 1) / xi_val
-    second = (c2 * rq + (3 + xi_val) * math.sqrt(tau * math.log(T / delta) / 2)) / xi_val
-    return (first + second) / tau

@@ -19,8 +19,9 @@ import numpy as np
 from .bargaining import EnforceParams, enforceable_ebs, bully_solution, \
     punishment_length
 from .engine import MatchConfig
-from .evaluation import (benchmark_for, play_match, pure_nash,
+from .evaluation import (TournamentResult, benchmark_for, play_match, pure_nash,
                          regret_curve, replicator_run, round_robin)
+from .experts import LeaderKit
 from .games import EVALUATION_GAMES, GAME_NAMES, load_game, security_value
 from .opponents import AGENT_NAMES, BOUNDED_MEMORY, bounded_memory_policy
 from .svg import svg_line_plot
@@ -104,16 +105,16 @@ def cmd_solve(args) -> int:
 def cmd_benchmark(args) -> int:
     game = load_game(args.game)
     config = _config(args, T=args.T)
-    ep = EnforceParams(args.K, args.eps)
     policy, w2 = bounded_memory_policy(args.opponent, game, 2, config)
+    kit = LeaderKit.build(game, 1, EnforceParams(args.K, args.eps))
     mu_star = benchmark_for(game, "bounded_memory", config,
-                            opp_policy=policy, w2=w2)
+                            opp_policy=policy, w1=kit.ebs_weight, w2=w2)
     doc = {
         "game": game.name, "opponent": args.opponent,
         "mu_star": float(_fmt(mu_star)),
-        "mu_s1": float(_fmt(security_value(game, 1)[0])),
-        "mu_e1": float(_fmt(enforceable_ebs(game, ep).u1)),
-        "mu_b1": float(_fmt(bully_solution(game, ep).u1)),
+        "mu_s1": float(_fmt(kit.mu_s_own)),
+        "mu_e1": float(_fmt(kit.ebs.u1)),
+        "mu_b1": float(_fmt(kit.bully.u1)),
     }
     print(json.dumps(doc, indent=2))
     return 0
@@ -206,26 +207,41 @@ def cmd_tournament(args) -> int:
     return 0
 
 
+def _read_pair_game_trial(path) -> TournamentResult:
+    """Parse a tournament's pair_game_trial.csv; every cell must have a row."""
+    cells = {}
+    lines = Path(path).read_text().strip().splitlines()
+    for n, line in enumerate(lines[1:], start=2):
+        try:
+            a1, a2, g, k, m1, m2 = line.split(",")
+            k, m1, m2 = int(k), float(m1), float(m2)
+        except ValueError:
+            raise ValueError(f"{path}:{n}: expected alg1,alg2,game,trial,m1,m2 "
+                             f"with an integer trial, got {line!r}") from None
+        if k < 0 or not (np.isfinite(m1) and np.isfinite(m2)):
+            raise ValueError(f"{path}:{n}: need a trial >= 0 and finite m1, m2, "
+                             f"got {line!r}")
+        cells[(a1, a2, g, k)] = (m1, m2)
+    if not cells:
+        raise ValueError(f"{path} has no data rows")
+    names = list(dict.fromkeys(a for key in cells for a in key[:2]))
+    games = list(dict.fromkeys(key[2] for key in cells))
+    trials = range(max(key[3] for key in cells) + 1)
+    # checked lazily and before any allocation, so that a huge trial index
+    # fails within len(cells) + 1 keys
+    for key in ((a1, a2, g, k) for a1 in names for a2 in names
+                for g in games for k in trials):
+        if key not in cells:
+            raise ValueError(f"{path} has no row for {key[0]} vs {key[1]} on "
+                             f"{key[2]}, trial {key[3]}")
+    data = np.array([[[[cells[(a1, a2, g, k)] for k in trials] for g in games]
+                      for a2 in names] for a1 in names])
+    return TournamentResult(names=names, games=games, trials=len(trials), data=data)
+
+
 def cmd_replicator(args) -> int:
-    from .evaluation import TournamentResult
-
-    rows = Path(args.input).read_text().strip().splitlines()[1:]
-    names, games = [], []
-    parsed = []
-    for line in rows:
-        a1, a2, g, k, m1, m2 = line.split(",")
-        parsed.append((a1, a2, g, int(k), float(m1), float(m2)))
-        for n in (a1, a2):
-            if n not in names:
-                names.append(n)
-        if g not in games:
-            games.append(g)
-    trials = max(p[3] for p in parsed) + 1
-    data = np.full((len(names), len(names), len(games), trials, 2), np.nan)
-    for a1, a2, g, k, m1, m2 in parsed:
-        data[names.index(a1), names.index(a2), games.index(g), k] = (m1, m2)
-    result = TournamentResult(names=names, games=games, trials=trials, data=data)
-
+    result = _read_pair_game_trial(args.input)
+    names = result.names
     shares = replicator_run(result, args.generations, args.runs, seed=_seed(args))
     mean = shares.mean(axis=0)
     std = shares.std(axis=0)

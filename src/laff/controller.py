@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 
-from .bargaining import (EnforceParams, slack_b, slack_b_enforced,
-                         slack_b_theoretical, xi)
-from .engine import Agent, MatchConfig, state_space_size
-from .experts import (FollowerExpert, FollowerShared, LeaderExpert, LeaderKit,
+from .bargaining import EnforceParams, slack_b, slack_b_enforced, xi
+from .engine import Agent, MatchConfig
+from .experts import (FollowerExpert, FollowerShared, LeaderCore, LeaderKit,
                       MaximinExpert)
 from .games import BimatrixGame
 
@@ -55,9 +54,9 @@ class Laff(Agent):
             return FollowerExpert(self.game, self.player, cfg, kit,
                                   self.shared, self.subepoch, self.v1, rng)
         if j == 2:
-            return LeaderExpert(self.player, kit, "bully", rng)
+            return LeaderCore(kit, "bully", rng)
         if j == 4:
-            return LeaderExpert(self.player, kit, "ebs", rng)
+            return LeaderCore(kit, "ebs", rng)
         return MaximinExpert(self.game, self.player, cfg, kit, self.subepoch, rng)
 
     @property
@@ -78,16 +77,10 @@ class Laff(Agent):
         if m is None:
             return slack_b(self.tau, cfg.T, cfg.delta, cfg.C1, cfg.C3)
         xi_val = xi(cfg.eps, m.r, max(1, m.Kp))
-        # adaptation time granted to a follower after this seat turns
-        # stationary; one leader phase unless configured explicitly
-        t0 = cfg.T0 if cfg.T0 > 0 else cfg.T / 20.0
-        if cfg.theoretical_slack:
-            S = state_space_size(self.game, cfg.K)
-            A = self.game.n1 if self.player == 1 else self.game.n2
-            return slack_b_theoretical(self.tau, cfg.T, cfg.delta, xi_val,
-                                       m.Kp, S, A, cfg.C1, cfg.C2, t0)
+        # t0, the adaptation time granted to a follower after this seat
+        # turns stationary, is one leader phase
         return slack_b_enforced(self.tau, cfg.T, cfg.delta, xi_val, m.Kp,
-                                cfg.C1, cfg.C3, t0)
+                                cfg.C1, cfg.C3, t0=cfg.T / 20.0)
 
     def observe(self, record, state):
         self.active.observe(record, state)

@@ -48,9 +48,6 @@ class MatchConfig:
     C3: float = 0.005
     C4: float = 0.005
     eta_m: float = 0.05
-    theoretical_slack: bool = False
-    C2: float = 1.0
-    T0: float = 0.0
 
     def __post_init__(self):
         if self.T < 1 or self.K < 1:
@@ -219,13 +216,21 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
 class FixedActionAgent(Agent):
     """Plays one action forever; the simplest probe opponent."""
 
-    def __init__(self, action: int, player: int = 1, weight: float = 0.0):
+    def __init__(self, action: int, n_actions: int, player: int = 1,
+                 weight: float = 0.0):
+        if not 0 <= action < n_actions:
+            raise ValueError(f"fixed:{action} is not an action of player {player}; "
+                             f"choose 0..{n_actions - 1}")
         self.player = player
         self.action = int(action)
         self._w = float(weight)
+        self._point = np.eye(n_actions)[self.action]
 
     def report_weight(self, t):
         return self._w
 
     def act(self, state, t):
         return self.action
+
+    def policy_distribution(self, state):
+        return self._point.copy()

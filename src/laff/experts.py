@@ -121,7 +121,7 @@ class LeaderKit:
         return self.ebs_map if which == "ebs" else self.bully_map
 
 
-class LeaderCore:
+class LeaderCore(Agent):
     """Stationary enforcement of one solution map (the leader behavior).
 
     The leader's own signal bit selects the target cell each step; it plays
@@ -132,7 +132,8 @@ class LeaderCore:
     is never punished for play that predates the enforcement.  Afterwards,
     any opponent deviation within the last Kp steps triggers the punishment
     strategy (with probability ``punish_prob``, 1 by default).  With no
-    enforceable solution the core degrades to the maximin strategy.
+    enforceable solution the core degrades to the maximin strategy.  It is
+    LAFF's leader expert as is; `opponents.LeaderOpponent` builds its own kit.
     """
 
     def __init__(self, kit: LeaderKit, which: str, rng, punish_prob: float = 1.0):
@@ -148,9 +149,8 @@ class LeaderCore:
     def weight(self) -> float:
         return self.map.weight if self.map is not None else 0.0
 
-    @property
-    def is_fallback(self) -> bool:
-        return self.map is None
+    def report_weight(self, t):
+        return self.weight
 
     def _cell(self, bit: int) -> JointAction:
         return self.map.cell1 if bit else self.map.cell0
@@ -189,40 +189,13 @@ class LeaderCore:
 
     def policy_distribution(self, state: HistoryState) -> np.ndarray:
         """Stationary action law at a state (the post-amnesty Markov policy)."""
-        n_own = len(self.kit.maximin)
         if self.map is None:
             return self.kit.maximin.copy()
         own_bits = state.y1 if self.player == 1 else state.y2
-        target = self._own_component(self._cell(own_bits[-1]))
-        point = np.zeros(n_own)
-        point[target] = 1.0
+        point = np.eye(self.kit.n_own)[self._own_component(self._cell(own_bits[-1]))]
         if self._deviated(state):
             return self.punish_prob * self.kit.punish + (1 - self.punish_prob) * point
         return point
-
-    def expected_opponent_action(self, opp_bit: int) -> int:
-        return self._opp_component(self._cell(opp_bit))
-
-
-def compliant_policy(kit: LeaderKit, which: str = "ebs"):
-    """Opponent policy that always plays its half of the leader's solution.
-
-    Compliance tracks the leader's (public) signal bit.
-    """
-    m = kit.solution_map(which)
-    if m is None:
-        raise ValueError("no enforceable solution to comply with")
-    opp_is_p2 = kit.player == 1
-    n_opp = kit.n_opp
-
-    def policy(state: HistoryState) -> np.ndarray:
-        bit = (state.y1 if opp_is_p2 else state.y2)[-1]
-        cell = m.cell1 if bit else m.cell0
-        d = np.zeros(n_opp)
-        d[cell.a2 if opp_is_p2 else cell.a1] = 1.0
-        return d
-
-    return policy
 
 
 class TabularQ:
@@ -315,12 +288,8 @@ class FollowerExpert(Agent):
         if self._delegate is None:
             self._delegate = LeaderCore(self.kit, "ebs", self.rng)
 
-    @property
-    def weight(self) -> float:
-        return self.kit.ebs_weight
-
     def report_weight(self, t):
-        return self.weight
+        return self.kit.ebs_weight
 
     def act(self, state, t):
         if self.shared.tripped:
@@ -375,12 +344,8 @@ class MaximinExpert(Agent):
         self.tripped = False
         self._delegate = None
 
-    @property
-    def weight(self) -> float:
-        return self.kit.ebs_weight
-
     def report_weight(self, t):
-        return self.weight
+        return self.kit.ebs_weight
 
     def act(self, state, t):
         if self.tripped:
@@ -402,23 +367,3 @@ class MaximinExpert(Agent):
             if self.opp_cum / n > bound:
                 self.tripped = True
                 self._delegate = LeaderCore(self.kit, "ebs", self.rng)
-
-
-class LeaderExpert(Agent):
-    """Thin agent wrapper over a LeaderCore (egalitarian or bully)."""
-
-    def __init__(self, player: int, kit: LeaderKit, which: str, rng,
-                 punish_prob: float = 1.0):
-        self.player = player
-        self.core = LeaderCore(kit, which, rng, punish_prob=punish_prob)
-        self.kit = kit
-
-    @property
-    def weight(self) -> float:
-        return self.core.weight
-
-    def report_weight(self, t):
-        return self.core.weight
-
-    def act(self, state, t):
-        return self.core.act(state, t)

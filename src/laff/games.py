@@ -173,11 +173,14 @@ def _cells(rows):
     return np.array(r1, dtype=float), np.array(r2, dtype=float)
 
 
+_CHICKEN = [[(0.5, 0.5), (0.25, 1.0)],
+            [(1.0, 0.25), (0.0, 0.0)]]
+
 # 11 evaluation games (two per reward family, Cyclic has no symmetric member),
-# 4 training games used only for tuning demos, and Chicken.
+# 4 training games used only for tuning demos, and Chicken, which is also the
+# symmetric member of the unfair family.
 _LIBRARY_CELLS = {
-    "chicken": [[(0.5, 0.5), (0.25, 1.0)],
-                [(1.0, 0.25), (0.0, 0.0)]],
+    "chicken": _CHICKEN,
     "sym_winwin": [[(1.0, 1.0), (0.0, _F(2, 3))],
                    [(_F(2, 3), 0.0), (_F(1, 3), _F(1, 3))]],
     "asym_winwin": [[(1.0, 1.0), (0.0, _F(5, 6))],
@@ -190,8 +193,7 @@ _LIBRARY_CELLS = {
                        [(1.0, 0.0), (_F(2, 3), _F(2, 3))]],
     "asym_secondbest": [[(1.0, _F(1, 3)), (_F(1, 3), 1.0)],
                         [(0.0, 0.0), (_F(2, 3), _F(2, 3))]],
-    "sym_unfair": [[(0.5, 0.5), (0.25, 1.0)],
-                   [(1.0, 0.25), (0.0, 0.0)]],
+    "sym_unfair": _CHICKEN,
     "asym_unfair": [[(0.0, 1.0), (0.75, 0.75)],
                     [(1.0, 0.25), (0.25, 0.0)]],
     "sym_inferior": [[(0.8, 0.8), (0.0, 1.0)],

@@ -3,11 +3,15 @@
 Every opponent is built for a specific seat (player 1 or 2) of the global
 game and honors the engine's act/observe interface.  Bounded-memory kinds
 (bully, ftft, egal, fixed, maximin) also expose a Markov policy over states
-so benchmark values can be computed exactly.
+so benchmark values can be computed exactly.  `build_agent` is the one
+registry of kinds and their parameters; `bounded_memory_policy` reads the
+policy off the agent it builds.
 """
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -16,41 +20,16 @@ from .bargaining import EnforceParams
 from .controller import Laff
 from .engine import Agent, FixedActionAgent, MatchConfig, agent_rng
 from .experts import LeaderCore, LeaderKit, TabularQ, _sample
-from .games import BimatrixGame
+from .games import BimatrixGame, security_value
 
 
-class LeaderOpponent(Agent):
+class LeaderOpponent(LeaderCore):
     """Standalone leader: enforces its own bargaining solution forever."""
 
-    def __init__(self, game, player, config, which: str, punish_prob: float = 1.0,
-                 rng=None):
-        self.player = player
+    def __init__(self, game, player, config, rng, which: str,
+                 punish_prob: float = 1.0):
         kit = LeaderKit.build(game, player, EnforceParams(config.K, config.eps))
-        self.kit = kit
-        self.core = LeaderCore(kit, which, rng, punish_prob=punish_prob)
-
-    def report_weight(self, t):
-        return self.core.weight
-
-    def act(self, state, t):
-        return self.core.act(state, t)
-
-    def policy_distribution(self, state):
-        return self.core.policy_distribution(state)
-
-
-def bully_agent(game, player, config, rng=None) -> LeaderOpponent:
-    """Insists on the enforceable outcome that maximizes its own reward."""
-    return LeaderOpponent(game, player, config, "bully", rng=rng)
-
-
-def egalitarian_agent(game, player, config, rng=None) -> LeaderOpponent:
-    return LeaderOpponent(game, player, config, "ebs", rng=rng)
-
-
-def ftft_agent(game, player, config, p: float = 0.2, rng=None) -> LeaderOpponent:
-    """Forgiving tit-for-tat: the egalitarian leader, punishing only w.p. p."""
-    return LeaderOpponent(game, player, config, "ebs", punish_prob=p, rng=rng)
+        super().__init__(kit, which, rng, punish_prob=punish_prob)
 
 
 class MaximinAgent(Agent):
@@ -58,14 +37,14 @@ class MaximinAgent(Agent):
 
     def __init__(self, game, player, config, rng):
         self.player = player
-        self.kit = LeaderKit.build(game, player, EnforceParams(config.K, config.eps))
+        self.strategy = security_value(game, player)[1].as_array()
         self.rng = rng
 
     def act(self, state, t):
-        return _sample(self.kit.maximin, self.rng)
+        return _sample(self.strategy, self.rng)
 
     def policy_distribution(self, state):
-        return self.kit.maximin.copy()
+        return self.strategy.copy()
 
 
 class EpsGreedyQAgent(Agent):
@@ -159,8 +138,6 @@ class ManipulatorAgent(Agent):
         self.p_switch = float(p_switch)
         self.kit = LeaderKit.build(game, player, EnforceParams(config.K, config.eps))
         self.leader = LeaderCore(self.kit, "bully", rng)
-        n_own = game.n1 if player == 1 else game.n2
-        self.n_opp = game.n2 if player == 1 else game.n1
         self.rl = EpsGreedyQAgent(game, player, config, rng)
         self.window = max(1, config.T // 20)
         self.probe = max(1, 3 * config.T // 10)
@@ -180,8 +157,8 @@ class ManipulatorAgent(Agent):
         w = self.window
         if len(self.opp_actions) < 2 * w:
             return False
-        last = np.bincount(self.opp_actions[-w:], minlength=self.n_opp) / w
-        prev = np.bincount(self.opp_actions[-2 * w:-w], minlength=self.n_opp) / w
+        last = np.bincount(self.opp_actions[-w:], minlength=self.kit.n_opp) / w
+        prev = np.bincount(self.opp_actions[-2 * w:-w], minlength=self.kit.n_opp) / w
         return 0.5 * np.abs(last - prev).sum() > 0.1
 
     def _current_arm(self) -> str:
@@ -241,38 +218,67 @@ class ManipulatorAgent(Agent):
         self.phase = "locked"
 
 
-AGENT_NAMES = ("laff", "bully", "ftft", "qlearn", "fp", "manipulator",
-               "egal", "maximin")
+# parameter -> (check, what the check demands)
+_UNIT = (lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]")
+_PARAM_RANGES = {"p": _UNIT, "p_switch": _UNIT, "weight": _UNIT,
+                 "eps_prime": (lambda x: math.isfinite(x) and x >= 0.0,
+                               "be finite and >= 0")}
+
+# kind -> (constructor(game, player, config, rng, **params), {param: default})
+_KINDS = {
+    "laff": (Laff, {}),
+    "bully": (partial(LeaderOpponent, which="bully"), {}),
+    # forgiving tit-for-tat: the egalitarian leader, punishing only w.p. p
+    "ftft": (lambda game, player, config, rng, p:
+             LeaderOpponent(game, player, config, rng, "ebs", p), {"p": 0.2}),
+    "qlearn": (EpsGreedyQAgent, {}),
+    "fp": (lambda game, player, config, rng: FictitiousPlayAgent(game, player), {}),
+    "manipulator": (ManipulatorAgent, {"eps_prime": 0.025, "p_switch": 0.00005}),
+    "egal": (partial(LeaderOpponent, which="ebs"), {}),
+    "maximin": (MaximinAgent, {}),
+}
+AGENT_NAMES = tuple(_KINDS)
+
+
+def _checked_params(name: str, defaults: dict, params) -> dict:
+    """The kind's defaults overridden by ``params``, each key and value checked."""
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ValueError(f"parameters of agent '{name}' must be a JSON object")
+    out = dict(defaults)
+    for key, value in params.items():
+        if key not in defaults:
+            accepted = ", ".join(defaults) or "none"
+            raise ValueError(f"agent '{name}' has no parameter '{key}' "
+                             f"(accepted: {accepted})")
+        check, demand = _PARAM_RANGES[key]
+        if not isinstance(value, (int, float)) or not check(value):
+            raise ValueError(f"parameter '{key}' of agent '{name}' must {demand}, "
+                             f"got {value!r}")
+        out[key] = value
+    return out
 
 
 def build_agent(name: str, game: BimatrixGame, player: int, config: MatchConfig,
                 rng=None, params: Optional[dict] = None) -> Agent:
     """Construct an agent by name for one seat; 'fixed:<a>' plays action a."""
-    params = dict(params or {})
+    if name.startswith("fixed:"):
+        try:
+            action = int(name[len("fixed:"):])
+        except ValueError:
+            raise ValueError(f"agent '{name}' needs an integer action, "
+                             f"as in fixed:0") from None
+        n = game.n1 if player == 1 else game.n2
+        return FixedActionAgent(action, n, player=player,
+                                **_checked_params(name, {"weight": 0.0}, params))
+    if name not in _KINDS:
+        raise KeyError(f"unknown agent '{name}'; choose from {AGENT_NAMES} "
+                       f"or fixed:<a>")
+    make, defaults = _KINDS[name]
+    kwargs = _checked_params(name, defaults, params)
     if rng is None:
         rng = agent_rng(config.seed, player)
-    if name.startswith("fixed:"):
-        return FixedActionAgent(int(name.split(":", 1)[1]), player=player,
-                                weight=params.get("weight", 0.0))
-    if name == "laff":
-        return Laff(game, player, config, rng)
-    if name == "bully":
-        return bully_agent(game, player, config, rng=rng)
-    if name == "ftft":
-        return ftft_agent(game, player, config, p=params.get("p", 0.2), rng=rng)
-    if name == "egal":
-        return egalitarian_agent(game, player, config, rng=rng)
-    if name == "maximin":
-        return MaximinAgent(game, player, config, rng)
-    if name == "qlearn":
-        return EpsGreedyQAgent(game, player, config, rng)
-    if name == "fp":
-        return FictitiousPlayAgent(game, player)
-    if name == "manipulator":
-        return ManipulatorAgent(game, player, config, rng,
-                                eps_prime=params.get("eps_prime", 0.025),
-                                p_switch=params.get("p_switch", 0.00005))
-    raise KeyError(f"unknown agent '{name}'; choose from {AGENT_NAMES} or fixed:<a>")
+    return make(game, player, config, rng, **kwargs)
 
 
 BOUNDED_MEMORY = ("bully", "ftft", "egal", "maximin")
@@ -285,21 +291,7 @@ def bounded_memory_policy(name: str, game: BimatrixGame, player: int,
     Returns (policy, w) where ``policy(state) -> distribution`` over the
     seat's actions; used to induce the benchmark MDP for the other seat.
     """
-    params = dict(params or {})
-    rng = np.random.default_rng(0)  # policy extraction draws nothing
-    if name.startswith("fixed:"):
-        a = int(name.split(":", 1)[1])
-        n = game.n1 if player == 1 else game.n2
-        point = np.zeros(n)
-        point[a] = 1.0
-        return (lambda state: point.copy()), params.get("weight", 0.0)
-    if name in ("bully", "ftft", "egal"):
-        which = "bully" if name == "bully" else "ebs"
-        p = params.get("p", 0.2) if name == "ftft" else 1.0
-        kit = LeaderKit.build(game, player, EnforceParams(config.K, config.eps))
-        core = LeaderCore(kit, which, rng, punish_prob=p)
-        return core.policy_distribution, core.weight
-    if name == "maximin":
-        kit = LeaderKit.build(game, player, EnforceParams(config.K, config.eps))
-        return (lambda state: kit.maximin.copy()), 0.0
-    raise KeyError(f"'{name}' is not a bounded-memory opponent kind")
+    if name not in BOUNDED_MEMORY and not name.startswith("fixed:"):
+        raise KeyError(f"'{name}' is not a bounded-memory opponent kind")
+    agent = build_agent(name, game, player, config, params=params)
+    return agent.policy_distribution, agent.report_weight(0)

@@ -138,3 +138,24 @@ def enumerate_deterministic_gains(mdp: InducedMdp) -> list:
 
         gains.append(policy_average_reward(mdp, pol))
     return gains
+
+
+def compliant_policy(kit, which: str = "ebs"):
+    """Opponent policy that always plays its half of the leader's solution.
+
+    Compliance tracks the leader's (public) signal bit.
+    """
+    m = kit.solution_map(which)
+    if m is None:
+        raise ValueError("no enforceable solution to comply with")
+    opp_is_p2 = kit.player == 1
+    n_opp = kit.n_opp
+
+    def policy(state: HistoryState) -> np.ndarray:
+        bit = (state.y1 if opp_is_p2 else state.y2)[-1]
+        cell = m.cell1 if bit else m.cell0
+        d = np.zeros(n_opp)
+        d[cell.a2 if opp_is_p2 else cell.a1] = 1.0
+        return d
+
+    return policy

@@ -210,18 +210,6 @@ def test_slack_b_enforced_shrinks_with_margin():
         slack_b_enforced(100, 20000, 0.05, xi_val=0.0, Kp=1)
 
 
-def test_slack_b_theoretical_formula():
-    from laff.bargaining import slack_b_theoretical
-
-    tau, T, delta, xiv, Kp, S, A = 100, 20000, 0.05, 0.25, 1, 64, 2
-    got = slack_b_theoretical(tau, T, delta, xiv, Kp, S, A,
-                              c1=0.05, c2=1.0, t0=10.0)
-    rq = (S * A * math.log(tau * T / delta)) ** (1 / 3) * tau ** (2 / 3)
-    lead = (Kp * xiv + 0.05 * 10 + Kp + 1) / xiv
-    root = (1.0 * rq + (3 + xiv) * math.sqrt(tau * math.log(T / delta) / 2)) / xiv
-    assert got == pytest.approx((lead + root) / tau)
-
-
 def test_solver_handles_rectangular_games():
     # the pair search is not tied to 2x2: check a seeded 3x4 game against
     # the grid oracle

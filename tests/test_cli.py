@@ -185,3 +185,75 @@ def test_float_formatting_ten_significant_digits(tmp_path, capsys):
     x = row[5]
     assert len(x.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 12
     assert float(x) == pytest.approx(float(x), abs=0)
+
+
+@pytest.mark.parametrize("agents, message", [
+    (["--p1", "qlearn", "--p2", "ftft", "--p2-params", '{"p": 5}'],
+     "error: parameter 'p' of agent 'ftft' must lie in [0, 1], got 5\n"),
+    (["--p1", "qlearn", "--p2", "ftft", "--p2-params", '{"prob": 0.4}'],
+     "error: agent 'ftft' has no parameter 'prob' (accepted: p)\n"),
+    (["--p1", "fixed:0", "--p1-params", '{"weight": 7}', "--p2", "qlearn"],
+     "error: parameter 'weight' of agent 'fixed:0' must lie in [0, 1], got 7\n"),
+], ids=["ftft_p_out_of_range", "ftft_unknown_key", "fixed_weight_out_of_range"])
+def test_match_rejects_bad_agent_params(capsys, agents, message):
+    code, out, err = run_cli(capsys, "match", "--game", "chicken",
+                             "--T", "50", *agents)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize("action", ["-1", "5"])
+def test_benchmark_rejects_fixed_action_outside_seat(capsys, action):
+    # -1 used to index the last action and 5 to raise an IndexError
+    code, out, err = run_cli(capsys, "benchmark", "--game", "chicken",
+                             "--opponent", f"fixed:{action}")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: fixed:{action} is not an action of player 2; "
+                   f"choose 0..1\n")
+
+
+def _pair_csv_lines(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "tournament", "--algorithms", "fixed:0,fixed:1",
+                         "--games", "chicken", "--trials", "2", "--T", "20",
+                         "--seed", "1", "--out", str(tmp_path))
+    assert code == 0
+    return (tmp_path / "pair_game_trial.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("negative_trial", "{csv}:2: need a trial >= 0 and finite m1, m2, got "
+                       "'fixed:0,fixed:0,chicken,-1,0.5,0.5'"),
+    ("missing_row", "{csv} has no row for fixed:0 vs fixed:0 on chicken, trial 0"),
+    ("nan_reward", "{csv}:2: need a trial >= 0 and finite m1, m2, got "
+                   "'fixed:0,fixed:0,chicken,0,nan,nan'"),
+    ("huge_trial", "{csv} has no row for fixed:0 vs fixed:0 on chicken, trial 0"),
+    ("bad_trial", "{csv}:2: expected alg1,alg2,game,trial,m1,m2 with an integer "
+                  "trial, got 'fixed:0,fixed:0,chicken,x,0.5,0.5'"),
+], ids=["negative_trial", "missing_row", "nan_reward", "huge_trial", "bad_trial"])
+def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
+    lines = _pair_csv_lines(tmp_path, capsys)
+    assert lines[1].startswith("fixed:0,fixed:0,chicken,0,")
+    first = lines[1].split(",")
+    if damage == "negative_trial":
+        lines[1] = ",".join(first[:3] + ["-1"] + first[4:])
+    elif damage == "missing_row":
+        del lines[1]
+    elif damage == "nan_reward":
+        lines[1] = ",".join(first[:4] + ["nan", "nan"])
+    elif damage == "huge_trial":
+        # would need terabytes if the cell array were allocated first
+        lines[1] = ",".join(first[:3] + [str(10 ** 12)] + first[4:])
+    else:
+        lines[1] = "fixed:0,fixed:0,chicken,x,0.5,0.5"
+    csv = tmp_path / "broken.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    pop = tmp_path / "population.csv"
+    code, out, err = run_cli(capsys, "replicator", "--input", str(csv),
+                             "--generations", "5", "--runs", "2",
+                             "--out", str(pop))
+    assert code == 2
+    assert out == ""
+    assert err == "error: " + message.format(csv=csv) + "\n"
+    assert not pop.exists()

@@ -75,7 +75,7 @@ def test_history_window():
     g = builtin_game("chicken")
     spy = _StateSpy(1)
     cfg = MatchConfig(T=30, K=2, seed=5)
-    tr = run_match(g, spy, FixedActionAgent(1, player=2), cfg)
+    tr = run_match(g, spy, FixedActionAgent(1, 2, player=2), cfg)
     K = cfg.K
     for t in range(K, len(tr)):            # state seen at step t+1 (0-based t)
         s = spy.states[t]
@@ -93,7 +93,7 @@ class _Rogue(Agent):
 def test_out_of_range_action_aborts():
     g = builtin_game("chicken")
     with pytest.raises(RuntimeError, match="outside"):
-        run_match(g, _Rogue(), FixedActionAgent(0, player=2), MatchConfig(T=5))
+        run_match(g, _Rogue(), FixedActionAgent(0, 2, player=2), MatchConfig(T=5))
 
 
 def test_config_validation():

@@ -123,7 +123,7 @@ def test_follower_trips_against_capped_opponent():
         shared = FollowerShared()
         f = FollowerExpert(g, 1, cfg, kit, shared, _subepoch(T), kit.ebs.u1,
                            agent_rng(seed, 1))
-        run_match(g, f, FixedActionAgent(1, player=2), cfg)
+        run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
         assert shared.tripped, seed
         # the trip leaves the follower playing the egalitarian leader
         assert f._delegate is not None
@@ -156,7 +156,7 @@ def test_follower_learns_best_response():
     shared = FollowerShared()
     f = FollowerExpert(g, 1, cfg, kit, shared, _subepoch(T), v1=-1.0,
                        rng=agent_rng(2, 1))
-    tr = run_match(g, f, FixedActionAgent(1, player=2), cfg)
+    tr = run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
     # the greedy policy on recently visited states settles on the row
     # paying 0.25 against column 1
     q = TabularQ(2, q0=20.0, gamma=0.95, table=shared.table)
@@ -175,7 +175,7 @@ def test_maximin_trips_when_exploited():
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
         m = MaximinExpert(g, 1, cfg, kit, _subepoch(T), agent_rng(seed, 1))
-        run_match(g, m, FixedActionAgent(1, player=2), cfg)
+        run_match(g, m, FixedActionAgent(1, 2, player=2), cfg)
         assert m.tripped, seed
 
 
@@ -219,7 +219,7 @@ def test_q_estimates_decay_without_reward():
     shared = FollowerShared()
     f = FollowerExpert(g, 1, cfg, kit, shared, _subepoch(5000), v1=-1.0,
                        rng=agent_rng(0, 1))
-    run_match(g, f, FixedActionAgent(0, player=2), cfg)
+    run_match(g, f, FixedActionAgent(0, 2, player=2), cfg)
     assert max(max(row) for row in shared.table.values()) < 10.0
 
 

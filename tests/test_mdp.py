@@ -6,10 +6,11 @@ from laff import (GAME_NAMES, BimatrixGame, EnforceParams, LeaderKit, MatchConfi
                   builtin_game, induce_mdp, optimal_average_reward,
                   policy_average_reward, security_value)
 from laff.engine import HistoryState
-from laff.experts import LeaderCore, compliant_policy
+from laff.experts import LeaderCore
 from laff.mdp import InducedMdp
 from laff.opponents import bounded_memory_policy
-from oracles import enumerate_deterministic_gains, enumerate_states, induce_mdp_full
+from oracles import (compliant_policy, enumerate_deterministic_gains, enumerate_states,
+                     induce_mdp_full)
 
 RECT = BimatrixGame("rect3x2",
                     [[0.512, 0.95], [0.144, 0.949], [0.312, 0.423]],

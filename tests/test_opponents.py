@@ -3,10 +3,10 @@ import pytest
 
 from laff import (EnforceParams, MatchConfig, builtin_game, enforceable_ebs,
                   play_match, run_match)
-from laff.engine import FixedActionAgent, agent_rng
+from laff.engine import FixedActionAgent
 from laff.opponents import (AGENT_NAMES, EpsGreedyQAgent,
                             FictitiousPlayAgent, bounded_memory_policy,
-                            build_agent, ftft_agent)
+                            build_agent)
 from oracles import enumerate_states
 
 CFG = MatchConfig(T=1000, seed=0)
@@ -24,17 +24,16 @@ def test_bully_no_punishment_against_compliant():
     cfg = MatchConfig(T=2000, seed=3)
     b = build_agent("bully", g, 2, cfg)
     # its solution mixes (0,0) and (1,0): column 0 is compliant at any bit
-    run_match(g, FixedActionAgent(0, player=1,
-                                  weight=b.core.weight), b, cfg)
-    assert b.core.punish_steps == 0
+    run_match(g, FixedActionAgent(0, 2, player=1, weight=b.weight), b, cfg)
+    assert b.punish_steps == 0
 
 
 def test_ftft_zero_probability_never_punishes():
     g = builtin_game("sym_inferior")
     cfg = MatchConfig(T=3000, seed=2)
-    f = ftft_agent(g, 2, cfg, p=0.0, rng=agent_rng(2, 2))
-    run_match(g, FixedActionAgent(1, player=1), f, cfg)
-    assert f.core.punish_steps == 0
+    f = build_agent("ftft", g, 2, cfg, params={"p": 0.0})
+    run_match(g, FixedActionAgent(1, 2, player=1), f, cfg)
+    assert f.punish_steps == 0
 
 
 def test_ftft_full_probability_matches_egalitarian_stream():
@@ -53,10 +52,10 @@ def test_ftft_punishes_at_rate_p():
     g = builtin_game("sym_inferior")
     T = 10000
     cfg = MatchConfig(T=T, seed=5)
-    f = ftft_agent(g, 2, cfg, p=0.2, rng=agent_rng(5, 2))
-    run_match(g, FixedActionAgent(1, player=1), f, cfg)
+    f = build_agent("ftft", g, 2, cfg, params={"p": 0.2})
+    run_match(g, FixedActionAgent(1, 2, player=1), f, cfg)
     eligible = T - 1  # amnesty covers only the very first step (Kp = 1)
-    rate = f.core.punish_steps / eligible
+    rate = f.punish_steps / eligible
     sigma = (0.2 * 0.8 / eligible) ** 0.5
     assert abs(rate - 0.2) < 4 * sigma
 
@@ -104,7 +103,7 @@ def test_manipulator_stays_leader_against_compliant():
     cfg = MatchConfig(T=4000, seed=1)
     m = build_agent("manipulator", g, 1, cfg)
     # its bully cell asks the opponent for column 0
-    run_match(g, m, FixedActionAgent(0, player=2), cfg)
+    run_match(g, m, FixedActionAgent(0, 2, player=2), cfg)
     assert m.phase == "leader"
     assert not m.override
 
@@ -113,7 +112,7 @@ def test_manipulator_maximin_override():
     g = builtin_game("chicken")
     cfg = MatchConfig(T=4000, seed=1)
     m = build_agent("manipulator", g, 1, cfg)
-    tr = run_match(g, m, FixedActionAgent(1, player=2), cfg)
+    tr = run_match(g, m, FixedActionAgent(1, 2, player=2), cfg)
     # leading row 1 against the constant column 1 starves it below the
     # security floor; the maximin override then keeps pulling the average
     # back toward that floor
@@ -164,5 +163,35 @@ def test_leader_weight_constancy():
     cfg = MatchConfig(T=100, seed=0)
     b = build_agent("bully", g, 2, cfg)
     w0 = b.report_weight(0)
-    tr = run_match(g, FixedActionAgent(0, player=1), b, cfg)
+    tr = run_match(g, FixedActionAgent(0, 2, player=1), b, cfg)
     assert all(b.report_weight(t) == w0 for t in range(100))
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("manipulator", {"eps_prime": float("inf")},
+     "parameter 'eps_prime' of agent 'manipulator' must be finite and >= 0, got inf"),
+    ("manipulator", {"eps_prime": -0.1},
+     "parameter 'eps_prime' of agent 'manipulator' must be finite and >= 0, got -0.1"),
+    ("manipulator", {"p_switch": 2},
+     "parameter 'p_switch' of agent 'manipulator' must lie in [0, 1], got 2"),
+    ("ftft", {"p": "0.4"},
+     "parameter 'p' of agent 'ftft' must lie in [0, 1], got '0.4'"),
+    ("qlearn", {"p": 0.4}, "agent 'qlearn' has no parameter 'p' (accepted: none)"),
+    ("bully", [0.4], "parameters of agent 'bully' must be a JSON object"),
+    ("fixed:x", None, "agent 'fixed:x' needs an integer action, as in fixed:0"),
+])
+def test_build_agent_rejects_bad_params(name, params, message):
+    g = builtin_game("chicken")
+    with pytest.raises(ValueError) as err:
+        build_agent(name, g, 2, CFG, params=params)
+    assert str(err.value) == message
+
+
+def test_build_agent_accepts_declared_params():
+    g = builtin_game("chicken")
+    m = build_agent("manipulator", g, 1, CFG,
+                    params={"eps_prime": 0.0, "p_switch": 1})
+    assert (m.eps_prime, m.p_switch) == (0.0, 1.0)
+    assert build_agent("ftft", g, 2, CFG, params={"p": 1}).punish_prob == 1.0
+    fixed = build_agent("fixed:1", g, 2, CFG, params={"weight": 1})
+    assert fixed.report_weight(0) == 1.0
