@@ -49,6 +49,23 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
+def _check_counts(args, **minimums):
+    """Reject a count flag below its minimum, before any work or output."""
+    for name, low in minimums.items():
+        value = getattr(args, name)
+        if value < low:
+            raise ValueError(f"--{name} must be >= {low}, got {value}")
+
+
+def _split_distinct(flag: str, text: str) -> list:
+    """A comma-separated list that names each entry once."""
+    items = text.split(",")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValueError(f"{flag} names '{item}' more than once")
+    return items
+
+
 def _config(args, T: int = 1) -> MatchConfig:
     return MatchConfig(T=T, K=args.K, eps=args.eps, delta=args.delta,
                        seed=_seed(args), C1=args.C1, C3=args.C3, C4=args.C4,
@@ -144,6 +161,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_regret(args) -> int:
+    _check_counts(args, seeds=1)
     game = load_game(args.game)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,8 +196,9 @@ def cmd_regret(args) -> int:
 
 
 def cmd_tournament(args) -> int:
-    games = [load_game(g) for g in args.games.split(",")]
-    names = args.algorithms.split(",")
+    _check_counts(args, trials=1)
+    names = _split_distinct("--algorithms", args.algorithms)
+    games = [load_game(g) for g in _split_distinct("--games", args.games)]
     config = _config(args, T=args.T)
     result = round_robin(names, games, args.trials, config, jobs=args.jobs)
     out_dir = Path(args.out)
@@ -240,6 +259,7 @@ def _read_pair_game_trial(path) -> TournamentResult:
 
 
 def cmd_replicator(args) -> int:
+    _check_counts(args, generations=0, runs=1)
     result = _read_pair_game_trial(args.input)
     names = result.names
     shares = replicator_run(result, args.generations, args.runs, seed=_seed(args))

@@ -50,7 +50,7 @@ def _sample(dist: np.ndarray, rng) -> int:
     return len(dist) - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionMap:
     """A pair solution expressed as global cells keyed by the signal bit."""
 
@@ -79,9 +79,13 @@ def _canonical_map(solution: PairSolution, player: int, Kp: int) -> Optional[Sol
                        r=solution.deviation_profit)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LeaderKit:
-    """Everything a seat needs to lead: solutions, punish/maximin strategies."""
+    """Everything a seat needs to lead: solutions, punish/maximin strategies.
+
+    Immutable, with read-only arrays, so that one kit can serve every agent
+    built for the same seat of the same game.
+    """
 
     player: int
     ep: EnforceParams
@@ -98,6 +102,18 @@ class LeaderKit:
 
     @classmethod
     def build(cls, game: BimatrixGame, player: int, ep: EnforceParams) -> "LeaderKit":
+        """The seat's kit, solved on the first call for this game instance.
+
+        Later calls with the same player and ``ep`` return the same object,
+        so every match on one game shares the seat's LPs and pair searches.
+        """
+        kit = game._kits.get((player, ep))
+        if kit is None:
+            kit = game._kits[(player, ep)] = cls._solve(game, player, ep)
+        return kit
+
+    @classmethod
+    def _solve(cls, game: BimatrixGame, player: int, ep: EnforceParams) -> "LeaderKit":
         own = game if player == 1 else swap_players(game)
         mu_s_own, v_m = security_value(own, 1)
         mu_s_opp, _ = security_value(own, 2)
@@ -106,9 +122,12 @@ class LeaderKit:
         bully = bully_solution(own, ep)
         kp_e = 0 if ebs.is_fallback else punishment_length(ebs, ep, mu_s_opp)
         kp_b = 0 if bully.is_fallback else punishment_length(bully, ep, mu_s_opp)
+        maximin, punish = v_m.as_array(), v_p.as_array()
+        maximin.setflags(write=False)
+        punish.setflags(write=False)
         return cls(player=player, ep=ep, n_own=own.n1, n_opp=own.n2,
                    mu_s_own=mu_s_own, mu_s_opp=mu_s_opp,
-                   maximin=v_m.as_array(), punish=v_p.as_array(),
+                   maximin=maximin, punish=punish,
                    ebs=ebs, bully=bully,
                    ebs_map=_canonical_map(ebs, player, kp_e),
                    bully_map=_canonical_map(bully, player, kp_b))

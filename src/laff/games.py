@@ -7,7 +7,7 @@ player 2 the column player; all indices are 0-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,15 +40,22 @@ class MixedStrategy:
 
 @dataclass
 class BimatrixGame:
-    """Two reward matrices in [0, 1] over the same joint action space."""
+    """Two reward matrices in [0, 1] over the same joint action space.
+
+    R1 and R2 are read-only copies of the given matrices.
+    """
 
     name: str
     R1: np.ndarray
     R2: np.ndarray
+    # LeaderKit.build's kits by (player, EnforceParams), solved once per instance
+    _kits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.R1 = np.asarray(self.R1, dtype=float)
-        self.R2 = np.asarray(self.R2, dtype=float)
+        self.R1 = np.array(self.R1, dtype=float)
+        self.R2 = np.array(self.R2, dtype=float)
+        self.R1.setflags(write=False)
+        self.R2.setflags(write=False)
         if self.R1.ndim != 2 or self.R1.shape != self.R2.shape:
             raise ValueError("R1 and R2 must be 2-d matrices of equal shape")
         if self.R1.shape[0] < 1 or self.R1.shape[1] < 1:

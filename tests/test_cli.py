@@ -257,3 +257,50 @@ def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
     assert out == ""
     assert err == "error: " + message.format(csv=csv) + "\n"
     assert not pop.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--algorithms", "fixed:0,fixed:0", "--games", "chicken"],
+     "error: --algorithms names 'fixed:0' more than once\n"),
+    (["--algorithms", "fixed:0,fixed:1", "--games", "chicken,cyclic,chicken"],
+     "error: --games names 'chicken' more than once\n"),
+], ids=["algorithms", "games"])
+def test_tournament_rejects_repeated_names(tmp_path, capsys, flags, message):
+    # a repeated entrant used to write duplicate rows, which the replicator
+    # then merged into one
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "tournament", *flags, "--trials", "1",
+                             "--T", "20", "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == message
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
+      "adversarial", "--T", "20", "--seeds", "0"],
+     "--seeds must be >= 1, got 0"),
+    (["tournament", "--algorithms", "fixed:0,fixed:1", "--games", "chicken",
+      "--T", "20", "--trials", "0"],
+     "--trials must be >= 1, got 0"),
+    (["replicator", "--generations", "-1", "--runs", "2"],
+     "--generations must be >= 0, got -1"),
+    (["replicator", "--generations", "5", "--runs", "0"],
+     "--runs must be >= 1, got 0"),
+], ids=["regret_seeds", "tournament_trials", "replicator_generations",
+        "replicator_runs"])
+def test_out_of_range_counts_are_rejected(tmp_path, capsys, argv, message):
+    # these used to raise IndexError or write all-nan CSVs
+    if argv[0] == "replicator":
+        lines = _pair_csv_lines(tmp_path, capsys)
+        csv = tmp_path / "pair.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        argv = argv + ["--input", str(csv)]
+    out_dir = tmp_path / "out"
+    target = out_dir / "population.csv" if argv[0] == "replicator" else out_dir
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()

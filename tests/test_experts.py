@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import laff.games
 from laff import EnforceParams, LeaderKit, MatchConfig, builtin_game, rq_bound
+from laff.evaluation import round_robin
+from laff.games import load_game
 from laff.engine import (Agent, FixedActionAgent, HistoryState, agent_rng,
                          run_match)
 from laff.experts import (FollowerExpert, FollowerShared, LeaderCore,
@@ -246,3 +250,57 @@ def test_leader_empirical_matches_solution_values():
     assert abs(m1 - kit.ebs.u1) < tol
     assert abs(m2 - kit.ebs.u2) < tol
     assert core.punish_steps == 0
+
+
+def test_kit_is_solved_once_per_game_seat_and_params():
+    g = builtin_game("chicken")
+    kit = LeaderKit.build(g, 1, EP)
+    assert LeaderKit.build(g, 1, EnforceParams(1, 0.05)) is kit
+    for player, ep in ((2, EP), (1, EnforceParams(2, 0.05)),
+                       (1, EnforceParams(1, 0.1))):
+        other = LeaderKit.build(g, player, ep)
+        assert other is not kit
+        assert (other.player, other.ep) == (player, ep)
+
+
+@pytest.mark.parametrize("name", ["chicken", "cyclic", "asym_biased"])
+@pytest.mark.parametrize("player", [1, 2])
+def test_cached_kit_equals_a_fresh_solve(name, player):
+    g = load_game(name)
+    LeaderKit.build(g, player, EP)
+    cached = LeaderKit.build(g, player, EP)
+    # no process-wide cache: another instance of the game solves its own kit
+    fresh = LeaderKit.build(load_game(name), player, EP)
+    assert cached is not fresh
+    for f in dataclasses.fields(LeaderKit):
+        x, y = getattr(cached, f.name), getattr(fresh, f.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_shared_kit_is_read_only():
+    kit = LeaderKit.build(builtin_game("cyclic"), 1, EP)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kit.mu_s_own = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kit.ebs_map.weight = 0.0
+    for arr in (kit.maximin, kit.punish):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_round_robin_solves_each_seat_once(monkeypatch):
+    # a kit runs 7 LPs; every match on a game shares each seat's kit
+    real, calls = laff.games._maximin, []
+
+    def spy(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(laff.games, "_maximin", spy)
+    games = [load_game("chicken"), load_game("cyclic")]
+    round_robin(["laff", "bully", "manipulator", "egal"], games, 2,
+                MatchConfig(T=60, seed=0))
+    assert len(calls) == 7 * len(games) * 2

@@ -116,3 +116,15 @@ def test_load_game_file(tmp_path):
 
     with pytest.raises(KeyError):
         load_game("no_such_game")
+
+
+def test_game_copies_and_freezes_its_matrices():
+    r1 = np.array([[0.5, 0.25], [1.0, 0.0]])
+    r2 = r1.T.copy()
+    g = BimatrixGame("x", r1, r2)
+    for m in (g.R1, g.R2):
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+    # the caller's arrays stay writable and are not shared with the game
+    r1[0, 0] = 0.0
+    assert g.R1[0, 0] == 0.5
