@@ -51,13 +51,13 @@ class Laff(Agent):
     def _build_expert(self, j: int):
         cfg, kit, rng = self.config, self.kit, self.rng
         if j in (1, 3, 5):
-            return FollowerExpert(self.game, self.player, cfg, kit,
-                                  self.shared, self.subepoch, self.v1, rng)
+            return FollowerExpert(self.game, cfg, kit, self.shared,
+                                  self.subepoch, self.v1, rng)
         if j == 2:
             return LeaderCore(kit, "bully", rng)
         if j == 4:
             return LeaderCore(kit, "ebs", rng)
-        return MaximinExpert(self.game, self.player, cfg, kit, self.subepoch, rng)
+        return MaximinExpert(cfg, kit, self.subepoch, rng)
 
     @property
     def expert_index(self) -> int:

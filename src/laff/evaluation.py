@@ -178,10 +178,10 @@ def _match_seed(base_seed: int, i: int, j: int, g: int, k: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _pair_job(args):
-    game, name_i, name_j, config = args
-    trace = play_match(game, name_i, name_j, config)
-    return trace.mean_rewards()
+def _game_job(args):
+    game, matches = args
+    return [play_match(game, name_i, name_j, cfg).mean_rewards()
+            for name_i, name_j, cfg in matches]
 
 
 def round_robin(algorithms, games, trials: int, config: MatchConfig,
@@ -191,7 +191,9 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     For symmetric games only the ordered pairs with i <= j are played; the
     reversed cell is filled with the same numbers swapped.  Seeds derive
     deterministically from (config.seed, i, j, game, trial), so results do
-    not depend on scheduling.
+    not depend on scheduling.  With ``jobs > 1`` each game's matches form
+    one worker task, so a worker receives each game once and solves its
+    leader kits once.
     """
     names = list(algorithms)
     games = list(games)
@@ -201,21 +203,24 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     job_args, job_keys = [], []
     for g, game in enumerate(games):
         sym = game.is_symmetric()
+        matches = []
         for i in range(nA):
             for j in range(nA):
                 if sym and j < i:
                     continue
                 for k in range(trials):
                     cfg = config.with_seed(_match_seed(config.seed, i, j, g, k))
-                    job_args.append((game, names[i], names[j], cfg))
+                    matches.append((names[i], names[j], cfg))
                     job_keys.append((i, j, g, k))
+        job_args.append((game, matches))
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_pair_job, job_args, chunksize=4))
+            per_game = list(pool.map(_game_job, job_args))
     else:
-        results = [_pair_job(a) for a in job_args]
+        per_game = [_game_job(a) for a in job_args]
+    results = [r for game_results in per_game for r in game_results]
 
     for (i, j, g, k), (m1, m2) in zip(job_keys, results):
         data[i, j, g, k] = (m1, m2)

@@ -163,6 +163,13 @@ class LeaderCore(Agent):
         self.punish_prob = float(punish_prob)
         self.steps_active = 0
         self.punish_steps = 0
+        if self.map is not None:
+            # indexed by the own signal bit: the own half of that bit's cell
+            # (the target) and the opponent's half (its expected action)
+            cells = (self.map.cell0, self.map.cell1)
+            own, opp = (0, 1) if self.player == 1 else (1, 0)
+            self.target = tuple(cell[own] for cell in cells)
+            self.expected = tuple(cell[opp] for cell in cells)
 
     @property
     def weight(self) -> float:
@@ -171,24 +178,11 @@ class LeaderCore(Agent):
     def report_weight(self, t):
         return self.weight
 
-    def _cell(self, bit: int) -> JointAction:
-        return self.map.cell1 if bit else self.map.cell0
-
-    def _own_component(self, cell: JointAction) -> int:
-        return cell.a1 if self.player == 1 else cell.a2
-
-    def _opp_component(self, cell: JointAction) -> int:
-        return cell.a2 if self.player == 1 else cell.a1
-
     def _deviated(self, state: HistoryState) -> bool:
-        kp = self.map.Kp
-        if kp == 0:
-            return False
         opp_actions = state.a2 if self.player == 1 else state.a1
         own_bits = state.y1 if self.player == 1 else state.y2
-        for k in range(1, kp + 1):
-            expected = self._opp_component(self._cell(own_bits[-k - 1]))
-            if opp_actions[-k] != expected:
+        for k in range(1, self.map.Kp + 1):
+            if opp_actions[-k] != self.expected[own_bits[-k - 1]]:
                 return True
         return False
 
@@ -197,8 +191,7 @@ class LeaderCore(Agent):
             self.steps_active += 1
             return _sample(self.kit.maximin, self.rng)
         own_bits = state.y1 if self.player == 1 else state.y2
-        target = self._own_component(self._cell(own_bits[-1]))
-        action = target
+        action = self.target[own_bits[-1]]
         if self.steps_active >= self.map.Kp and self._deviated(state):
             if self.punish_prob >= 1.0 or self.rng.random() < self.punish_prob:
                 action = _sample(self.kit.punish, self.rng)
@@ -211,54 +204,64 @@ class LeaderCore(Agent):
         if self.map is None:
             return self.kit.maximin.copy()
         own_bits = state.y1 if self.player == 1 else state.y2
-        point = np.eye(self.kit.n_own)[self._own_component(self._cell(own_bits[-1]))]
+        point = np.eye(self.kit.n_own)[self.target[own_bits[-1]]]
         if self._deviated(state):
             return self.punish_prob * self.kit.punish + (1 - self.punish_prob) * point
         return point
 
 
 class TabularQ:
-    """Plain tabular Q values with optimistic initialization.
+    """Tabular Q-learning over memory-K states, optimistic at 1/(1 - GAMMA).
 
-    The learning-rate schedule is supplied by the caller at update time, so
-    the same table serves both the count-based follower and the time-based
-    epsilon-greedy opponent.
+    A step's update waits for the state that follows it: `act` settles the
+    pending step at the caller's learning rate ``schedule(n, t)``, for the
+    step's visit count n (this visit included) and time t, and then defers
+    the new step.
     """
 
-    def __init__(self, n_actions: int, q0: float, gamma: float,
+    GAMMA = 0.95
+    Q0 = 1.0 / (1.0 - GAMMA)
+
+    def __init__(self, n_actions: int, schedule,
                  table: Optional[dict] = None, counts: Optional[dict] = None):
         self.n_actions = n_actions
-        self.q0 = float(q0)
-        self.gamma = float(gamma)
+        self.schedule = schedule
         self.table = table if table is not None else {}
         self.counts = counts if counts is not None else {}
+        self._pending = None  # [state, action, reward, t] of the unsettled step
 
     def row(self, state):
         row = self.table.get(state)
         if row is None:
-            row = [self.q0] * self.n_actions
+            row = [self.Q0] * self.n_actions
             self.table[state] = row
-        return row
-
-    def count_row(self, state):
-        row = self.counts.get(state)
-        if row is None:
-            row = [0] * self.n_actions
-            self.counts[state] = row
         return row
 
     def greedy(self, state) -> int:
         row = self.row(state)
-        best, best_v = 0, row[0]
-        for a in range(1, self.n_actions):
-            if row[a] > best_v:
-                best, best_v = a, row[a]
-        return best
+        return row.index(max(row))  # ties go to the lowest index
 
-    def update(self, state, action, reward, next_state, lr: float):
+    def act(self, state, t: int, action: Optional[int] = None) -> int:
+        """Settle the pending step, then take ``action`` (greedy if None)."""
         row = self.row(state)
-        nxt = max(self.row(next_state))
-        row[action] += lr * (reward + self.gamma * nxt - row[action])
+        if self._pending is not None:
+            ps, pa, pr, pt = self._pending
+            counts = self.counts.get(ps)
+            if counts is None:
+                counts = self.counts[ps] = [0] * self.n_actions
+            counts[pa] += 1
+            lr = self.schedule(counts[pa], pt)
+            prev = self.table[ps]  # made when the pending step acted
+            prev[pa] += lr * (pr + self.GAMMA * max(row) - prev[pa])
+        if action is None:
+            action = row.index(max(row))
+        self._pending = [state, action, 0.0, t]
+        return action
+
+    def reward(self, r: float) -> None:
+        """Record the reward of the pending step."""
+        if self._pending is not None:
+            self._pending[2] = r
 
 
 @dataclass
@@ -280,12 +283,11 @@ class FollowerExpert(Agent):
     instance) plays the egalitarian leader instead.
     """
 
-    GAMMA = 0.95
     H0 = 10
 
-    def __init__(self, game: BimatrixGame, player: int, config, kit: LeaderKit,
+    def __init__(self, game: BimatrixGame, config, kit: LeaderKit,
                  shared: FollowerShared, subepoch: int, v1: float, rng):
-        self.player = player
+        self.player = kit.player
         self.config = config
         self.kit = kit
         self.shared = shared
@@ -293,44 +295,31 @@ class FollowerExpert(Agent):
         self.v1 = float(v1)
         self.rng = rng
         self.S = state_space_size(game, config.K)
-        self.A = game.n1 if player == 1 else game.n2
-        self.q = TabularQ(self.A, q0=1.0 / (1.0 - self.GAMMA), gamma=self.GAMMA,
+        self.A = kit.n_own
+        self.q = TabularQ(self.A, self.learning_rate,
                           table=shared.table, counts=shared.counts)
         self.tau = 0
         self.cum = 0.0
-        self._pending = None  # (state, action)
-        self._delegate = None
-        if shared.tripped:
-            self._make_delegate()
+        # the egalitarian leader, held exactly when the shared flag is tripped
+        self._delegate = LeaderCore(kit, "ebs", rng) if shared.tripped else None
 
-    def _make_delegate(self):
-        if self._delegate is None:
-            self._delegate = LeaderCore(self.kit, "ebs", self.rng)
+    @classmethod
+    def learning_rate(cls, n: int, t: int) -> float:
+        return (cls.H0 + 1.0) / (cls.H0 + n)
 
     def report_weight(self, t):
         return self.kit.ebs_weight
 
     def act(self, state, t):
-        if self.shared.tripped:
-            self._make_delegate()
-            self._pending = None
+        if self._delegate is not None:
             return self._delegate.act(state, t)
-        if self._pending is not None:
-            ps, pa, pr = self._pending
-            counts = self.q.count_row(ps)
-            counts[pa] += 1
-            lr = (self.H0 + 1.0) / (self.H0 + counts[pa])
-            self.q.update(ps, pa, pr, state, lr)
-        a = self.q.greedy(state)
-        self._pending = (state, a, 0.0)
-        return a
+        return self.q.act(state, t)
 
     def observe(self, record: StepRecord, state):
-        r_own = record.r1 if self.player == 1 else record.r2
-        if self.shared.tripped:
+        if self._delegate is not None:
             return
-        if self._pending is not None:
-            self._pending = (self._pending[0], self._pending[1], r_own)
+        r_own = record.r1 if self.player == 1 else record.r2
+        self.q.reward(r_own)
         self.tau += 1
         self.cum += r_own
         if self.tau % self.subepoch == 0:
@@ -338,8 +327,7 @@ class FollowerExpert(Agent):
                 self.tau, self.config.delta / self.config.T, self.S, self.A)
             if self.cum / self.tau < self.v1 - allowance / self.tau:
                 self.shared.tripped = True
-                self._pending = None
-                self._make_delegate()
+                self._delegate = LeaderCore(self.kit, "ebs", self.rng)
 
 
 class MaximinExpert(Agent):
@@ -351,28 +339,30 @@ class MaximinExpert(Agent):
     the rest of the game.
     """
 
-    def __init__(self, game: BimatrixGame, player: int, config, kit: LeaderKit,
-                 subepoch: int, rng):
-        self.player = player
+    def __init__(self, config, kit: LeaderKit, subepoch: int, rng):
+        self.player = kit.player
         self.config = config
         self.kit = kit
         self.subepoch = max(1, int(subepoch))
         self.rng = rng
         self.tau = 0
         self.opp_cum = 0.0
-        self.tripped = False
-        self._delegate = None
+        self._delegate = None  # the egalitarian leader, once tripped
+
+    @property
+    def tripped(self) -> bool:
+        return self._delegate is not None
 
     def report_weight(self, t):
         return self.kit.ebs_weight
 
     def act(self, state, t):
-        if self.tripped:
+        if self._delegate is not None:
             return self._delegate.act(state, t)
         return _sample(self.kit.maximin, self.rng)
 
     def observe(self, record: StepRecord, state):
-        if self.tripped:
+        if self._delegate is not None:
             return
         K = self.config.K
         r_opp = record.r2 if self.player == 1 else record.r1
@@ -384,5 +374,4 @@ class MaximinExpert(Agent):
             bound = (self.kit.ebs.u2 - self.config.eta_m
                      + math.sqrt(math.log(self.config.T / self.config.delta) / (2 * n)))
             if self.opp_cum / n > bound:
-                self.tripped = True
                 self._delegate = LeaderCore(self.kit, "ebs", self.rng)

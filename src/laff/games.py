@@ -33,16 +33,13 @@ class MixedStrategy:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
-    @property
-    def support(self) -> tuple:
-        return tuple(i for i, p in enumerate(self.probs) if p > _TOL)
-
 
 @dataclass
 class BimatrixGame:
     """Two reward matrices in [0, 1] over the same joint action space.
 
-    R1 and R2 are read-only copies of the given matrices.
+    R1 and R2 are read-only copies of the given matrices, also after a
+    pickle round trip (as in `round_robin`'s worker processes).
     """
 
     name: str
@@ -50,6 +47,10 @@ class BimatrixGame:
     R2: np.ndarray
     # LeaderKit.build's kits by (player, EnforceParams), solved once per instance
     _kits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        # unpickled through __init__: read-only matrices again, no kit cache
+        return type(self), (self.name, self.R1, self.R2)
 
     def __post_init__(self):
         self.R1 = np.array(self.R1, dtype=float)
@@ -93,19 +94,10 @@ def swap_players(game: BimatrixGame) -> BimatrixGame:
 def _maximin(M: np.ndarray):
     """max over row mixtures p of min_j (p'M)_j, with the optimal p.
 
-    Pure optima are preferred (lowest index) so results are deterministic;
-    1xN / Nx1 matrices are handled by direct enumeration.
+    Pure optima are preferred (lowest index) so results are deterministic.
     """
     M = np.asarray(M, dtype=float)
     m, n = M.shape
-    if m == 1:
-        return float(M[0].min()), np.array([1.0])
-    if n == 1:
-        i = int(np.argmax(M[:, 0]))
-        p = np.zeros(m)
-        p[i] = 1.0
-        return float(M[i, 0]), p
-
     # variables (p_1..p_m, v); maximize v s.t. p'M >= v, p on the simplex
     c = np.zeros(m + 1)
     c[-1] = -1.0

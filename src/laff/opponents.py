@@ -54,14 +54,11 @@ class EpsGreedyQAgent(Agent):
     1 - 1/(10 + t/10); learning rate 5/(10 + t/100).
     """
 
-    GAMMA = 0.95
-
     def __init__(self, game: BimatrixGame, player: int, config, rng):
         self.player = player
         self.rng = rng
         n = game.n1 if player == 1 else game.n2
-        self.q = TabularQ(n, q0=1.0 / (1.0 - self.GAMMA), gamma=self.GAMMA)
-        self._pending = None
+        self.q = TabularQ(n, lambda visits, t: EpsGreedyQAgent.learning_rate(t))
 
     @staticmethod
     def explore_prob(t: int) -> float:
@@ -72,21 +69,13 @@ class EpsGreedyQAgent(Agent):
         return 5.0 / (10.0 + t / 100.0)
 
     def act(self, state, t):
-        if self._pending is not None:
-            ps, pa, pr, pt = self._pending
-            self.q.update(ps, pa, pr, state, self.learning_rate(pt))
+        action = None
         if self.rng.random() < self.explore_prob(t):
-            a = int(self.rng.integers(self.q.n_actions))
-        else:
-            a = self.q.greedy(state)
-        self._pending = (state, a, 0.0, t)
-        return a
+            action = int(self.rng.integers(self.q.n_actions))
+        return self.q.act(state, t, action)
 
     def observe(self, record, state):
-        if self._pending is not None:
-            r_own = record.r1 if self.player == 1 else record.r2
-            s, a, _, t = self._pending
-            self._pending = (s, a, r_own, t)
+        self.q.reward(record.r1 if self.player == 1 else record.r2)
 
 
 class FictitiousPlayAgent(Agent):
@@ -132,7 +121,6 @@ class ManipulatorAgent(Agent):
     def __init__(self, game: BimatrixGame, player: int, config, rng,
                  eps_prime: float = 0.025, p_switch: float = 0.00005):
         self.player = player
-        self.config = config
         self.rng = rng
         self.eps_prime = float(eps_prime)
         self.p_switch = float(p_switch)
@@ -142,7 +130,7 @@ class ManipulatorAgent(Agent):
         self.window = max(1, config.T // 20)
         self.probe = max(1, 3 * config.T // 10)
         self.phase = "leader"          # leader | rl | locked
-        self.locked_arm: Optional[str] = None
+        self.arm = "leader"            # the arm that plays: leader | rl
         self.t_switch: Optional[int] = None
         self.cum = 0.0
         self.steps = 0
@@ -151,7 +139,6 @@ class ManipulatorAgent(Agent):
         self.opp_actions: list = []
         self.override = False
         self.override_steps = 0
-        self._arm_this_step = "leader"
 
     def _tv_nonstationary(self) -> bool:
         w = self.window
@@ -161,21 +148,14 @@ class ManipulatorAgent(Agent):
         prev = np.bincount(self.opp_actions[-2 * w:-w], minlength=self.kit.n_opp) / w
         return 0.5 * np.abs(last - prev).sum() > 0.1
 
-    def _current_arm(self) -> str:
-        if self.phase == "locked":
-            return self.locked_arm
-        return "rl" if self.phase == "rl" else "leader"
-
     def report_weight(self, t):
-        return self.leader.weight if self._current_arm() == "leader" else 0.0
+        return self.leader.weight if self.arm == "leader" else 0.0
 
     def act(self, state, t):
-        arm = self._current_arm()
-        self._arm_this_step = arm
         if self.override:
             self.override_steps += 1
             return _sample(self.kit.maximin, self.rng)
-        if arm == "leader":
+        if self.arm == "leader":
             return self.leader.act(state, t)
         return self.rl.act(state, t)
 
@@ -185,10 +165,10 @@ class ManipulatorAgent(Agent):
         self.steps += 1
         self.cum += r_own
         self.opp_actions.append(int(opp))
-        arm = self._arm_this_step
-        self.arm_cum[arm] += r_own
-        self.arm_steps[arm] += 1
-        if arm == "rl":
+        # the arm only changes below, so it is the one that acted this step
+        self.arm_cum[self.arm] += r_own
+        self.arm_steps[self.arm] += 1
+        if self.arm == "rl":
             self.rl.observe(record, state)
 
         t = record.t
@@ -198,23 +178,20 @@ class ManipulatorAgent(Agent):
         if self.phase == "leader" and t > self.window:
             if (avg < self.kit.bully.u1 - self.eps_prime
                     and self.rng.random() < self.p_switch):
-                self.phase = "rl"
+                self.phase = self.arm = "rl"
                 self.t_switch = t
         elif self.phase == "rl":
             elapsed = t - self.t_switch
-            if elapsed == self.probe:
+            if elapsed in (self.probe, self.probe + self.window):
                 if self._tv_nonstationary():
                     self._lock_best()
-            elif elapsed == self.probe + self.window:
-                if self._tv_nonstationary():
-                    self._lock_best()
-                else:
-                    self.phase, self.locked_arm = "locked", "rl"
+                elif elapsed > self.probe:
+                    self.phase = "locked"  # a stationary opponent keeps RL
 
     def _lock_best(self):
         avgs = {a: (self.arm_cum[a] / self.arm_steps[a]) if self.arm_steps[a] else -1.0
                 for a in ("leader", "rl")}
-        self.locked_arm = "leader" if avgs["leader"] >= avgs["rl"] else "rl"
+        self.arm = "leader" if avgs["leader"] >= avgs["rl"] else "rl"
         self.phase = "locked"
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_follower_trips_against_capped_opponent():
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
         shared = FollowerShared()
-        f = FollowerExpert(g, 1, cfg, kit, shared, _subepoch(T), kit.ebs.u1,
+        f = FollowerExpert(g, cfg, kit, shared, _subepoch(T), kit.ebs.u1,
                            agent_rng(seed, 1))
         run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
         assert shared.tripped, seed
@@ -145,7 +146,7 @@ def test_follower_survives_leader_copy():
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
         shared = FollowerShared()
-        f = FollowerExpert(g, 1, cfg, kit, shared, _subepoch(T), kit.ebs.u1,
+        f = FollowerExpert(g, cfg, kit, shared, _subepoch(T), kit.ebs.u1,
                            agent_rng(seed, 1))
         run_match(g, f, build_agent("egal", g, 2, cfg), cfg)
         trips += shared.tripped
@@ -158,15 +159,14 @@ def test_follower_learns_best_response():
     cfg = MatchConfig(T=T, seed=2)
     kit = LeaderKit.build(g, 1, EP)
     shared = FollowerShared()
-    f = FollowerExpert(g, 1, cfg, kit, shared, _subepoch(T), v1=-1.0,
+    f = FollowerExpert(g, cfg, kit, shared, _subepoch(T), v1=-1.0,
                        rng=agent_rng(2, 1))
     tr = run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
     # the greedy policy on recently visited states settles on the row
     # paying 0.25 against column 1
-    q = TabularQ(2, q0=20.0, gamma=0.95, table=shared.table)
     dominant = {s for s, c in shared.counts.items() if sum(c) > 300}
     assert dominant
-    assert all(q.greedy(s) == 0 for s in dominant)
+    assert all(f.q.greedy(s) == 0 for s in dominant)
     assert tr.a1[-500:].mean() < 0.15
     assert not shared.tripped  # v1 = -1 disables the test
 
@@ -178,7 +178,7 @@ def test_maximin_trips_when_exploited():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        m = MaximinExpert(g, 1, cfg, kit, _subepoch(T), agent_rng(seed, 1))
+        m = MaximinExpert(cfg, kit, _subepoch(T), agent_rng(seed, 1))
         run_match(g, m, FixedActionAgent(1, 2, player=2), cfg)
         assert m.tripped, seed
 
@@ -200,18 +200,40 @@ def test_maximin_tolerates_security_level_opponent():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        m = MaximinExpert(g, 1, cfg, kit, _subepoch(T), agent_rng(seed, 1))
+        m = MaximinExpert(cfg, kit, _subepoch(T), agent_rng(seed, 1))
         run_match(g, m, HalfHalf(agent_rng(seed, 2)), cfg)
         assert not m.tripped, seed
 
 
 def test_tabular_q_basics():
-    q = TabularQ(2, q0=20.0, gamma=0.95)
+    rates = []
+    q = TabularQ(2, lambda n, t: rates.append((n, t)) or 0.5)
     s = ("s",)
     assert q.greedy(s) == 0  # optimistic tie breaks to the lowest index
-    q.update(s, 1, 1.0, s, lr=0.5)
-    # a high-reward update keeps action 1 at the top until values settle
+    assert q.act(s, 1, action=1) == 1
+    q.reward(1.0)
+    # the step is settled, with its visit count and time, once s follows it
+    q.act(s, 2)
+    assert rates == [(1, 1)] and q.counts[s] == [0, 1]
     assert q.row(s)[1] == pytest.approx(20.0 + 0.5 * (1.0 + 0.95 * 20.0 - 20.0))
+
+
+def test_new_follower_leaves_shared_tables_alone_on_first_act():
+    # a follower's unsettled last step dies with it: the next follower
+    # instance on the same shared tables must not apply it
+    g = builtin_game("chicken")
+    cfg = MatchConfig(T=300, seed=4)
+    kit = LeaderKit.build(g, 1, EP)
+    shared = FollowerShared()
+    f = FollowerExpert(g, cfg, kit, shared, _subepoch(300), v1=-1.0,
+                       rng=agent_rng(4, 1))
+    run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
+    table = {s: list(row) for s, row in shared.table.items()}
+    counts = {s: list(row) for s, row in shared.counts.items()}
+    f2 = FollowerExpert(g, cfg, kit, shared, _subepoch(300), v1=-1.0,
+                        rng=agent_rng(4, 1))
+    f2.act(next(iter(table)), 1)
+    assert shared.table == table and shared.counts == counts
 
 
 def test_q_estimates_decay_without_reward():
@@ -221,7 +243,7 @@ def test_q_estimates_decay_without_reward():
     cfg = MatchConfig(T=5000, seed=0)
     kit = LeaderKit.build(g, 1, EnforceParams(1, 0.05))
     shared = FollowerShared()
-    f = FollowerExpert(g, 1, cfg, kit, shared, _subepoch(5000), v1=-1.0,
+    f = FollowerExpert(g, cfg, kit, shared, _subepoch(5000), v1=-1.0,
                        rng=agent_rng(0, 1))
     run_match(g, f, FixedActionAgent(0, 2, player=2), cfg)
     assert max(max(row) for row in shared.table.values()) < 10.0
@@ -304,3 +326,27 @@ def test_round_robin_solves_each_seat_once(monkeypatch):
     round_robin(["laff", "bully", "manipulator", "egal"], games, 2,
                 MatchConfig(T=60, seed=0))
     assert len(calls) == 7 * len(games) * 2
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the spy reaches workers only through fork")
+def test_round_robin_workers_solve_each_seat_once(monkeypatch, tmp_path):
+    # each game travels to a worker once, so --jobs 2 solves what --jobs 1 does
+    log = tmp_path / "solves"
+    real = LeaderKit._solve
+
+    def spy(cls, game, player, ep):
+        with open(log, "a") as f:
+            f.write(f"{game.name},{player}\n")
+        return real(game, player, ep)
+
+    monkeypatch.setattr(LeaderKit, "_solve", classmethod(spy))
+    solved = {}
+    for jobs in (1, 2):
+        log.write_text("")
+        round_robin(["laff", "bully", "egal"],
+                    [load_game("chicken"), load_game("cyclic")], 4,
+                    MatchConfig(T=50, seed=0), jobs=jobs)
+        solved[jobs] = sorted(log.read_text().split())
+    assert solved[1] == ["chicken,1", "chicken,2", "cyclic,1", "cyclic,2"]
+    assert solved[2] == solved[1]

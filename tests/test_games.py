@@ -1,11 +1,12 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from laff import (BimatrixGame, GAME_NAMES, MixedStrategy, builtin_game,
-                  expected_reward, load_game, punishment_strategy,
-                  security_value, swap_players)
+from laff import (BimatrixGame, EnforceParams, GAME_NAMES, LeaderKit,
+                  MixedStrategy, builtin_game, expected_reward, load_game,
+                  punishment_strategy, security_value, swap_players)
 from oracles import maximin_grid
 
 
@@ -20,11 +21,16 @@ def test_chicken_security_values():
     assert s2.probs[0] == pytest.approx(1.0)
 
 
-def test_single_action_game():
-    g = BimatrixGame("one", [[0.7]], [[0.3]])
+@pytest.mark.parametrize("r1, value, probs", [
+    ([[0.7]], 0.7, (1.0,)),
+    ([[0.7, 0.2, 0.5]], 0.2, (1.0,)),
+    ([[0.2], [0.7], [0.5]], 0.7, (0.0, 1.0, 0.0)),
+], ids=["1x1", "1x3", "3x1"])
+def test_single_action_game(r1, value, probs):
+    g = BimatrixGame("one", r1, np.full_like(r1, 0.3))
     v, s = security_value(g, 1)
-    assert v == pytest.approx(0.7)
-    assert s.probs == (1.0,)
+    assert v == pytest.approx(value)
+    assert s.probs == probs
 
 
 def test_zero_sum_mixing():
@@ -128,3 +134,16 @@ def test_game_copies_and_freezes_its_matrices():
     # the caller's arrays stay writable and are not shared with the game
     r1[0, 0] = 0.0
     assert g.R1[0, 0] == 0.5
+
+
+def test_unpickled_game_keeps_read_only_matrices():
+    # tournament workers receive their games pickled
+    g = builtin_game("chicken")
+    LeaderKit.build(g, 1, EnforceParams(1, 0.05))
+    h = pickle.loads(pickle.dumps(g))
+    assert h.name == g.name
+    for m, orig in ((h.R1, g.R1), (h.R2, g.R2)):
+        assert np.array_equal(m, orig)
+        assert not m.flags.writeable
+    # kits stay with their process, so none arrives with writable arrays
+    assert h._kits == {}
