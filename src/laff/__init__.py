@@ -15,7 +15,7 @@ from .engine import (Agent, HistoryState, MatchConfig, MatchTrace, StepRecord,
                      draw_signals, run_match, state_space_size)
 from .evaluation import (RegretCurve, benchmark_for, exploiter_regret,
                          play_match, pure_nash, regret_curve, replicator_run,
-                         replicator_step, round_robin, PopulationState)
+                         replicator_step, round_robin)
 from .experts import LeaderKit, rq_bound
 from .games import (BimatrixGame, EVALUATION_GAMES, GAME_NAMES, MixedStrategy,
                     TRAINING_GAMES, builtin_game, expected_reward, load_game,
@@ -28,7 +28,7 @@ __all__ = [
     "Agent", "BimatrixGame", "EnforceParams", "EVALUATION_GAMES", "GAME_NAMES",
     "HistoryState", "InducedMdp", "JointAction", "Laff", "LeaderKit",
     "MatchConfig", "MatchTrace", "MixedStrategy", "PairSolution",
-    "PopulationState", "RegretCurve", "StepRecord", "TRAINING_GAMES",
+    "RegretCurve", "StepRecord", "TRAINING_GAMES",
     "benchmark_for", "bounded_memory_policy", "build_agent", "builtin_game",
     "bully_solution", "deviation_profit", "draw_signals", "enforceable_ebs",
     "expected_reward", "exploiter_regret", "induce_mdp", "load_game",

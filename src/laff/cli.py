@@ -67,9 +67,7 @@ def _split_distinct(flag: str, text: str) -> list:
 
 
 def _config(args, T: int = 1) -> MatchConfig:
-    return MatchConfig(T=T, K=args.K, eps=args.eps, delta=args.delta,
-                       seed=_seed(args), C1=args.C1, C3=args.C3, C4=args.C4,
-                       eta_m=args.eta_m)
+    return MatchConfig(T=T, K=args.K, eps=args.eps, seed=_seed(args))
 
 
 def _add_common(p, with_T=True, with_game=True):
@@ -78,12 +76,7 @@ def _add_common(p, with_T=True, with_game=True):
                        help=f"built-in name ({', '.join(GAME_NAMES)}) or JSON file")
     p.add_argument("--K", type=int, default=1)
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--C1", type=float, default=0.05)
-    p.add_argument("--C3", type=float, default=0.005)
-    p.add_argument("--C4", type=float, default=0.005)
-    p.add_argument("--eta-m", dest="eta_m", type=float, default=0.05)
     if with_T:
         p.add_argument("--T", type=int, default=20000)
 
@@ -215,8 +208,7 @@ def cmd_tournament(args) -> int:
             for g, gname in enumerate(result.games):
                 for k in range(result.trials):
                     v = result.data[i, j, g, k]
-                    if not np.isnan(v[0]):
-                        detail.append((names[i], names[j], gname, k, v[0], v[1]))
+                    detail.append((names[i], names[j], gname, k, v[0], v[1]))
     write_csv(out_dir / "pair_game_trial.csv",
               ["alg1", "alg2", "game", "trial", "m1", "m2"], detail)
 
@@ -237,9 +229,9 @@ def _read_pair_game_trial(path) -> TournamentResult:
         except ValueError:
             raise ValueError(f"{path}:{n}: expected alg1,alg2,game,trial,m1,m2 "
                              f"with an integer trial, got {line!r}") from None
-        if k < 0 or not (np.isfinite(m1) and np.isfinite(m2)):
-            raise ValueError(f"{path}:{n}: need a trial >= 0 and finite m1, m2, "
-                             f"got {line!r}")
+        if k < 0 or not (0 <= m1 <= 1 and 0 <= m2 <= 1):
+            raise ValueError(f"{path}:{n}: need a trial >= 0 and m1, m2 in "
+                             f"[0, 1], got {line!r}")
         cells[(a1, a2, g, k)] = (m1, m2)
     if not cells:
         raise ValueError(f"{path} has no data rows")

@@ -18,8 +18,8 @@ import math
 
 from .bargaining import EnforceParams, slack_b, slack_b_enforced, xi
 from .engine import Agent, MatchConfig
-from .experts import (FollowerExpert, FollowerShared, LeaderCore, LeaderKit,
-                      MaximinExpert)
+from .experts import (DELTA, FollowerExpert, FollowerShared, LeaderCore,
+                      LeaderKit, MaximinExpert)
 from .games import BimatrixGame
 
 
@@ -75,12 +75,12 @@ class Laff(Agent):
         which = "bully" if self.j <= 2 else "ebs"
         m = self.kit.solution_map(which)
         if m is None:
-            return slack_b(self.tau, cfg.T, cfg.delta, cfg.C1, cfg.C3)
+            return slack_b(self.tau, cfg.T, DELTA)
         xi_val = xi(cfg.eps, m.r, max(1, m.Kp))
         # t0, the adaptation time granted to a follower after this seat
         # turns stationary, is one leader phase
-        return slack_b_enforced(self.tau, cfg.T, cfg.delta, xi_val, m.Kp,
-                                cfg.C1, cfg.C3, t0=cfg.T / 20.0)
+        return slack_b_enforced(self.tau, cfg.T, DELTA, xi_val, m.Kp,
+                                t0=cfg.T / 20.0)
 
     def observe(self, record, state):
         self.active.observe(record, state)

@@ -37,23 +37,18 @@ class StepRecord(NamedTuple):
 
 @dataclass
 class MatchConfig:
-    """Horizon, memory, enforceability and tuning knobs for one match."""
+    """Horizon, memory, enforceability margin and seed of one match."""
 
     T: int
     K: int = 1
     eps: float = 0.05
-    delta: float = 0.05
     seed: int = 0
-    C1: float = 0.05
-    C3: float = 0.005
-    C4: float = 0.005
-    eta_m: float = 0.05
 
     def __post_init__(self):
         if self.T < 1 or self.K < 1:
             raise ValueError("T and K must be >= 1")
-        if self.eps <= 0 or not (0 < self.delta < 1):
-            raise ValueError("need eps > 0 and delta in (0, 1)")
+        if self.eps <= 0:
+            raise ValueError("need eps > 0")
 
     def with_seed(self, seed: int) -> "MatchConfig":
         return replace(self, seed=int(seed))
@@ -130,6 +125,12 @@ class MatchTrace:
         return cols
 
 
+def _weight_error(w1: float, w2: float, t: int) -> RuntimeError:
+    player, w = (2, w2) if 0.0 <= w1 <= 1.0 else (1, w1)
+    return RuntimeError(f"player {player} agent reported weight {w} "
+                        f"outside [0, 1] at step {t}")
+
+
 def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace:
     """Play T steps of the repeated game; identical seeds give identical traces.
 
@@ -146,6 +147,8 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
     a2h = (0,) * K
     w1 = float(alg1.report_weight(0))
     w2 = float(alg2.report_weight(0))
+    if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
+        raise _weight_error(w1, w2, 0)
     y1h, y2h = (), ()
     for _ in range(K):
         xb = rng.random()
@@ -169,6 +172,8 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
     for t in range(1, T + 1):
         w1 = float(alg1.report_weight(t))
         w2 = float(alg2.report_weight(t))
+        if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
+            raise _weight_error(w1, w2, t)
         x = rng.random()
         b1, b2 = draw_signals(x, w1, w2)
         y1h = y1h[-K:] + (b1,)

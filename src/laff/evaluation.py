@@ -37,15 +37,6 @@ class RegretCurve:
         t = np.arange(1, len(self.cumulative) + 1)
         return self.cumulative / t
 
-    def second_half_slope(self) -> float:
-        """Least-squares slope of the cumulative curve over its second half."""
-        n = len(self.cumulative)
-        if n < 4:
-            raise ValueError("curve too short for a slope estimate")
-        ts = np.arange(1, n + 1)[n // 2:]
-        ys = self.cumulative[n // 2:]
-        return float(np.polyfit(ts, ys, 1)[0])
-
 
 def regret_curve(rewards: np.ndarray, benchmark: float) -> RegretCurve:
     rewards = np.asarray(rewards, dtype=float)
@@ -110,44 +101,27 @@ def pure_nash(m1: np.ndarray, m2: np.ndarray, tol: float = 1e-12):
     return out
 
 
-@dataclass
-class PopulationState:
-    """A distribution over competing algorithms."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        if np.any(self.p < -1e-9) or abs(self.p.sum() - 1.0) > 1e-9:
-            raise ValueError("population shares must form a distribution")
-
-
 def role_min_rewards(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Row i = algorithm i's reward against each opponent, worst over seats."""
-    return np.minimum(np.asarray(m1), np.asarray(m2).T)
+    """Entry [i, j, ...] = algorithm i's reward against j, worst over seats.
+
+    The leading two axes index the algorithms; trailing axes (games,
+    trials) pass through.
+    """
+    return np.minimum(np.asarray(m1), np.swapaxes(np.asarray(m2), 0, 1))
 
 
-def replicator_step(pop: PopulationState, bimatrices) -> PopulationState:
+def replicator_step(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """One generation of the discrete replicator update.
 
     Fitness of algorithm i is the population-weighted mean of its role-worst
-    rewards, averaged over the supplied per-game bimatrices.  Shares update
-    multiplicatively by (1 - mean fitness + fitness) and are renormalized to
-    the simplex (the raw update does not preserve it exactly).
+    rewards ``r[i]`` (a (J, J) matrix in [0, 1]).  Shares update
+    multiplicatively by (1 - mean fitness + fitness), a nonnegative factor
+    for rewards in [0, 1], and are renormalized to the simplex (the raw
+    update does not preserve it exactly).
     """
-    p = pop.p
-    J = len(p)
-    r = np.zeros((J, J))
-    for (m1, m2) in bimatrices:
-        r += role_min_rewards(m1, m2)
-    r /= len(bimatrices)
     f = r @ p
-    fbar = f.mean()
-    new = p * ((1.0 - fbar) + f)
-    total = new.sum()
-    if total <= 0:
-        raise RuntimeError("replicator update annihilated the population")
-    return PopulationState(new / total)
+    new = p * ((1.0 - f.mean()) + f)
+    return new / new.sum()
 
 
 @dataclass
@@ -163,14 +137,6 @@ class TournamentResult:
         """Learning-game bimatrix: rewards averaged over games and trials."""
         m = np.nanmean(self.data, axis=(2, 3))
         return m[:, :, 0], m[:, :, 1]
-
-    def sample_bimatrices(self, rng) -> list:
-        """Per game, the (J, J, 2) means of one trial drawn with replacement."""
-        out = []
-        for g in range(len(self.games)):
-            k = int(rng.integers(self.trials))
-            out.append((self.data[:, :, g, k, 0], self.data[:, :, g, k, 1]))
-        return out
 
 
 def _match_seed(base_seed: int, i: int, j: int, g: int, k: int) -> int:
@@ -235,15 +201,23 @@ def replicator_run(result: TournamentResult, generations: int, runs: int,
     """Replicator trajectories over the tournament's empirical matrices.
 
     Returns shares of shape (runs, generations + 1, J); each generation
-    samples one trial per game with replacement.
+    samples one trial per game with replacement and averages the sampled
+    role-worst rewards over the games.  The rewards must lie in [0, 1].
     """
-    J = len(result.names)
+    data = result.data
+    if not ((data >= 0.0) & (data <= 1.0)).all():  # NaN fails as well
+        raise ValueError("replicator rewards must lie in [0, 1]")
+    J, G = len(result.names), len(result.games)
+    rmin = role_min_rewards(data[..., 0], data[..., 1])  # (J, J, G, trials)
     out = np.zeros((runs, generations + 1, J))
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
-        pop = PopulationState(np.full(J, 1.0 / J))
-        out[run, 0] = pop.p
+        p = np.full(J, 1.0 / J)
+        out[run, 0] = p
         for gen in range(1, generations + 1):
-            pop = replicator_step(pop, result.sample_bimatrices(rng))
-            out[run, gen] = pop.p
+            r = np.zeros((J, J))
+            for g in range(G):
+                r += rmin[:, :, g, int(rng.integers(result.trials))]
+            p = replicator_step(p, r / G)
+            out[run, gen] = p
     return out

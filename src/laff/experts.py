@@ -22,22 +22,25 @@ from .engine import Agent, HistoryState, StepRecord, state_space_size
 from .games import BimatrixGame, security_value, punishment_strategy, swap_players
 
 
+# Confidence level of LAFF's switch slack and tripwire tests.
+DELTA = 0.05
+# Margin below the opponent's egalitarian value in the maximin tripwire.
+ETA_M = 0.05
+# Scale of the follower regret bound at the trip test.  The bound is stated
+# only up to an O(1) factor; this value is calibrated so the tripwire fires
+# on genuinely capped opponents within the first epoch but survives an
+# ordinary learner's burn-in (see tests).
+RQ_SCALE = 0.1
+
+
 def rq_bound(tau: int, delta: float, S: int, A: int) -> float:
     """Regret scale of the tabular follower: (S*A*log(tau/delta))^(1/3) * tau^(2/3).
 
-    Unit leading constant; callers scale by the tuned C4 at test sites.
+    Unit leading constant; the follower's trip test scales it by RQ_SCALE.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
     return (S * A * math.log(tau / delta)) ** (1.0 / 3.0) * tau ** (2.0 / 3.0)
-
-
-# Leading constant of the follower regret bound, absorbed at the trip-test
-# site together with C4.  The bound is stated only up to an O(1) factor;
-# this value is calibrated so the tripwire fires on genuinely capped
-# opponents within the first epoch but survives an ordinary learner's
-# burn-in (see tests).
-RQ_LEADING_CONSTANT = 20.0
 
 
 def _sample(dist: np.ndarray, rng) -> int:
@@ -323,8 +326,8 @@ class FollowerExpert(Agent):
         self.tau += 1
         self.cum += r_own
         if self.tau % self.subepoch == 0:
-            allowance = self.config.C4 * RQ_LEADING_CONSTANT * rq_bound(
-                self.tau, self.config.delta / self.config.T, self.S, self.A)
+            allowance = RQ_SCALE * rq_bound(self.tau, DELTA / self.config.T,
+                                            self.S, self.A)
             if self.cum / self.tau < self.v1 - allowance / self.tau:
                 self.shared.tripped = True
                 self._delegate = LeaderCore(self.kit, "ebs", self.rng)
@@ -371,7 +374,7 @@ class MaximinExpert(Agent):
             self.opp_cum += r_opp
         if self.tau % self.subepoch == 0 and self.tau > K:
             n = self.tau - K
-            bound = (self.kit.ebs.u2 - self.config.eta_m
-                     + math.sqrt(math.log(self.config.T / self.config.delta) / (2 * n)))
+            bound = (self.kit.ebs.u2 - ETA_M
+                     + math.sqrt(math.log(self.config.T / DELTA) / (2 * n)))
             if self.opp_cum / n > bound:
                 self._delegate = LeaderCore(self.kit, "ebs", self.rng)

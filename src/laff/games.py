@@ -235,11 +235,22 @@ def builtin_game(name: str) -> BimatrixGame:
 
 
 def game_from_json(path) -> BimatrixGame:
-    """Load {name, R1: [[..]], R2: [[..]]} from a JSON file."""
-    data = json.loads(Path(path).read_text())
-    return BimatrixGame(name=data.get("name", Path(path).stem),
-                        R1=np.array(data["R1"], dtype=float),
-                        R2=np.array(data["R2"], dtype=float))
+    """Load {name, R1: [[..]], R2: [[..]]}; errors name the file and field."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: not a JSON game file ({e})") from None
+    mats = {}
+    for key in ("R1", "R2"):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"{path}: needs a JSON object with field {key}")
+        try:
+            mats[key] = np.array(data[key], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: field {key} must be a rectangular "
+                             f"matrix of numbers") from None
+    return BimatrixGame(name=data.get("name", path.stem), **mats)
 
 
 def load_game(name_or_path: str) -> BimatrixGame:
@@ -247,6 +258,6 @@ def load_game(name_or_path: str) -> BimatrixGame:
     if name_or_path in _LIBRARY_CELLS:
         return builtin_game(name_or_path)
     p = Path(name_or_path)
-    if p.exists():
+    if p.is_file():
         return game_from_json(p)
     raise KeyError(f"'{name_or_path}' is neither a built-in game nor a file")

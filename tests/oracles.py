@@ -159,3 +159,45 @@ def compliant_policy(kit, which: str = "ebs"):
         return d
 
     return policy
+
+
+def second_half_slope(curve) -> float:
+    """Least-squares slope of a regret curve's cumulative sum over its second half."""
+    n = len(curve.cumulative)
+    if n < 4:
+        raise ValueError("curve too short for a slope estimate")
+    ts = np.arange(1, n + 1)[n // 2:]
+    ys = curve.cumulative[n // 2:]
+    return float(np.polyfit(ts, ys, 1)[0])
+
+
+def replicator_run_reference(result, generations: int, runs: int, seed: int = 0):
+    """Replicator trajectories computed generation by generation.
+
+    Each generation draws one trial per game, takes each sampled bimatrix's
+    role-worst rewards min(m1, m2') afresh, averages them over the games and
+    applies the multiplicative update: the straightforward algorithm that
+    `laff.replicator_run` must reproduce bit for bit.
+    """
+    J, G = len(result.names), len(result.games)
+    out = np.zeros((runs, generations + 1, J))
+    for run in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        p = np.full(J, 1.0 / J)
+        out[run, 0] = p
+        for gen in range(1, generations + 1):
+            sampled = []
+            for g in range(G):
+                k = int(rng.integers(result.trials))
+                sampled.append((result.data[:, :, g, k, 0],
+                                result.data[:, :, g, k, 1]))
+            r = np.zeros((J, J))
+            for m1, m2 in sampled:
+                r += np.minimum(m1, m2.T)
+            r /= G
+            f = r @ p
+            fbar = f.mean()
+            new = p * ((1.0 - fbar) + f)
+            p = new / new.sum()
+            out[run, gen] = p
+    return out

@@ -13,11 +13,12 @@ from laff import (EnforceParams, GAME_NAMES, EVALUATION_GAMES, MatchConfig,
                   builtin_game, bully_solution, enforceable_ebs,
                   exploiter_regret, induce_mdp, optimal_average_reward,
                   play_match, pure_nash, replicator_step, replicator_run,
-                  round_robin, security_value, PopulationState)
+                  round_robin, security_value)
 from laff.cli import main as cli_main
-from laff.evaluation import benchmark_for
+from laff.evaluation import benchmark_for, role_min_rewards
 from laff.opponents import bounded_memory_policy
-from oracles import bargaining_grid, enumerate_deterministic_gains
+from oracles import (bargaining_grid, enumerate_deterministic_gains,
+                     second_half_slope)
 
 from test_evaluation import ALGS, M1, M2
 
@@ -136,7 +137,7 @@ def test_criterion_4_bully_exploiter_has_linear_regret():
         hits = 0
         for seed in range(10):
             tr = play_match(g, "laff", "bully", MatchConfig(T=20000, seed=seed))
-            slope = exploiter_regret(tr, mu_e2, 0.05).second_half_slope()
+            slope = second_half_slope(exploiter_regret(tr, mu_e2, 0.05))
             hits += slope > 0.005
         results[name] = hits
     elapsed = time.perf_counter() - t0
@@ -203,9 +204,9 @@ def test_criterion_7_pure_nash_on_published_table():
 def test_criterion_8_replicator_dynamics():
     # exactness at the vertices and on the simplex
     rng = np.random.default_rng(0)
-    mats = [(rng.random((4, 4)), rng.random((4, 4)))]
-    pure = PopulationState(np.array([0.0, 0.0, 1.0, 0.0]))
-    assert np.array_equal(replicator_step(pure, mats).p, pure.p)
+    r = role_min_rewards(rng.random((4, 4)), rng.random((4, 4)))
+    pure = np.array([0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(replicator_step(pure, r), pure)
 
     names = ["laff", "bully", "qlearn", "fp"]
     games = [builtin_game(n) for n in EVALUATION_GAMES]

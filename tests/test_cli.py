@@ -81,6 +81,36 @@ def test_non_finite_reward_file(tmp_path, capsys):
         assert err == "error: rewards of game 'bad' must be finite\n"
 
 
+@pytest.mark.parametrize("content, field", [
+    (None, None),                                  # --game names a directory
+    ("[[0.5]]", None),                             # top-level list
+    ('{"R1": [[0.5]]}', "R2"),                     # missing field
+    ('{"R1": [[0.5, 0.2], [0.1]], "R2": [[0.5]]}', "R1"),  # ragged rows
+    ("{R1: oops", None),                           # not JSON
+], ids=["directory", "list", "missing_R2", "ragged_R1", "not_json"])
+def test_malformed_game_file_is_one_line(tmp_path, capsys, content, field):
+    path = tmp_path / "game.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "solve", "--game", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    if field is not None:
+        assert f"field {field}" in err
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--C1", "--C3", "--C4", "--eta-m"])
+def test_removed_tuning_flags_are_usage_errors(capsys, flag):
+    code, out, _ = run_cli(capsys, "match", "--game", "chicken", "--p1", "laff",
+                           "--p2", "bully", "--T", "10", flag, "0.1")
+    assert code == 2
+    assert out == ""
+
+
 def test_runtime_error_is_one_line(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("multichain gain LP failed: infeasible")
@@ -223,15 +253,18 @@ def _pair_csv_lines(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("negative_trial", "{csv}:2: need a trial >= 0 and finite m1, m2, got "
+    ("negative_trial", "{csv}:2: need a trial >= 0 and m1, m2 in [0, 1], got "
                        "'fixed:0,fixed:0,chicken,-1,0.5,0.5'"),
     ("missing_row", "{csv} has no row for fixed:0 vs fixed:0 on chicken, trial 0"),
-    ("nan_reward", "{csv}:2: need a trial >= 0 and finite m1, m2, got "
+    ("nan_reward", "{csv}:2: need a trial >= 0 and m1, m2 in [0, 1], got "
                    "'fixed:0,fixed:0,chicken,0,nan,nan'"),
     ("huge_trial", "{csv} has no row for fixed:0 vs fixed:0 on chicken, trial 0"),
     ("bad_trial", "{csv}:2: expected alg1,alg2,game,trial,m1,m2 with an integer "
                   "trial, got 'fixed:0,fixed:0,chicken,x,0.5,0.5'"),
-], ids=["negative_trial", "missing_row", "nan_reward", "huge_trial", "bad_trial"])
+    ("out_of_range", "{csv}:2: need a trial >= 0 and m1, m2 in [0, 1], got "
+                     "'fixed:0,fixed:0,chicken,0,1.5,0.5'"),
+], ids=["negative_trial", "missing_row", "nan_reward", "huge_trial", "bad_trial",
+        "out_of_range"])
 def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
     lines = _pair_csv_lines(tmp_path, capsys)
     assert lines[1].startswith("fixed:0,fixed:0,chicken,0,")
@@ -242,6 +275,8 @@ def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
         del lines[1]
     elif damage == "nan_reward":
         lines[1] = ",".join(first[:4] + ["nan", "nan"])
+    elif damage == "out_of_range":
+        lines[1] = ",".join(first[:4] + ["1.5", "0.5"])
     elif damage == "huge_trial":
         # would need terabytes if the cell array were allocated first
         lines[1] = ",".join(first[:3] + [str(10 ** 12)] + first[4:])

@@ -96,10 +96,34 @@ def test_out_of_range_action_aborts():
         run_match(g, _Rogue(), FixedActionAgent(0, 2, player=2), MatchConfig(T=5))
 
 
+class _BadWeight(FixedActionAgent):
+    """Reports ``weight`` from step ``at`` on, 0.5 before."""
+
+    def __init__(self, player, weight, at):
+        super().__init__(0, 2, player=player)
+        self.bad, self.at = weight, at
+
+    def report_weight(self, t):
+        return self.bad if t >= self.at else 0.5
+
+
+@pytest.mark.parametrize("player, weight, at, shown", [
+    (1, 1.5, 0, "1.5"), (2, -0.25, 0, "-0.25"),
+    (1, float("nan"), 3, "nan"), (2, 1.0000001, 4, "1.0000001"),
+])
+def test_out_of_range_weight_aborts(player, weight, at, shown):
+    g = builtin_game("chicken")
+    agents = [FixedActionAgent(0, 2, player=1), FixedActionAgent(0, 2, player=2)]
+    agents[player - 1] = _BadWeight(player, weight, at)
+    with pytest.raises(RuntimeError, match=rf"^player {player} agent reported "
+                       rf"weight {shown} outside \[0, 1\] at step {at}$"):
+        run_match(g, *agents, MatchConfig(T=5))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MatchConfig(T=0)
     with pytest.raises(ValueError):
         MatchConfig(T=10, eps=0.0)
     with pytest.raises(ValueError):
-        MatchConfig(T=10, delta=1.5)
+        MatchConfig(T=10, K=0)

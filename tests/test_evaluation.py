@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from laff import (MatchConfig, PopulationState, benchmark_for, builtin_game,
+from laff import (MatchConfig, benchmark_for, builtin_game,
                   exploiter_regret, play_match, pure_nash, regret_curve,
                   replicator_run, replicator_step, round_robin)
 from laff.evaluation import TournamentResult, role_min_rewards
+from oracles import replicator_run_reference
 
 # the published learning-game table (row player reward, column player reward)
 ALGS = ["S++", "Manipulator", "M-Qubed", "Bully", "Q-Learning", "LAFF",
@@ -87,25 +90,24 @@ def test_pure_nash_affine_invariance():
 
 
 def test_replicator_fixed_points():
-    flat = [(np.full((3, 3), 0.5), np.full((3, 3), 0.5))]
-    p = PopulationState(np.array([0.2, 0.3, 0.5]))
-    after = replicator_step(p, flat)
-    assert np.allclose(after.p, p.p, atol=1e-12)
+    flat = np.full((3, 3), 0.5)
+    p = np.array([0.2, 0.3, 0.5])
+    assert np.allclose(replicator_step(p, flat), p, atol=1e-12)
 
-    pure = PopulationState(np.array([0.0, 1.0, 0.0]))
+    pure = np.array([0.0, 1.0, 0.0])
     rng = np.random.default_rng(1)
-    mats = [(rng.random((3, 3)), rng.random((3, 3)))]
-    assert np.allclose(replicator_step(pure, mats).p, pure.p, atol=1e-12)
+    r = role_min_rewards(rng.random((3, 3)), rng.random((3, 3)))
+    assert np.allclose(replicator_step(pure, r), pure, atol=1e-12)
 
 
 def test_replicator_preserves_simplex():
     rng = np.random.default_rng(2)
-    p = PopulationState(np.full(4, 0.25))
+    p = np.full(4, 0.25)
     for _ in range(500):
         mats = [(rng.random((4, 4)), rng.random((4, 4))) for _ in range(3)]
-        p = replicator_step(p, mats)
-        assert abs(p.p.sum() - 1.0) < 1e-9
-        assert (p.p >= -1e-12).all()
+        p = replicator_step(p, sum(role_min_rewards(*m) for m in mats) / 3)
+        assert abs(p.sum() - 1.0) < 1e-9
+        assert (p >= -1e-12).all()
 
 
 def test_replicator_growth_ordering_shift_invariant():
@@ -115,10 +117,44 @@ def test_replicator_growth_ordering_shift_invariant():
     m1 = rng.random((3, 3))
     m2 = rng.random((3, 3))
     p = np.array([0.2, 0.5, 0.3])
-    base = replicator_step(PopulationState(p), [(m1, m2)]).p / p
-    shifted = replicator_step(PopulationState(p),
-                              [(m1 + 0.2, m2 + 0.2)]).p / p
+    base = replicator_step(p, role_min_rewards(m1, m2)) / p
+    shifted = replicator_step(p, role_min_rewards(m1 + 0.2, m2 + 0.2)) / p
     assert np.argmax(base) == np.argmax(shifted)
+
+
+def _tournament(data):
+    J, _, G, trials, _ = data.shape
+    return TournamentResult(names=[f"a{i}" for i in range(J)],
+                            games=[f"g{g}" for g in range(G)],
+                            trials=trials, data=data)
+
+
+@st.composite
+def _tournaments(draw):
+    shape = (draw(st.integers(1, 5)),) * 2 + (draw(st.integers(1, 4)),
+                                              draw(st.integers(1, 3)), 2)
+    return _tournament(draw(arrays(np.float64, shape,
+                                   elements=st.floats(0.0, 1.0))))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_tournaments(), st.integers(0, 30), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_replicator_run_matches_per_generation_reference(result, generations,
+                                                         runs, seed):
+    shares = replicator_run(result, generations, runs, seed=seed)
+    want = replicator_run_reference(result, generations, runs, seed=seed)
+    assert np.array_equal(shares, want)
+    assert (shares >= 0).all()
+    assert np.all(np.abs(shares.sum(axis=2) - 1.0) < 1e-9)
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan])
+def test_replicator_run_rejects_rewards_outside_unit_interval(bad):
+    data = np.full((2, 2, 1, 1, 2), 0.5)
+    data[0, 1, 0, 0, 1] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        replicator_run(_tournament(data), generations=3, runs=1)
 
 
 def test_role_min_rewards():
