@@ -22,7 +22,7 @@ opp = build_agent(opponent, game, 2, cfg)
 print(f"game: {game.name}   opponent: {opponent}   T={cfg.T}")
 print(f"targets (bully, bully, ebs, ebs, security): "
       f"{[round(t, 4) for t in laff.targets]}")
-print(f"fairness level V1 = {laff.v1:.4f}, epoch H = {laff.H}, "
+print(f"fairness level V1 = {laff.kit.ebs.u1:.4f}, epoch H = {laff.H}, "
       f"subepoch = {laff.subepoch}")
 
 trace = run_match(game, laff, opp, cfg)
@@ -36,13 +36,13 @@ for j in np.unique(trace.expert1):
           f"{trace.r1[mask].mean():8.3f} {trace.r2[mask].mean():8.3f}")
 
 print(f"\nswitch times: {laff.switch_times}")
-print(f"follower tripwire fired: {laff.shared.tripped}")
+print(f"follower tripwire fired: {laff.follower_tripped}")
 m1, m2 = trace.mean_rewards()
 print(f"match means: r1 = {m1:.4f}, r2 = {m2:.4f}")
 print("""
 Reading the table: LAFF works down its schedule until an expert's average
 holds up against that slot's target. Against a learner it typically parks
 on the bully leader (or a follower instance that has learned to bully);
-against an exploiter the tripwire converts every later follower instance
-into the egalitarian leader, which punishes deviations.
+against an exploiter a tripped follower hands the seat to the egalitarian
+leader, which punishes deviations, and so does every later follower slot.
 """)

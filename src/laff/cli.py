@@ -118,7 +118,7 @@ def cmd_benchmark(args) -> int:
     policy, w2 = bounded_memory_policy(args.opponent, game, 2, config)
     kit = LeaderKit.build(game, 1, EnforceParams(args.K, args.eps))
     mu_star = benchmark_for(game, "bounded_memory", config,
-                            opp_policy=policy, w1=kit.ebs_weight, w2=w2)
+                            opp_policy=policy, w2=w2)
     doc = {
         "game": game.name, "opponent": args.opponent,
         "mu_star": float(_fmt(mu_star)),
@@ -339,7 +339,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (KeyError, ValueError, FileNotFoundError, RuntimeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        msg = e.args[0] if isinstance(e, KeyError) else e
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

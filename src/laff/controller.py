@@ -7,9 +7,10 @@ Experts run in descending order of potential:
 
 After each epoch of H = floor(sqrt(T)) steps, the active expert is dropped
 when its average reward since activation falls below the current target
-minus a slack that shrinks with time.  Follower instances share one Q table
-and one exploitation trip flag; once tripped, every follower instance plays
-the egalitarian leader.
+minus a slack that shrinks with time.  Follower instances share one Q table.
+When the active follower or maximin expert trips its exploitation test, the
+controller hands the seat to the egalitarian leader; after a follower trip,
+every later follower slot starts as that leader.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ class Laff(Agent):
         self.rng = rng
         self.kit = LeaderKit.build(game, player,
                                    EnforceParams(config.K, config.eps))
-        # fairness level: own egalitarian value
-        self.v1 = self.kit.ebs.u1
         self.targets = [self.kit.bully.u1, self.kit.bully.u1,
                         self.kit.ebs.u1, self.kit.ebs.u1, self.kit.mu_s_own]
         self.H = max(1, int(math.isqrt(config.T)))
         self.subepoch = max(1, math.ceil(math.sqrt(self.H)))
         self.shared = FollowerShared()
+        self.follower_tripped = False
         self.j = 1
         self.tau = 0
         self.r_tau = 0.0
@@ -50,14 +50,11 @@ class Laff(Agent):
 
     def _build_expert(self, j: int):
         cfg, kit, rng = self.config, self.kit, self.rng
-        if j in (1, 3, 5):
-            return FollowerExpert(self.game, cfg, kit, self.shared,
-                                  self.subepoch, self.v1, rng)
-        if j == 2:
-            return LeaderCore(kit, "bully", rng)
-        if j == 4:
-            return LeaderCore(kit, "ebs", rng)
-        return MaximinExpert(cfg, kit, self.subepoch, rng)
+        if j in (1, 3, 5) and not self.follower_tripped:
+            return FollowerExpert(self.game, cfg, kit, self.shared, self.subepoch)
+        if j == 6:
+            return MaximinExpert(cfg, kit, self.subepoch, rng)
+        return LeaderCore(kit, "bully" if j == 2 else "ebs", rng)
 
     @property
     def expert_index(self) -> int:
@@ -84,6 +81,10 @@ class Laff(Agent):
 
     def observe(self, record, state):
         self.active.observe(record, state)
+        if getattr(self.active, "tripped", False):
+            if isinstance(self.active, FollowerExpert):
+                self.follower_tripped = True
+            self.active = LeaderCore(self.kit, "ebs", self.rng)
         self.tau += 1
         self.r_tau += record.r1 if self.player == 1 else record.r2
         if self.j < self.N_EXPERTS and self.tau % self.H == 0:

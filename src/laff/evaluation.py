@@ -51,8 +51,7 @@ def exploiter_regret(trace, mu_e2: float, c: float) -> RegretCurve:
 
 
 def benchmark_for(game: BimatrixGame, opponent_class: str, config: MatchConfig,
-                  opp_policy=None, w1: Optional[float] = None,
-                  w2: Optional[float] = None) -> float:
+                  opp_policy=None, w2: Optional[float] = None) -> float:
     """Per-step benchmark for player 1's regret against an opponent class.
 
     'adversarial' -> own security value; 'follower_conditional' -> own
@@ -72,9 +71,8 @@ def benchmark_for(game: BimatrixGame, opponent_class: str, config: MatchConfig,
         if opp_policy is None or w2 is None:
             raise ValueError("bounded_memory benchmark needs the opponent's "
                              "Markov policy and signal weight")
-        if w1 is None:
-            # the follower expert correlates on the own egalitarian weight
-            w1 = LeaderKit.build(game, 1, ep).ebs_weight
+        # the follower expert correlates on the own egalitarian weight
+        w1 = LeaderKit.build(game, 1, ep).ebs_weight
         mdp = induce_mdp(game, opp_policy, w1=w1, w2=w2, K=config.K)
         gain, _ = optimal_average_reward(mdp)
         return gain

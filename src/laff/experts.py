@@ -273,7 +273,6 @@ class FollowerShared:
 
     table: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
-    tripped: bool = False
 
 
 class FollowerExpert(Agent):
@@ -281,30 +280,25 @@ class FollowerExpert(Agent):
 
     Learns greedily over memory-K states from an optimistic start.  At each
     subepoch boundary the running average since activation is compared with
-    the fairness level V1 minus the scaled follower-regret allowance; a
-    failure trips the shared flag, and the expert (and every later follower
-    instance) plays the egalitarian leader instead.
+    the own egalitarian value minus the scaled follower-regret allowance; a
+    failure sets ``tripped``, on which the controller acts.
     """
 
     H0 = 10
 
     def __init__(self, game: BimatrixGame, config, kit: LeaderKit,
-                 shared: FollowerShared, subepoch: int, v1: float, rng):
+                 shared: FollowerShared, subepoch: int):
         self.player = kit.player
         self.config = config
         self.kit = kit
-        self.shared = shared
         self.subepoch = max(1, int(subepoch))
-        self.v1 = float(v1)
-        self.rng = rng
         self.S = state_space_size(game, config.K)
         self.A = kit.n_own
         self.q = TabularQ(self.A, self.learning_rate,
                           table=shared.table, counts=shared.counts)
         self.tau = 0
         self.cum = 0.0
-        # the egalitarian leader, held exactly when the shared flag is tripped
-        self._delegate = LeaderCore(kit, "ebs", rng) if shared.tripped else None
+        self.tripped = False
 
     @classmethod
     def learning_rate(cls, n: int, t: int) -> float:
@@ -314,13 +308,9 @@ class FollowerExpert(Agent):
         return self.kit.ebs_weight
 
     def act(self, state, t):
-        if self._delegate is not None:
-            return self._delegate.act(state, t)
         return self.q.act(state, t)
 
     def observe(self, record: StepRecord, state):
-        if self._delegate is not None:
-            return
         r_own = record.r1 if self.player == 1 else record.r2
         self.q.reward(r_own)
         self.tau += 1
@@ -328,9 +318,8 @@ class FollowerExpert(Agent):
         if self.tau % self.subepoch == 0:
             allowance = RQ_SCALE * rq_bound(self.tau, DELTA / self.config.T,
                                             self.S, self.A)
-            if self.cum / self.tau < self.v1 - allowance / self.tau:
-                self.shared.tripped = True
-                self._delegate = LeaderCore(self.kit, "ebs", self.rng)
+            if self.cum / self.tau < self.kit.ebs.u1 - allowance / self.tau:
+                self.tripped = True
 
 
 class MaximinExpert(Agent):
@@ -338,8 +327,8 @@ class MaximinExpert(Agent):
 
     Plays the maximin strategy; at subepoch boundaries, if the opponent's
     average reward since activation (first K steps excluded) significantly
-    exceeds its egalitarian value, switches to the egalitarian leader for
-    the rest of the game.
+    exceeds its egalitarian value, sets ``tripped``, on which the controller
+    acts.
     """
 
     def __init__(self, config, kit: LeaderKit, subepoch: int, rng):
@@ -350,23 +339,15 @@ class MaximinExpert(Agent):
         self.rng = rng
         self.tau = 0
         self.opp_cum = 0.0
-        self._delegate = None  # the egalitarian leader, once tripped
-
-    @property
-    def tripped(self) -> bool:
-        return self._delegate is not None
+        self.tripped = False
 
     def report_weight(self, t):
         return self.kit.ebs_weight
 
     def act(self, state, t):
-        if self._delegate is not None:
-            return self._delegate.act(state, t)
         return _sample(self.kit.maximin, self.rng)
 
     def observe(self, record: StepRecord, state):
-        if self._delegate is not None:
-            return
         K = self.config.K
         r_opp = record.r2 if self.player == 1 else record.r1
         self.tau += 1
@@ -377,4 +358,4 @@ class MaximinExpert(Agent):
             bound = (self.kit.ebs.u2 - ETA_M
                      + math.sqrt(math.log(self.config.T / DELTA) / (2 * n)))
             if self.opp_cum / n > bound:
-                self._delegate = LeaderCore(self.kit, "ebs", self.rng)
+                self.tripped = True

@@ -250,7 +250,10 @@ def game_from_json(path) -> BimatrixGame:
         except (TypeError, ValueError):
             raise ValueError(f"{path}: field {key} must be a rectangular "
                              f"matrix of numbers") from None
-    return BimatrixGame(name=data.get("name", path.stem), **mats)
+    try:
+        return BimatrixGame(name=data.get("name", path.stem), **mats)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def load_game(name_or_path: str) -> BimatrixGame:

@@ -138,8 +138,7 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
                       initial=initial)
 
 
-def optimal_average_reward(mdp: InducedMdp, tol: float = _SPAN_TOL,
-                           max_sweeps: int = _MAX_SWEEPS):
+def optimal_average_reward(mdp: InducedMdp):
     """Optimal gain from the initial state and a gain-optimal policy.
 
     Relative value iteration on the class reachable from the initial
@@ -162,13 +161,13 @@ def optimal_average_reward(mdp: InducedMdp, tol: float = _SPAN_TOL,
     tau = 0.5  # aperiodicity transform: P~ = (1-tau) I + tau P, same gain
     h = np.zeros(n)
     last_span = np.inf
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         q = r + tau * np.einsum("ijk,k->ij", P, h) + (1 - tau) * h[:, None]
         v = q.max(axis=1)
         diff = v - h
         span = diff.max() - diff.min()
         h = v - v[0]
-        if span < tol:
+        if span < _SPAN_TOL:
             gain = 0.5 * (diff.max() + diff.min())
             policy = q.argmax(axis=1)
             return float(gain), {int(reach[i]): int(policy[i]) for i in range(n)}
@@ -178,7 +177,7 @@ def optimal_average_reward(mdp: InducedMdp, tol: float = _SPAN_TOL,
             last_span = span
     else:
         raise RuntimeError(f"relative value iteration did not reach span "
-                           f"{tol} within {max_sweeps} sweeps")
+                           f"{_SPAN_TOL} within {_MAX_SWEEPS} sweeps")
     gain, policy = _multichain_lp(P, r, init)
     return gain, {int(reach[i]): int(policy[i]) for i in range(n)}
 
@@ -221,11 +220,10 @@ def _multichain_lp(P, r, init):
     return float(init @ g), policy
 
 
-def policy_average_reward(mdp: InducedMdp, policy, player: int = 1,
-                          tol: float = 1e-12, max_sweeps: int = _MAX_SWEEPS) -> float:
+def policy_average_reward(mdp: InducedMdp, policy, player: int = 1) -> float:
     """Long-run average reward of a fixed (possibly mixed) Markov policy.
 
-    ``policy`` is either a dict/array of actions or a callable
+    ``policy`` is either a sequence of actions by state index or a callable
     ``state -> distribution over player-1 actions``.  The gain is taken from
     the match's initial distribution by iterating the state distribution on
     the self-loop-transformed chain.
@@ -236,9 +234,6 @@ def policy_average_reward(mdp: InducedMdp, policy, player: int = 1,
         s = mdp.states[i]
         if callable(policy):
             d = np.asarray(policy(s), dtype=float)
-        elif isinstance(policy, dict):
-            d = np.zeros(A)
-            d[policy[i]] = 1.0
         else:
             d = np.zeros(A)
             d[int(policy[i])] = 1.0
@@ -255,9 +250,9 @@ def policy_average_reward(mdp: InducedMdp, policy, player: int = 1,
     tau = 0.5
     P_pol = (1 - tau) * np.eye(S) + tau * P_pol
     pi = mdp.initial.copy()
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         nxt = pi @ P_pol
-        if np.abs(nxt - pi).sum() < tol:
+        if np.abs(nxt - pi).sum() < 1e-12:
             return float(nxt @ r_pol)
         pi = nxt
     raise RuntimeError("policy chain distribution did not converge")

@@ -78,7 +78,7 @@ def test_non_finite_reward_file(tmp_path, capsys):
         p.write_text(json.dumps({"R1": [[bad, 0.5]], "R2": [[0.2, 0.3]]}))
         code, _, err = run_cli(capsys, "solve", "--game", str(p))
         assert code == 2
-        assert err == "error: rewards of game 'bad' must be finite\n"
+        assert err == f"error: {p}: rewards of game 'bad' must be finite\n"
 
 
 @pytest.mark.parametrize("content, field", [
@@ -87,7 +87,10 @@ def test_non_finite_reward_file(tmp_path, capsys):
     ('{"R1": [[0.5]]}', "R2"),                     # missing field
     ('{"R1": [[0.5, 0.2], [0.1]], "R2": [[0.5]]}', "R1"),  # ragged rows
     ("{R1: oops", None),                           # not JSON
-], ids=["directory", "list", "missing_R2", "ragged_R1", "not_json"])
+    ('{"R1": [0.5], "R2": [0.5]}', None),          # vectors, not matrices
+    ('{"R1": [[1.5]], "R2": [[0.2]]}', None),      # reward outside [0, 1]
+], ids=["directory", "list", "missing_R2", "ragged_R1", "not_json",
+        "one_dimensional", "out_of_range"])
 def test_malformed_game_file_is_one_line(tmp_path, capsys, content, field):
     path = tmp_path / "game.json"
     if content is None:
@@ -101,6 +104,8 @@ def test_malformed_game_file_is_one_line(tmp_path, capsys, content, field):
     assert str(path) in err
     if field is not None:
         assert f"field {field}" in err
+    if content is None:
+        assert err == f"error: '{path}' is neither a built-in game nor a file\n"
 
 
 @pytest.mark.parametrize("flag", ["--delta", "--C1", "--C3", "--C4", "--eta-m"])
@@ -224,7 +229,11 @@ def test_float_formatting_ten_significant_digits(tmp_path, capsys):
      "error: agent 'ftft' has no parameter 'prob' (accepted: p)\n"),
     (["--p1", "fixed:0", "--p1-params", '{"weight": 7}', "--p2", "qlearn"],
      "error: parameter 'weight' of agent 'fixed:0' must lie in [0, 1], got 7\n"),
-], ids=["ftft_p_out_of_range", "ftft_unknown_key", "fixed_weight_out_of_range"])
+    (["--p1", "martian", "--p2", "qlearn"],
+     "error: unknown agent 'martian'; choose from ('laff', 'bully', 'ftft', "
+     "'qlearn', 'fp', 'manipulator', 'egal', 'maximin') or fixed:<a>\n"),
+], ids=["ftft_p_out_of_range", "ftft_unknown_key", "fixed_weight_out_of_range",
+        "unknown_agent"])
 def test_match_rejects_bad_agent_params(capsys, agents, message):
     code, out, err = run_cli(capsys, "match", "--game", "chicken",
                              "--T", "50", *agents)

@@ -5,6 +5,7 @@ from laff import (BimatrixGame, EnforceParams, GAME_NAMES, Laff, MatchConfig,
                   builtin_game, bully_solution, enforceable_ebs, play_match,
                   security_value)
 from laff.engine import HistoryState, StepRecord, agent_rng
+from laff.experts import FollowerExpert, LeaderCore, MaximinExpert
 
 
 def _mk(game, T=10000, seed=0):
@@ -15,7 +16,7 @@ def _mk(game, T=10000, seed=0):
 def test_targets_chicken():
     laff, _ = _mk(builtin_game("chicken"))
     assert laff.targets == pytest.approx([1.0, 1.0, 0.625, 0.625, 0.25])
-    assert laff.v1 == pytest.approx(0.625)
+    assert laff.kit.ebs.u1 == pytest.approx(0.625)
 
 
 def test_epoch_arithmetic():
@@ -32,10 +33,10 @@ def test_fallback_targets_collapse_to_security():
     assert laff.targets == pytest.approx([muS1] * 5)
 
 
-def _feed(laff, rewards):
+def _feed(laff, rewards, start=1):
     """Push synthetic step records through the controller."""
     s = HistoryState((0,), (0,), (0, 0), (0, 0))
-    for t, r in enumerate(rewards, start=1):
+    for t, r in enumerate(rewards, start=start):
         laff.act(s, t)
         laff.observe(StepRecord(t, 0, 0, 0, 0, 0.5, r, r), s)
 
@@ -54,6 +55,40 @@ def test_switches_only_at_epoch_boundaries():
     assert laff.expert_index == 3
     assert laff.switch_times == [2 * laff.H, 4 * laff.H]
     assert all(t % laff.H == 0 for t in laff.switch_times)
+
+
+def test_tripped_expert_hands_seat_to_egalitarian_leader():
+    laff, _ = _mk(builtin_game("chicken"), T=10000)
+    H, sub = laff.H, laff.subepoch
+
+    def seat_is_egalitarian_leader():
+        return (isinstance(laff.active, LeaderCore)
+                and laff.active.map is laff.kit.ebs_map)
+
+    # starved of reward, the first follower trips at its first subepoch
+    # boundary; the controller swaps the leader in before the next step
+    _feed(laff, [0.0] * (sub - 1))
+    assert isinstance(laff.active, FollowerExpert)
+    _feed(laff, [0.0], start=sub)
+    assert laff.follower_tripped
+    assert seat_is_egalitarian_leader() and laff.expert_index == 1
+    first = laff.active
+    # slot 2 (bully leader) follows at 2H; slot 3, a follower slot, starts
+    # as a fresh egalitarian leader at 4H
+    _feed(laff, [0.0] * (4 * H - sub), start=sub + 1)
+    assert laff.expert_index == 3 and laff.switch_times == [2 * H, 4 * H]
+    assert seat_is_egalitarian_leader() and laff.active is not first
+    # down to maximin at 13H; an opponent harvesting 1.0 trips it
+    _feed(laff, [0.0] * (9 * H), start=4 * H + 1)
+    assert laff.switch_times[-1] == 13 * H
+    assert laff.expert_index == 6 and isinstance(laff.active, MaximinExpert)
+    maximin = laff.active
+    t = 13 * H
+    while not maximin.tripped and t < 15 * H:
+        t += 1
+        _feed(laff, [1.0], start=t)
+    assert maximin.tripped
+    assert seat_is_egalitarian_leader() and laff.expert_index == 6
 
 
 def test_expert_index_monotone_in_real_match():

@@ -186,3 +186,15 @@ def test_multichain_fallback_two_absorbing_states(monkeypatch):
     assert gain == pytest.approx(0.5, abs=1e-9)
     assert len(calls) == 1
     assert set(policy) == {0, 1}
+
+
+def test_value_iteration_sweep_cap_raises(monkeypatch):
+    # a cap reached before the span contracts, and before the stall
+    # detector's first check, is an error rather than a silent gain
+    monkeypatch.setattr(laff.mdp, "_MAX_SWEEPS", 3)
+    g = builtin_game("chicken")
+    pol, w2 = bounded_memory_policy("ftft", g, 2, MatchConfig(T=1))
+    mdp = induce_mdp(g, pol, w1=0.5, w2=w2, K=1)  # needs more than 10 sweeps
+    with pytest.raises(RuntimeError, match=r"did not reach span 1e-08 within "
+                                           r"3 sweeps"):
+        optimal_average_reward(mdp)
