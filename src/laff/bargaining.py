@@ -24,6 +24,9 @@ BULLY = "Bully"
 SECURITY_FALLBACK = "SecurityFallback"
 
 _TOL = 1e-9
+# Weights of the 1/tau and sqrt(log(T/delta)/tau) terms of the switch slack.
+C1 = 0.05
+C3 = 0.005
 
 
 class JointAction(NamedTuple):
@@ -235,8 +238,7 @@ def xi(eps: float, r: float, Kp: int) -> float:
     return -r
 
 
-def slack_b(tau: int, T: int, delta: float, c1: float = 0.05,
-            c3: float = 0.005) -> float:
+def slack_b(tau: int, T: int, delta: float) -> float:
     """Bare two-term switch slack: C1/tau + C3*sqrt(log(T/d)/2tau).
 
     Solution-independent floor; the controller prefers `slack_b_enforced`
@@ -244,11 +246,10 @@ def slack_b(tau: int, T: int, delta: float, c1: float = 0.05,
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    return c1 / tau + c3 * math.sqrt(math.log(T / delta) / (2 * tau))
+    return C1 / tau + C3 * math.sqrt(math.log(T / delta) / (2 * tau))
 
 
 def slack_b_enforced(tau: int, T: int, delta: float, xi_val: float, Kp: int,
-                     c1: float = 0.05, c3: float = 0.005,
                      t0: float = 1.0) -> float:
     """Switch slack carrying the target solution's enforcement margin xi.
 
@@ -262,7 +263,7 @@ def slack_b_enforced(tau: int, T: int, delta: float, xi_val: float, Kp: int,
         raise ValueError("tau must be >= 1")
     if xi_val <= 0:
         raise ValueError("enforcement margin xi must be positive")
-    lead = (Kp * xi_val + c1 * max(t0, 1.0) + Kp + 1) / (xi_val * tau)
-    root = c3 * (3.0 + xi_val) / xi_val * math.sqrt(math.log(T / delta) / (2 * tau))
+    lead = (Kp * xi_val + C1 * max(t0, 1.0) + Kp + 1) / (xi_val * tau)
+    root = C3 * (3.0 + xi_val) / xi_val * math.sqrt(math.log(T / delta) / (2 * tau))
     return lead + root
 

@@ -172,8 +172,7 @@ def cmd_regret(args) -> int:
         cfg = base.with_seed(int(np.random.SeedSequence((base.seed, s))
                                  .generate_state(1)[0]))
         trace = play_match(game, args.p1, args.p2, cfg)
-        rewards = trace.r2 if args.player == 2 else trace.r1
-        curves.append(regret_curve(rewards, bench).average())
+        curves.append(regret_curve(trace.r1, bench).average())
     avg = np.mean(curves, axis=0)
     ts = np.arange(1, args.T + 1)
     stride = max(1, args.stride)
@@ -303,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--opp-class", dest="opp_class", required=True,
                     choices=["adversarial", "follower_conditional",
                              "follower_unconditional", "bounded_memory"])
-    pr.add_argument("--player", type=int, default=1, choices=[1, 2])
     pr.add_argument("--seeds", type=int, default=10)
     pr.add_argument("--stride", type=int, default=1)
     pr.add_argument("--out", default="out")

@@ -31,7 +31,6 @@ class Laff(Agent):
 
     def __init__(self, game: BimatrixGame, player: int, config: MatchConfig, rng):
         self.game = game
-        self.player = player
         self.config = config
         self.rng = rng
         self.kit = LeaderKit.build(game, player,
@@ -42,11 +41,11 @@ class Laff(Agent):
         self.subepoch = max(1, math.ceil(math.sqrt(self.H)))
         self.shared = FollowerShared()
         self.follower_tripped = False
-        self.j = 1
+        self.expert_index = 1   # the schedule slot, 1..N_EXPERTS
         self.tau = 0
         self.r_tau = 0.0
         self.switch_times: list = []
-        self.active = self._build_expert(self.j)
+        self.active = self._build_expert(self.expert_index)
 
     def _build_expert(self, j: int):
         cfg, kit, rng = self.config, self.kit, self.rng
@@ -56,12 +55,8 @@ class Laff(Agent):
             return MaximinExpert(cfg, kit, self.subepoch, rng)
         return LeaderCore(kit, "bully" if j == 2 else "ebs", rng)
 
-    @property
-    def expert_index(self) -> int:
-        return self.j
-
-    def report_weight(self, t):
-        return self.active.report_weight(t)
+    def report_weight(self):
+        return self.active.report_weight()
 
     def act(self, state, t):
         return self.active.act(state, t)
@@ -69,7 +64,7 @@ class Laff(Agent):
     def _slack(self) -> float:
         cfg = self.config
         # the test guards the target solution of the current schedule slot
-        which = "bully" if self.j <= 2 else "ebs"
+        which = "bully" if self.expert_index <= 2 else "ebs"
         m = self.kit.solution_map(which)
         if m is None:
             return slack_b(self.tau, cfg.T, DELTA)
@@ -79,18 +74,18 @@ class Laff(Agent):
         return slack_b_enforced(self.tau, cfg.T, DELTA, xi_val, m.Kp,
                                 t0=cfg.T / 20.0)
 
-    def observe(self, record, state):
-        self.active.observe(record, state)
+    def observe(self, t, opp_action, r_own, r_opp):
+        self.active.observe(t, opp_action, r_own, r_opp)
         if getattr(self.active, "tripped", False):
             if isinstance(self.active, FollowerExpert):
                 self.follower_tripped = True
             self.active = LeaderCore(self.kit, "ebs", self.rng)
         self.tau += 1
-        self.r_tau += record.r1 if self.player == 1 else record.r2
-        if self.j < self.N_EXPERTS and self.tau % self.H == 0:
-            if self.r_tau / self.tau < self.targets[self.j - 1] - self._slack():
-                self.j += 1
-                self.switch_times.append(record.t)
+        self.r_tau += r_own
+        if self.expert_index < self.N_EXPERTS and self.tau % self.H == 0:
+            if self.r_tau / self.tau < self.targets[self.expert_index - 1] - self._slack():
+                self.expert_index += 1
+                self.switch_times.append(t)
                 self.tau = 0
                 self.r_tau = 0.0
-                self.active = self._build_expert(self.j)
+                self.active = self._build_expert(self.expert_index)

@@ -24,17 +24,6 @@ class HistoryState(NamedTuple):
     y2: tuple
 
 
-class StepRecord(NamedTuple):
-    t: int
-    a1: int
-    a2: int
-    y1: int
-    y2: int
-    x: float
-    r1: float
-    r2: float
-
-
 @dataclass
 class MatchConfig:
     """Horizon, memory, enforceability margin and seed of one match."""
@@ -77,18 +66,18 @@ class Agent:
     """Uniform act/observe interface satisfied by LAFF, experts and opponents.
 
     Agents are constructed for a specific seat (player 1 or 2) of a specific
-    game and see states and records in the shared global frame.
+    game.  Each step the engine asks both seats for their signal weight,
+    shows both the same state in the global frame, and then tells each seat
+    the opponent's action and the two rewards, its own first.
     """
 
-    player: int = 1
-
-    def report_weight(self, t: int) -> float:
+    def report_weight(self) -> float:
         return 0.0
 
     def act(self, state: HistoryState, t: int) -> int:
         raise NotImplementedError
 
-    def observe(self, record: StepRecord, state: HistoryState) -> None:
+    def observe(self, t: int, opp_action: int, r_own: float, r_opp: float) -> None:
         pass
 
 
@@ -145,8 +134,8 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
 
     a1h = (0,) * K
     a2h = (0,) * K
-    w1 = float(alg1.report_weight(0))
-    w2 = float(alg2.report_weight(0))
+    w1 = float(alg1.report_weight())
+    w2 = float(alg2.report_weight())
     if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
         raise _weight_error(w1, w2, 0)
     y1h, y2h = (), ()
@@ -156,8 +145,6 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
         y1h += (b1,)
         y2h += (b2,)
 
-    track1 = hasattr(alg1, "expert_index")
-    track2 = hasattr(alg2, "expert_index")
     t_col = np.arange(1, T + 1, dtype=np.int64)
     a1_col = np.empty(T, dtype=np.int64)
     a2_col = np.empty(T, dtype=np.int64)
@@ -166,12 +153,10 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
     x_col = np.empty(T, dtype=np.float64)
     r1_col = np.empty(T, dtype=np.float64)
     r2_col = np.empty(T, dtype=np.float64)
-    e1_col = np.empty(T, dtype=np.int64) if track1 else None
-    e2_col = np.empty(T, dtype=np.int64) if track2 else None
 
     for t in range(1, T + 1):
-        w1 = float(alg1.report_weight(t))
-        w2 = float(alg2.report_weight(t))
+        w1 = float(alg1.report_weight())
+        w2 = float(alg2.report_weight())
         if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
             raise _weight_error(w1, w2, t)
         x = rng.random()
@@ -188,14 +173,10 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
         if not 0 <= a2 < n2:
             raise RuntimeError(f"player 2 agent returned action {a2} "
                                f"outside 0..{n2 - 1} at step {t}")
-        # capture the experts that actually acted, before observe may switch
-        idx1 = alg1.expert_index if track1 else 0
-        idx2 = alg2.expert_index if track2 else 0
         r1 = R1[a1, a2]
         r2 = R2[a1, a2]
-        record = StepRecord(t, a1, a2, b1, b2, x, r1, r2)
-        alg1.observe(record, state)
-        alg2.observe(record, state)
+        alg1.observe(t, a2, r1, r2)
+        alg2.observe(t, a1, r2, r1)
 
         i = t - 1
         a1_col[i] = a1
@@ -205,17 +186,26 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
         x_col[i] = x
         r1_col[i] = r1
         r2_col[i] = r2
-        if track1:
-            e1_col[i] = idx1
-        if track2:
-            e2_col[i] = idx2
 
         a1h = a1h[1:] + (a1,)
         a2h = a2h[1:] + (a2,)
 
     return MatchTrace(game_name=game.name, t=t_col, a1=a1_col, a2=a2_col,
                       y1=y1_col, y2=y2_col, x=x_col, r1=r1_col, r2=r2_col,
-                      expert1=e1_col, expert2=e2_col)
+                      expert1=_expert_column(alg1, t_col),
+                      expert2=_expert_column(alg2, t_col))
+
+
+def _expert_column(agent: Agent, t_col: np.ndarray) -> Optional[np.ndarray]:
+    """The schedule slot that acted at each step, for an agent with ``switch_times``.
+
+    A slot changes only in ``observe``, after that step's ``act``, so the
+    slot acting at step t is 1 plus the number of switches before t.
+    """
+    switch_times = getattr(agent, "switch_times", None)
+    if switch_times is None:
+        return None
+    return 1 + np.searchsorted(switch_times, t_col)
 
 
 class FixedActionAgent(Agent):
@@ -226,12 +216,11 @@ class FixedActionAgent(Agent):
         if not 0 <= action < n_actions:
             raise ValueError(f"fixed:{action} is not an action of player {player}; "
                              f"choose 0..{n_actions - 1}")
-        self.player = player
         self.action = int(action)
         self._w = float(weight)
         self._point = np.eye(n_actions)[self.action]
 
-    def report_weight(self, t):
+    def report_weight(self):
         return self._w
 
     def act(self, state, t):

@@ -14,6 +14,9 @@ from .games import BimatrixGame, security_value
 from .mdp import induce_mdp, optimal_average_reward
 from .opponents import build_agent
 
+# Payoff gap below a row or column maximum that `pure_nash` still counts as a tie.
+_TIE_TOL = 1e-12
+
 
 def play_match(game: BimatrixGame, name1: str, name2: str, config: MatchConfig,
                params1: Optional[dict] = None, params2: Optional[dict] = None):
@@ -79,7 +82,7 @@ def benchmark_for(game: BimatrixGame, opponent_class: str, config: MatchConfig,
     raise KeyError(f"unknown opponent class '{opponent_class}'")
 
 
-def pure_nash(m1: np.ndarray, m2: np.ndarray, tol: float = 1e-12):
+def pure_nash(m1: np.ndarray, m2: np.ndarray):
     """Pure equilibria of a bimatrix learning game; ties count.
 
     Cell (i, j) qualifies when m1[i, j] tops column j and m2[i, j] tops
@@ -94,7 +97,7 @@ def pure_nash(m1: np.ndarray, m2: np.ndarray, tol: float = 1e-12):
     out = []
     for i in range(m1.shape[0]):
         for j in range(m1.shape[1]):
-            if m1[i, j] >= col_max[j] - tol and m2[i, j] >= row_max[i] - tol:
+            if m1[i, j] >= col_max[j] - _TIE_TOL and m2[i, j] >= row_max[i] - _TIE_TOL:
                 out.append((i, j))
     return out
 

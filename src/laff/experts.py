@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .bargaining import (EnforceParams, JointAction, PairSolution,
                          enforceable_ebs, bully_solution, punishment_length)
-from .engine import Agent, HistoryState, StepRecord, state_space_size
+from .engine import Agent, HistoryState, state_space_size
 from .games import BimatrixGame, security_value, punishment_strategy, swap_players
 
 
@@ -160,17 +161,19 @@ class LeaderCore(Agent):
 
     def __init__(self, kit: LeaderKit, which: str, rng, punish_prob: float = 1.0):
         self.kit = kit
-        self.player = kit.player
         self.map = kit.solution_map(which)
         self.rng = rng
         self.punish_prob = float(punish_prob)
         self.steps_active = 0
         self.punish_steps = 0
+        own, opp = (0, 1) if kit.player == 1 else (1, 0)
+        # the seat's own signal bits and the opponent's actions in a state
+        self._own_bits = attrgetter(("y1", "y2")[own])
+        self._opp_actions = attrgetter(("a1", "a2")[opp])
         if self.map is not None:
             # indexed by the own signal bit: the own half of that bit's cell
             # (the target) and the opponent's half (its expected action)
             cells = (self.map.cell0, self.map.cell1)
-            own, opp = (0, 1) if self.player == 1 else (1, 0)
             self.target = tuple(cell[own] for cell in cells)
             self.expected = tuple(cell[opp] for cell in cells)
 
@@ -178,12 +181,12 @@ class LeaderCore(Agent):
     def weight(self) -> float:
         return self.map.weight if self.map is not None else 0.0
 
-    def report_weight(self, t):
+    def report_weight(self):
         return self.weight
 
     def _deviated(self, state: HistoryState) -> bool:
-        opp_actions = state.a2 if self.player == 1 else state.a1
-        own_bits = state.y1 if self.player == 1 else state.y2
+        opp_actions = self._opp_actions(state)
+        own_bits = self._own_bits(state)
         for k in range(1, self.map.Kp + 1):
             if opp_actions[-k] != self.expected[own_bits[-k - 1]]:
                 return True
@@ -193,8 +196,7 @@ class LeaderCore(Agent):
         if self.map is None:
             self.steps_active += 1
             return _sample(self.kit.maximin, self.rng)
-        own_bits = state.y1 if self.player == 1 else state.y2
-        action = self.target[own_bits[-1]]
+        action = self.target[self._own_bits(state)[-1]]
         if self.steps_active >= self.map.Kp and self._deviated(state):
             if self.punish_prob >= 1.0 or self.rng.random() < self.punish_prob:
                 action = _sample(self.kit.punish, self.rng)
@@ -206,8 +208,7 @@ class LeaderCore(Agent):
         """Stationary action law at a state (the post-amnesty Markov policy)."""
         if self.map is None:
             return self.kit.maximin.copy()
-        own_bits = state.y1 if self.player == 1 else state.y2
-        point = np.eye(self.kit.n_own)[self.target[own_bits[-1]]]
+        point = np.eye(self.kit.n_own)[self.target[self._own_bits(state)[-1]]]
         if self._deviated(state):
             return self.punish_prob * self.kit.punish + (1 - self.punish_prob) * point
         return point
@@ -288,7 +289,6 @@ class FollowerExpert(Agent):
 
     def __init__(self, game: BimatrixGame, config, kit: LeaderKit,
                  shared: FollowerShared, subepoch: int):
-        self.player = kit.player
         self.config = config
         self.kit = kit
         self.subepoch = max(1, int(subepoch))
@@ -304,14 +304,13 @@ class FollowerExpert(Agent):
     def learning_rate(cls, n: int, t: int) -> float:
         return (cls.H0 + 1.0) / (cls.H0 + n)
 
-    def report_weight(self, t):
+    def report_weight(self):
         return self.kit.ebs_weight
 
     def act(self, state, t):
         return self.q.act(state, t)
 
-    def observe(self, record: StepRecord, state):
-        r_own = record.r1 if self.player == 1 else record.r2
+    def observe(self, t, opp_action, r_own, r_opp):
         self.q.reward(r_own)
         self.tau += 1
         self.cum += r_own
@@ -332,7 +331,6 @@ class MaximinExpert(Agent):
     """
 
     def __init__(self, config, kit: LeaderKit, subepoch: int, rng):
-        self.player = kit.player
         self.config = config
         self.kit = kit
         self.subepoch = max(1, int(subepoch))
@@ -341,15 +339,14 @@ class MaximinExpert(Agent):
         self.opp_cum = 0.0
         self.tripped = False
 
-    def report_weight(self, t):
+    def report_weight(self):
         return self.kit.ebs_weight
 
     def act(self, state, t):
         return _sample(self.kit.maximin, self.rng)
 
-    def observe(self, record: StepRecord, state):
+    def observe(self, t, opp_action, r_own, r_opp):
         K = self.config.K
-        r_opp = record.r2 if self.player == 1 else record.r1
         self.tau += 1
         if self.tau > K:
             self.opp_cum += r_opp

@@ -15,6 +15,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 _TOL = 1e-9
+# Entrywise tolerance of `BimatrixGame.is_symmetric`.
+_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,10 @@ class BimatrixGame:
         m = self.R1 if player == 1 else self.R2
         return float(m[a1, a2])
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         """True when swapping players and actions leaves the game unchanged."""
         return self.R1.shape[0] == self.R1.shape[1] and np.allclose(
-            self.R2, self.R1.T, atol=tol
+            self.R2, self.R1.T, atol=_SYMMETRY_TOL
         )
 
 

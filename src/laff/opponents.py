@@ -36,7 +36,6 @@ class MaximinAgent(Agent):
     """Plays the own maximin strategy unconditionally."""
 
     def __init__(self, game, player, config, rng):
-        self.player = player
         self.strategy = security_value(game, player)[1].as_array()
         self.rng = rng
 
@@ -55,7 +54,6 @@ class EpsGreedyQAgent(Agent):
     """
 
     def __init__(self, game: BimatrixGame, player: int, config, rng):
-        self.player = player
         self.rng = rng
         n = game.n1 if player == 1 else game.n2
         self.q = TabularQ(n, lambda visits, t: EpsGreedyQAgent.learning_rate(t))
@@ -74,8 +72,8 @@ class EpsGreedyQAgent(Agent):
             action = int(self.rng.integers(self.q.n_actions))
         return self.q.act(state, t, action)
 
-    def observe(self, record, state):
-        self.q.reward(record.r1 if self.player == 1 else record.r2)
+    def observe(self, t, opp_action, r_own, r_opp):
+        self.q.reward(r_own)
 
 
 class FictitiousPlayAgent(Agent):
@@ -86,7 +84,6 @@ class FictitiousPlayAgent(Agent):
     """
 
     def __init__(self, game: BimatrixGame, player: int):
-        self.player = player
         # own x opponent payoff matrix
         self.M = game.R1 if player == 1 else game.R2.T
         self.counts = np.zeros(self.M.shape[1])
@@ -99,9 +96,8 @@ class FictitiousPlayAgent(Agent):
             phat = np.full(self.M.shape[1], 1.0 / self.M.shape[1])
         return int(np.argmax(self.M @ phat))
 
-    def observe(self, record, state):
-        opp = record.a2 if self.player == 1 else record.a1
-        self.counts[opp] += 1
+    def observe(self, t, opp_action, r_own, r_opp):
+        self.counts[opp_action] += 1
 
 
 class ManipulatorAgent(Agent):
@@ -120,7 +116,6 @@ class ManipulatorAgent(Agent):
 
     def __init__(self, game: BimatrixGame, player: int, config, rng,
                  eps_prime: float = 0.025, p_switch: float = 0.00005):
-        self.player = player
         self.rng = rng
         self.eps_prime = float(eps_prime)
         self.p_switch = float(p_switch)
@@ -133,7 +128,6 @@ class ManipulatorAgent(Agent):
         self.arm = "leader"            # the arm that plays: leader | rl
         self.t_switch: Optional[int] = None
         self.cum = 0.0
-        self.steps = 0
         self.arm_cum = {"leader": 0.0, "rl": 0.0}
         self.arm_steps = {"leader": 0, "rl": 0}
         self.opp_actions: list = []
@@ -148,7 +142,7 @@ class ManipulatorAgent(Agent):
         prev = np.bincount(self.opp_actions[-2 * w:-w], minlength=self.kit.n_opp) / w
         return 0.5 * np.abs(last - prev).sum() > 0.1
 
-    def report_weight(self, t):
+    def report_weight(self):
         return self.leader.weight if self.arm == "leader" else 0.0
 
     def act(self, state, t):
@@ -159,20 +153,16 @@ class ManipulatorAgent(Agent):
             return self.leader.act(state, t)
         return self.rl.act(state, t)
 
-    def observe(self, record, state):
-        r_own = record.r1 if self.player == 1 else record.r2
-        opp = record.a2 if self.player == 1 else record.a1
-        self.steps += 1
+    def observe(self, t, opp_action, r_own, r_opp):
         self.cum += r_own
-        self.opp_actions.append(int(opp))
+        self.opp_actions.append(int(opp_action))
         # the arm only changes below, so it is the one that acted this step
         self.arm_cum[self.arm] += r_own
         self.arm_steps[self.arm] += 1
         if self.arm == "rl":
-            self.rl.observe(record, state)
+            self.rl.observe(t, opp_action, r_own, r_opp)
 
-        t = record.t
-        avg = self.cum / self.steps
+        avg = self.cum / t  # the engine observes every step, so t counts them
         self.override = avg < self.kit.mu_s_own - self.eps_prime
 
         if self.phase == "leader" and t > self.window:
@@ -271,4 +261,4 @@ def bounded_memory_policy(name: str, game: BimatrixGame, player: int,
     if name not in BOUNDED_MEMORY and not name.startswith("fixed:"):
         raise KeyError(f"'{name}' is not a bounded-memory opponent kind")
     agent = build_agent(name, game, player, config, params=params)
-    return agent.policy_distribution, agent.report_weight(0)
+    return agent.policy_distribution, agent.report_weight()

@@ -116,6 +116,17 @@ def test_removed_tuning_flags_are_usage_errors(capsys, flag):
     assert out == ""
 
 
+def test_regret_player_flag_is_gone(tmp_path, capsys):
+    # regret scores player 1 against player 1's benchmark; --player 2 used
+    # to score player 2's rewards against that same benchmark
+    code, out, _ = run_cli(capsys, "regret", "--game", "asym_unfair",
+                           "--p2", "ftft", "--opp-class", "follower_conditional",
+                           "--T", "50", "--seeds", "1", "--player", "2",
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+
+
 def test_runtime_error_is_one_line(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("multichain gain LP failed: infeasible")

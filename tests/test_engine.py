@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from laff import (MatchConfig, builtin_game, draw_signals, play_match,
-                  run_match, state_space_size)
+from laff import (MatchConfig, build_agent, builtin_game, draw_signals,
+                  play_match, run_match, state_space_size)
 from laff.engine import Agent, FixedActionAgent
 
 
@@ -62,18 +62,21 @@ def test_signal_coupling():
 
 
 class _StateSpy(Agent):
-    def __init__(self, player):
-        self.player = player
+    def __init__(self):
         self.states = []
+        self.observed = []
 
     def act(self, state, t):
         self.states.append(state)
         return 0
 
+    def observe(self, t, opp_action, r_own, r_opp):
+        self.observed.append((t, opp_action, r_own, r_opp))
+
 
 def test_history_window():
     g = builtin_game("chicken")
-    spy = _StateSpy(1)
+    spy = _StateSpy()
     cfg = MatchConfig(T=30, K=2, seed=5)
     tr = run_match(g, spy, FixedActionAgent(1, 2, player=2), cfg)
     K = cfg.K
@@ -83,6 +86,16 @@ def test_history_window():
         assert s.a2 == tuple(tr.a2[t - K:t])
         assert len(s.y1) == K + 1 and len(s.y2) == K + 1
         assert s.y1[-1] == tr.y1[t]
+
+
+def test_seat_two_observes_its_own_outcome():
+    g = builtin_game("asym_biased")
+    cfg = MatchConfig(T=300, seed=5)
+    spy = _StateSpy()
+    tr = run_match(g, build_agent("qlearn", g, 1, cfg), spy, cfg)
+    # the opponent's actions and the two rewards differ, so a swap shows
+    assert (tr.a1 != tr.a2).any() and (tr.r1 != tr.r2).any()
+    assert spy.observed == list(zip(tr.t, tr.a1, tr.r2, tr.r1))
 
 
 class _Rogue(Agent):
@@ -97,14 +110,19 @@ def test_out_of_range_action_aborts():
 
 
 class _BadWeight(FixedActionAgent):
-    """Reports ``weight`` from step ``at`` on, 0.5 before."""
+    """Reports ``weight`` from its call for step ``at`` on, 0.5 before.
+
+    The engine asks once for the starting signals (step 0) and once a step.
+    """
 
     def __init__(self, player, weight, at):
         super().__init__(0, 2, player=player)
         self.bad, self.at = weight, at
+        self.calls = 0
 
-    def report_weight(self, t):
-        return self.bad if t >= self.at else 0.5
+    def report_weight(self):
+        self.calls += 1
+        return self.bad if self.calls > self.at else 0.5
 
 
 @pytest.mark.parametrize("player, weight, at, shown", [

@@ -74,7 +74,7 @@ def test_leader_never_punishes_with_zero_length():
     class Wrap(Agent):
         player = 1
 
-        def report_weight(self, t):
+        def report_weight(self):
             return core.weight
 
         def act(self, state, t):
@@ -250,7 +250,7 @@ def test_leader_empirical_matches_solution_values():
     class Wrap(Agent):
         player = 1
 
-        def report_weight(self, t):
+        def report_weight(self):
             return core.weight
 
         def act(self, state, t):

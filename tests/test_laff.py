@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from laff import (BimatrixGame, EnforceParams, GAME_NAMES, Laff, MatchConfig,
-                  builtin_game, bully_solution, enforceable_ebs, play_match,
-                  security_value)
-from laff.engine import HistoryState, StepRecord, agent_rng
+                  build_agent, builtin_game, bully_solution, enforceable_ebs,
+                  play_match, run_match, security_value)
+from laff.engine import HistoryState, agent_rng
 from laff.experts import FollowerExpert, LeaderCore, MaximinExpert
 
 
@@ -34,11 +34,11 @@ def test_fallback_targets_collapse_to_security():
 
 
 def _feed(laff, rewards, start=1):
-    """Push synthetic step records through the controller."""
+    """Push synthetic steps through the controller."""
     s = HistoryState((0,), (0,), (0, 0), (0, 0))
     for t, r in enumerate(rewards, start=start):
         laff.act(s, t)
-        laff.observe(StepRecord(t, 0, 0, 0, 0, 0.5, r, r), s)
+        laff.observe(t, 0, r, r)
 
 
 def test_no_switch_when_epoch_meets_target():
@@ -91,9 +91,26 @@ def test_tripped_expert_hands_seat_to_egalitarian_leader():
     assert seat_is_egalitarian_leader() and laff.expert_index == 6
 
 
+class _SlotRecorder(Laff):
+    """LAFF noting its schedule slot before each act."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.acted = []
+
+    def act(self, state, t):
+        self.acted.append(self.expert_index)
+        return super().act(state, t)
+
+
 def test_expert_index_monotone_in_real_match():
     g = builtin_game("sym_unfair")
-    tr = play_match(g, "laff", "bully", MatchConfig(T=20000, seed=1))
+    cfg = MatchConfig(T=20000, seed=1)
+    laff = _SlotRecorder(g, 1, cfg, agent_rng(cfg.seed, 1))
+    tr = run_match(g, laff, build_agent("bully", g, 2, cfg), cfg)
+    # the column is the slot that acted, also at the steps that switched
+    assert len(laff.switch_times) >= 2
+    assert tr.expert1.tolist() == laff.acted
     idx = tr.expert1
     assert (np.diff(idx) >= 0).all()
     assert idx.max() <= 6

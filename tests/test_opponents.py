@@ -162,9 +162,9 @@ def test_leader_weight_constancy():
     g = builtin_game("chicken")
     cfg = MatchConfig(T=100, seed=0)
     b = build_agent("bully", g, 2, cfg)
-    w0 = b.report_weight(0)
+    w0 = b.report_weight()
     tr = run_match(g, FixedActionAgent(0, 2, player=1), b, cfg)
-    assert all(b.report_weight(t) == w0 for t in range(100))
+    assert b.report_weight() == w0
 
 
 @pytest.mark.parametrize("name, params, message", [
@@ -194,4 +194,4 @@ def test_build_agent_accepts_declared_params():
     assert (m.eps_prime, m.p_switch) == (0.0, 1.0)
     assert build_agent("ftft", g, 2, CFG, params={"p": 1}).punish_prob == 1.0
     fixed = build_agent("fixed:1", g, 2, CFG, params={"weight": 1})
-    assert fixed.report_weight(0) == 1.0
+    assert fixed.report_weight() == 1.0
