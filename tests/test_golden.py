@@ -1,8 +1,8 @@
 """Golden digests: seeded CLI outputs pinned byte for byte.
 
 Each case runs the `laff` CLI in process and compares the sha256 of what it
-writes (a match trace CSV, the benchmark stdout, the tournament and
-replicator CSVs) with the digest in ``GOLDEN``.  A refactor must leave every
+writes (a match trace CSV, the solve and benchmark stdout, a regret CSV, the
+tournament and replicator CSVs) with the digest in ``GOLDEN``.  A refactor must leave every
 digest unchanged.  A deliberate behaviour change regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +35,11 @@ PARAM_MATCHES = (
     ("fixed:1", "laff", {"weight": 0.5}, None),
 )
 BENCH_OPPONENTS = ("bully", "ftft", "egal", "maximin", "fixed:0", "fixed:1")
+# (game, p2, opponent class, extra flags) for `laff regret --p1 laff`
+REGRET_RUNS = (
+    ("chicken", "qlearn", "follower_unconditional", []),
+    ("cyclic", "ftft", "bounded_memory", ["--K", "2", "--stride", "7"]),
+)
 
 
 def _match_cases():
@@ -99,6 +104,23 @@ def benchmark_digests(work: Path) -> dict:
                 stdout = _run(["benchmark", "--game", _game_arg(game, work),
                                "--K", str(K), "--opponent", opp])
                 out[f"{game} K={K} {opp}"] = _sha(stdout.encode())
+    return out
+
+
+def solve_digests(work: Path) -> dict:
+    return {f"{game} K={K}": _sha(_run(["solve", "--game", _game_arg(game, work),
+                                        "--K", str(K)]).encode())
+            for game in GAMES for K in (1, 2)}
+
+
+def regret_digests(work: Path) -> dict:
+    out = {}
+    for game, p2, opp_class, extra in REGRET_RUNS:
+        _run(["regret", "--game", game, "--p1", "laff", "--p2", p2,
+              "--opp-class", opp_class, "--T", "400", "--seeds", "2",
+              "--seed", "5", "--out", str(work), *extra])
+        name = f"regret_{game}_{p2}.csv"
+        out[name] = _sha((work / name).read_bytes())
     return out
 
 
@@ -454,6 +476,26 @@ GOLDEN = {
         'rect3x2 K=2 fixed:1':
             '4ec87884c123639d8d3b3c83da3835a7fd57cd0f60bef8870a55eba755fa78d9',
     },
+    'solve': {
+        'chicken K=1':
+            '63f6164a90e0f3ae89c4d00551c25df42bf6cabd333fc60009ce25c0b047e8ed',
+        'chicken K=2':
+            'ffc8bd8376d715ed3432dbd242df688666d436ba13a2d91c2383299137fabe7c',
+        'cyclic K=1':
+            'a474daa1573a8d53256ff6faf7ac5251766984adc5afeb47e9f0a696dae5dbff',
+        'cyclic K=2':
+            'b82ea50c9b0ac6b679e9b8d2e00c3627e5385cf079fb6428ccfb5993403a7e53',
+        'rect3x2 K=1':
+            '0ff89317c808eb6b0c54c11a8060e3b20d1bd85ada9e136f0bcb749f49441561',
+        'rect3x2 K=2':
+            '7bf9c9be028213fcc2d72fba475202656685c4b7f5751c9d520e27d9766ed275',
+    },
+    'regret': {
+        'regret_chicken_qlearn.csv':
+            'bbdb50a3b65af8b16501c2121ff9c2c1eae868f9b66782a5743a51a9649a6b61',
+        'regret_cyclic_ftft.csv':
+            '621b26256a72d7c27f4d923fb724b705b11cec40649ba5d5e2f93f1238549772',
+    },
     'population': {
         'learning_game.csv':
             'fb91e88f2e52ad0e513bea52cbe1b692e0e3a6ea7822cb45b80811544bacd0f4',
@@ -475,6 +517,14 @@ def test_benchmark_stdout_digests(tmp_path):
     assert benchmark_digests(tmp_path) == GOLDEN["benchmark"]
 
 
+def test_solve_stdout_digests(tmp_path):
+    assert solve_digests(tmp_path) == GOLDEN["solve"]
+
+
+def test_regret_csv_digests(tmp_path):
+    assert regret_digests(tmp_path) == GOLDEN["regret"]
+
+
 def test_tournament_and_replicator_digests(tmp_path):
     assert population_digests(tmp_path) == GOLDEN["population"]
 
@@ -483,6 +533,8 @@ def _current(work: Path) -> dict:
     table = {f"match {g} K={K}": match_digests(g, K, work)
              for g in GAMES for K in (1, 2)}
     table["benchmark"] = benchmark_digests(work)
+    table["solve"] = solve_digests(work)
+    table["regret"] = regret_digests(work)
     table["population"] = population_digests(work)
     return table
 
