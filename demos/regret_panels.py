@@ -25,6 +25,7 @@ SEEDS = 3 if QUICK else 10
 GAMES = ["chicken", "sym_inferior", "cyclic"]
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
+ts = np.arange(1, T + 1)
 
 
 def averaged_curve(game, opp, bench, player=1):
@@ -33,9 +34,9 @@ def averaged_curve(game, opp, bench, player=1):
         tr = play_match(game, "laff", opp, MatchConfig(T=T, seed=s))
         rewards = tr.r1 if player == 1 else tr.r2
         if player == 2:
-            curves.append(exploiter_regret(tr, bench, 0.05).average())
+            curves.append(exploiter_regret(tr, bench, 0.05) / ts)
         else:
-            curves.append(regret_curve(rewards, bench).average())
+            curves.append(regret_curve(rewards, bench) / ts)
     return np.mean(curves, axis=0)
 
 
@@ -52,7 +53,6 @@ panels = {
 }
 
 cfg0 = MatchConfig(T=T)
-ts = np.arange(1, T + 1)
 stride = max(1, T // 2000)
 
 for opp, (label, bench_fn) in panels.items():

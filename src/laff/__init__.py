@@ -13,13 +13,13 @@ from .bargaining import (EnforceParams, JointAction, PairSolution,
 from .controller import Laff
 from .engine import (Agent, HistoryState, MatchConfig, MatchTrace, draw_signals,
                      run_match, state_space_size)
-from .evaluation import (RegretCurve, benchmark_for, exploiter_regret,
-                         play_match, pure_nash, regret_curve, replicator_run,
+from .evaluation import (benchmark_for, exploiter_regret, play_match,
+                         pure_nash, regret_curve, replicator_run,
                          replicator_step, round_robin)
 from .experts import LeaderKit, rq_bound
-from .games import (BimatrixGame, EVALUATION_GAMES, GAME_NAMES, MixedStrategy,
-                    TRAINING_GAMES, builtin_game, expected_reward, load_game,
-                    punishment_strategy, security_value, swap_players)
+from .games import (BimatrixGame, EVALUATION_GAMES, GAME_NAMES, TRAINING_GAMES,
+                    builtin_game, load_game, punishment_strategy,
+                    security_value, swap_players)
 from .mdp import InducedMdp, induce_mdp, optimal_average_reward, \
     policy_average_reward
 from .opponents import build_agent, bounded_memory_policy
@@ -27,11 +27,10 @@ from .opponents import build_agent, bounded_memory_policy
 __all__ = [
     "Agent", "BimatrixGame", "EnforceParams", "EVALUATION_GAMES", "GAME_NAMES",
     "HistoryState", "InducedMdp", "JointAction", "Laff", "LeaderKit",
-    "MatchConfig", "MatchTrace", "MixedStrategy", "PairSolution",
-    "RegretCurve", "TRAINING_GAMES",
+    "MatchConfig", "MatchTrace", "PairSolution", "TRAINING_GAMES",
     "benchmark_for", "bounded_memory_policy", "build_agent", "builtin_game",
     "bully_solution", "deviation_profit", "draw_signals", "enforceable_ebs",
-    "expected_reward", "exploiter_regret", "induce_mdp", "load_game",
+    "exploiter_regret", "induce_mdp", "load_game",
     "optimal_average_reward", "play_match", "policy_average_reward",
     "punishment_length", "punishment_strategy", "pure_nash", "regret_curve",
     "replicator_run", "replicator_step", "round_robin", "rq_bound",

@@ -64,9 +64,6 @@ class PairSolution:
     def is_fallback(self) -> bool:
         return self.kind == SECURITY_FALLBACK
 
-    def cells(self):
-        return (self.xA, self.xB)
-
 
 def deviation_profit(game: BimatrixGame, X) -> float:
     """Player 2's best one-shot gain from deviating anywhere in X.

@@ -103,8 +103,8 @@ def cmd_solve(args) -> int:
     doc = {
         "game": game.name, "K": args.K, "eps": args.eps,
         "security": {"mu_s1": float(_fmt(mu_s1)), "mu_s2": float(_fmt(mu_s2)),
-                     "strategy1": [float(_fmt(p)) for p in s1.probs],
-                     "strategy2": [float(_fmt(p)) for p in s2.probs]},
+                     "strategy1": [float(_fmt(p)) for p in s1],
+                     "strategy2": [float(_fmt(p)) for p in s2]},
         "ebs": sol_dict(ebs),
         "bully": sol_dict(bully),
     }
@@ -167,14 +167,14 @@ def cmd_regret(args) -> int:
     else:
         bench = benchmark_for(game, args.opp_class, base)
 
+    ts = np.arange(1, args.T + 1)
     curves = []
     for s in range(args.seeds):
         cfg = base.with_seed(int(np.random.SeedSequence((base.seed, s))
                                  .generate_state(1)[0]))
         trace = play_match(game, args.p1, args.p2, cfg)
-        curves.append(regret_curve(trace.r1, bench).average())
+        curves.append(regret_curve(trace.r1, bench) / ts)
     avg = np.mean(curves, axis=0)
-    ts = np.arange(1, args.T + 1)
     stride = max(1, args.stride)
     rows = [(int(t), avg[t - 1]) for t in ts[::stride]]
     out_csv = out_dir / f"regret_{game.name}_{args.p2}.csv"

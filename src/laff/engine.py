@@ -85,7 +85,6 @@ class Agent:
 class MatchTrace:
     """Per-step actions, signals, draws and rewards for one match."""
 
-    game_name: str
     t: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
@@ -190,7 +189,7 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
         a1h = a1h[1:] + (a1,)
         a2h = a2h[1:] + (a2,)
 
-    return MatchTrace(game_name=game.name, t=t_col, a1=a1_col, a2=a2_col,
+    return MatchTrace(t=t_col, a1=a1_col, a2=a2_col,
                       y1=y1_col, y2=y2_col, x=x_col, r1=r1_col, r2=r2_col,
                       expert1=_expert_column(alg1, t_col),
                       expert2=_expert_column(alg2, t_col))

@@ -26,29 +26,14 @@ def play_match(game: BimatrixGame, name1: str, name2: str, config: MatchConfig,
     return run_match(game, a1, a2, config)
 
 
-@dataclass
-class RegretCurve:
-    """Cumulative regret against a fixed per-step benchmark."""
-
-    benchmark: float
-    cumulative: np.ndarray  # entry i = (i+1)*benchmark - sum of first i+1 rewards
-
-    def __len__(self):
-        return len(self.cumulative)
-
-    def average(self) -> np.ndarray:
-        t = np.arange(1, len(self.cumulative) + 1)
-        return self.cumulative / t
-
-
-def regret_curve(rewards: np.ndarray, benchmark: float) -> RegretCurve:
+def regret_curve(rewards: np.ndarray, benchmark: float) -> np.ndarray:
+    """Cumulative regret: entry i = (i+1)*benchmark - sum of first i+1 rewards."""
     rewards = np.asarray(rewards, dtype=float)
     t = np.arange(1, len(rewards) + 1)
-    return RegretCurve(benchmark=float(benchmark),
-                       cumulative=t * benchmark - np.cumsum(rewards))
+    return t * benchmark - np.cumsum(rewards)
 
 
-def exploiter_regret(trace, mu_e2: float, c: float) -> RegretCurve:
+def exploiter_regret(trace, mu_e2: float, c: float) -> np.ndarray:
     """Player 2's regret against the egalitarian value plus a margin c."""
     return regret_curve(trace.r2, mu_e2 + c)
 

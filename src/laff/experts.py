@@ -92,11 +92,9 @@ class LeaderKit:
     """
 
     player: int
-    ep: EnforceParams
     n_own: int
     n_opp: int
     mu_s_own: float
-    mu_s_opp: float
     maximin: np.ndarray      # own maximin strategy v_M
     punish: np.ndarray       # own punishment strategy v_P
     ebs: PairSolution        # own-frame values: u1 = own, u2 = opponent
@@ -119,19 +117,15 @@ class LeaderKit:
     @classmethod
     def _solve(cls, game: BimatrixGame, player: int, ep: EnforceParams) -> "LeaderKit":
         own = game if player == 1 else swap_players(game)
-        mu_s_own, v_m = security_value(own, 1)
+        mu_s_own, maximin = security_value(own, 1)
         mu_s_opp, _ = security_value(own, 2)
-        _, v_p = punishment_strategy(own)
+        _, punish = punishment_strategy(own)
         ebs = enforceable_ebs(own, ep)
         bully = bully_solution(own, ep)
         kp_e = 0 if ebs.is_fallback else punishment_length(ebs, ep, mu_s_opp)
         kp_b = 0 if bully.is_fallback else punishment_length(bully, ep, mu_s_opp)
-        maximin, punish = v_m.as_array(), v_p.as_array()
-        maximin.setflags(write=False)
-        punish.setflags(write=False)
-        return cls(player=player, ep=ep, n_own=own.n1, n_opp=own.n2,
-                   mu_s_own=mu_s_own, mu_s_opp=mu_s_opp,
-                   maximin=maximin, punish=punish,
+        return cls(player=player, n_own=own.n1, n_opp=own.n2,
+                   mu_s_own=mu_s_own, maximin=maximin, punish=punish,
                    ebs=ebs, bully=bully,
                    ebs_map=_canonical_map(ebs, player, kp_e),
                    bully_map=_canonical_map(bully, player, kp_b))

@@ -19,23 +19,6 @@ _TOL = 1e-9
 _SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
-    """A probability distribution over one player's actions."""
-
-    probs: tuple
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if np.any(p < -_TOL):
-            raise ValueError(f"negative probability in {self.probs}")
-        if abs(p.sum() - 1.0) > _TOL:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
-
-
 @dataclass
 class BimatrixGame:
     """Two reward matrices in [0, 1] over the same joint action space.
@@ -97,6 +80,7 @@ def _maximin(M: np.ndarray):
     """max over row mixtures p of min_j (p'M)_j, with the optimal p.
 
     Pure optima are preferred (lowest index) so results are deterministic.
+    p is a read-only float array on the simplex.
     """
     M = np.asarray(M, dtype=float)
     m, n = M.shape
@@ -118,19 +102,20 @@ def _maximin(M: np.ndarray):
     pure_vals = M.min(axis=1)
     best_pure = int(np.argmax(pure_vals))
     if pure_vals[best_pure] >= value - _TOL:
+        value = float(pure_vals[best_pure])
         p = np.zeros(m)
         p[best_pure] = 1.0
-        return float(pure_vals[best_pure]), p
-
-    p = np.clip(res.x[:m], 0.0, None)
-    p /= p.sum()
+    else:
+        p = np.clip(res.x[:m], 0.0, None)
+        p /= p.sum()
+    p.setflags(write=False)
     return value, p
 
 
 def security_value(game: BimatrixGame, player: int):
     """Maximin value and strategy of a player's own reward matrix.
 
-    Returns (value, MixedStrategy).  The value is what the player can
+    Returns (value, strategy).  The value is what the player can
     guarantee regardless of the opponent.
     """
     if player == 1:
@@ -139,28 +124,17 @@ def security_value(game: BimatrixGame, player: int):
         v, p = _maximin(game.R2.T)
     else:
         raise ValueError("player must be 1 or 2")
-    return v, MixedStrategy(tuple(p))
+    return v, p
 
 
 def punishment_strategy(game: BimatrixGame):
     """Player 1's strategy minimizing player 2's best-response reward.
 
     By LP duality the value equals player 2's security value.
-    Returns (value, MixedStrategy).
+    Returns (value, strategy).
     """
     v, p = _maximin(-game.R2)
-    return -v, MixedStrategy(tuple(p))
-
-
-def expected_reward(game: BimatrixGame, s1: MixedStrategy, s2: MixedStrategy,
-                    player: int) -> float:
-    """s1' R^(player) s2 for mixed strategies s1, s2."""
-    p = s1.as_array()
-    q = s2.as_array()
-    if p.shape[0] != game.n1 or q.shape[0] != game.n2:
-        raise ValueError("strategy length does not match action count")
-    m = game.R1 if player == 1 else game.R2
-    return float(p @ m @ q)
+    return -v, p
 
 
 def _F(a, b):

@@ -36,7 +36,7 @@ class MaximinAgent(Agent):
     """Plays the own maximin strategy unconditionally."""
 
     def __init__(self, game, player, config, rng):
-        self.strategy = security_value(game, player)[1].as_array()
+        self.strategy = security_value(game, player)[1]
         self.rng = rng
 
     def act(self, state, t):

@@ -162,12 +162,12 @@ def compliant_policy(kit, which: str = "ebs"):
 
 
 def second_half_slope(curve) -> float:
-    """Least-squares slope of a regret curve's cumulative sum over its second half."""
-    n = len(curve.cumulative)
+    """Least-squares slope of a cumulative regret curve over its second half."""
+    n = len(curve)
     if n < 4:
         raise ValueError("curve too short for a slope estimate")
     ts = np.arange(1, n + 1)[n // 2:]
-    ys = curve.cumulative[n // 2:]
+    ys = curve[n // 2:]
     return float(np.polyfit(ts, ys, 1)[0])
 
 

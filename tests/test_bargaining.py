@@ -59,7 +59,7 @@ def test_chicken_ebs():
     assert sol.alpha == pytest.approx(0.5)
     assert sol.u1 == pytest.approx(0.625)
     assert sol.u2 == pytest.approx(0.625)
-    assert set(map(tuple, sol.cells())) == {(0, 1), (1, 0)}
+    assert {tuple(sol.xA), tuple(sol.xB)} == {(0, 1), (1, 0)}
 
 
 def test_chicken_ebs_feasibility_threshold():

@@ -50,8 +50,8 @@ def test_benchmark_dispatch():
 
 def test_regret_curve_shape():
     curve = regret_curve(np.array([0.5, 1.0, 0.0]), 0.625)
-    assert np.allclose(curve.cumulative, [0.125, -0.25, 0.375])
-    inc = np.diff(np.concatenate([[0.0], curve.cumulative]))
+    assert np.allclose(curve, [0.125, -0.25, 0.375])
+    inc = np.diff(np.concatenate([[0.0], curve]))
     assert ((inc >= 0.625 - 1.0 - 1e-12) & (inc <= 0.625 + 1e-12)).all()
     assert len(regret_curve(np.array([]), 0.5)) == 0
 
@@ -65,7 +65,7 @@ def test_exploiter_regret_bounded_for_compliant_partner():
     curve = exploiter_regret(tr, 0.625, 0.0)
     ts = np.arange(1, T + 1)
     envelope = 0 + 1 + 3 * np.sqrt(ts * math.log(T / 0.05) / 2)
-    assert (curve.cumulative <= envelope).all()
+    assert (curve <= envelope).all()
 
 
 def test_pure_nash_on_published_table():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from laff import (BimatrixGame, EnforceParams, GAME_NAMES, LeaderKit,
-                  MixedStrategy, builtin_game, expected_reward, load_game,
-                  punishment_strategy, security_value, swap_players)
+                  builtin_game, load_game, punishment_strategy, security_value,
+                  swap_players)
 from oracles import maximin_grid
 
 
@@ -17,8 +17,8 @@ def test_chicken_security_values():
     assert v1 == pytest.approx(0.25, abs=1e-9)
     assert v2 == pytest.approx(0.25, abs=1e-9)
     # pure first action for both players
-    assert s1.probs[0] == pytest.approx(1.0)
-    assert s2.probs[0] == pytest.approx(1.0)
+    assert s1[0] == pytest.approx(1.0)
+    assert s2[0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("r1, value, probs", [
@@ -30,7 +30,7 @@ def test_single_action_game(r1, value, probs):
     g = BimatrixGame("one", r1, np.full_like(r1, 0.3))
     v, s = security_value(g, 1)
     assert v == pytest.approx(value)
-    assert s.probs == probs
+    assert s.tolist() == list(probs)
 
 
 def test_zero_sum_mixing():
@@ -38,7 +38,7 @@ def test_zero_sum_mixing():
                      [[0.0, 1.0], [1.0, 0.0]])
     v, s = security_value(g, 1)
     assert v == pytest.approx(0.5, abs=1e-9)
-    assert np.allclose(s.as_array(), [0.5, 0.5], atol=1e-9)
+    assert np.allclose(s, [0.5, 0.5], atol=1e-9)
     assert maximin_grid(g.R1) <= v + 2e-3
 
 
@@ -55,7 +55,7 @@ def test_chicken_punishment_strategy():
     pv, ps = punishment_strategy(g)
     assert pv == pytest.approx(0.25, abs=1e-9)
     # best response value of player 2 against the punishment mix is 0.25
-    br = max(float(ps.as_array() @ g.R2[:, j]) for j in range(g.n2))
+    br = max(float(ps @ g.R2[:, j]) for j in range(g.n2))
     assert br == pytest.approx(0.25, abs=1e-9)
 
 
@@ -68,22 +68,17 @@ def test_security_within_matrix_range_and_grid_oracle():
             assert maximin_grid(M) <= v + 2e-3
 
 
-def test_expected_reward():
-    g = builtin_game("chicken")
-    u = MixedStrategy((0.5, 0.5))
-    assert expected_reward(g, u, u, 1) == pytest.approx(0.4375)
-    pure = MixedStrategy((1.0, 0.0))
-    assert expected_reward(g, pure, pure, 1) == pytest.approx(0.5)
-    assert expected_reward(g, pure, pure, 2) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        expected_reward(g, MixedStrategy((1.0,)), u, 1)
-
-
-def test_mixed_strategy_validation():
-    with pytest.raises(ValueError):
-        MixedStrategy((0.5, 0.6))
-    with pytest.raises(ValueError):
-        MixedStrategy((-0.1, 1.1))
+@pytest.mark.parametrize("name", ["chicken", "cyclic", "asym_biased"])
+def test_zero_sum_strategies_are_read_only_float_arrays(name):
+    # pure optima (chicken) and mixed ones (cyclic, asym_biased) alike
+    g = builtin_game(name)
+    for _, s in (security_value(g, 1), security_value(g, 2),
+                 punishment_strategy(g)):
+        assert isinstance(s, np.ndarray) and s.dtype == np.float64
+        assert s.shape == (2,) and s.min() >= 0.0
+        assert s.sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError):
+            s[0] = 0.5
 
 
 def test_library_contents():
