@@ -177,10 +177,13 @@ def cmd_regret(args) -> int:
     avg = np.mean(curves, axis=0)
     stride = max(1, args.stride)
     rows = [(int(t), avg[t - 1]) for t in ts[::stride]]
-    out_csv = out_dir / f"regret_{game.name}_{args.p2}.csv"
+    # LAFF's runs keep the older name, which perfbench and criterion 9 read
+    stem = (f"regret_{game.name}_{args.p2}" if args.p1 == "laff"
+            else f"regret_{game.name}_{args.p1}_vs_{args.p2}")
+    out_csv = out_dir / f"{stem}.csv"
     write_csv(out_csv, ["t", "avg_regret"], rows)
     if args.svg:
-        svg_line_plot(out_dir / f"regret_{game.name}_{args.p2}.svg",
+        svg_line_plot(out_dir / f"{stem}.svg",
                       ts[::stride], {"avg_regret": avg[::stride]},
                       title=f"{game.name}: {args.p1} vs {args.p2}")
     print(f"wrote {out_csv} (benchmark {_fmt(bench)})")

@@ -7,6 +7,7 @@ player 2 the column player; all indices are 0-based.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,8 @@ from scipy.optimize import linprog
 _TOL = 1e-9
 # Entrywise tolerance of `BimatrixGame.is_symmetric`.
 _SYMMETRY_TOL = 1e-12
+# Characters a game name may not carry into CSV cells, file names and SVG text.
+_BAD_NAME_CHARS = re.compile(r'[,"/\\\x00-\x1f\x7f-\x9f]')
 
 
 @dataclass
@@ -226,8 +229,13 @@ def game_from_json(path) -> BimatrixGame:
         except (TypeError, ValueError):
             raise ValueError(f"{path}: field {key} must be a rectangular "
                              f"matrix of numbers") from None
+    name = data.get("name", path.stem)
+    if not isinstance(name, str) or not name or _BAD_NAME_CHARS.search(name):
+        raise ValueError(f"{path}: field name (default: the file stem) must be "
+                         f"a non-empty string without , \" / \\ or control "
+                         f"characters, got {name!r}")
     try:
-        return BimatrixGame(name=data.get("name", path.stem), **mats)
+        return BimatrixGame(name=name, **mats)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 

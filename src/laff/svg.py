@@ -10,6 +10,8 @@ _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f")
 # Canvas size in pixels.
 WIDTH, HEIGHT = 640, 400
+# Game and algorithm names come from files, so text is escaped as XML.
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def svg_line_plot(path, x, series: dict, title: str = ""):
@@ -40,7 +42,7 @@ def svg_line_plot(path, x, series: dict, title: str = ""):
              f'stroke="black"/>']
     if title:
         parts.append(f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
+                     f'font-size="14">{title.translate(_XML_ESCAPES)}</text>')
     parts.append(f'<text x="{pad}" y="{HEIGHT - pad + 16}" font-size="10">'
                  f'{xmin:.6g}</text>')
     parts.append(f'<text x="{WIDTH - pad}" y="{HEIGHT - pad + 16}" '
@@ -57,6 +59,6 @@ def svg_line_plot(path, x, series: dict, title: str = ""):
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{WIDTH - pad - 4}" y="{pad + 14 * idx + 12}" '
                      f'text-anchor="end" font-size="11" fill="{color}">'
-                     f'{name}</text>')
+                     f'{name.translate(_XML_ESCAPES)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -108,6 +109,62 @@ def test_malformed_game_file_is_one_line(tmp_path, capsys, content, field):
         assert err == f"error: '{path}' is neither a built-in game nor a file\n"
 
 
+RECT = {"R1": [[0.5, 0.2], [0.9, 0.1]], "R2": [[0.4, 0.8], [0.3, 0.6]]}
+
+
+@pytest.mark.parametrize("name", [5, None, "", "a,b", "x/y", 'say "hi"',
+                                  "back\\slash", "tab\tname", "nl\nname"],
+                         ids=["number", "null", "empty", "comma", "slash",
+                              "quote", "backslash", "tab", "newline"])
+def test_game_name_reaching_outputs_is_checked(tmp_path, capsys, name):
+    # each used to reach a traceback, an unreadable CSV or a failed write
+    # after every match had been played
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"name": name, **RECT}))
+    out_dir = tmp_path / "out"
+    for argv in (["solve", "--game", str(path)],
+                 ["regret", "--game", str(path), "--p2", "bully",
+                  "--opp-class", "adversarial", "--T", "20", "--seeds", "1",
+                  "--out", str(out_dir)],
+                 ["tournament", "--algorithms", "fixed:0,fixed:1",
+                  "--games", str(path), "--trials", "1", "--T", "20",
+                  "--out", str(out_dir)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv[0]
+        assert out == ""
+        assert err.startswith(f"error: {path}: field name ")
+        assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", ["<", "&", "a<b & c>"])
+def test_svg_text_is_escaped(tmp_path, capsys, name):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"name": name, **RECT}))
+    code, _, _ = run_cli(capsys, "regret", "--game", str(path), "--p1", "bully",
+                         "--p2", "fixed:0", "--opp-class", "adversarial",
+                         "--T", "20", "--seeds", "1", "--out", str(tmp_path),
+                         "--svg")
+    assert code == 0
+    svg = tmp_path / f"regret_{name}_bully_vs_fixed:0.svg"
+    texts = [e.text for e in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert f"{name}: bully vs fixed:0" in texts
+
+    # algorithm names from a hand-edited tournament CSV reach the plot too
+    csv = tmp_path / "pair.csv"
+    csv.write_text("alg1,alg2,game,trial,m1,m2\n"
+                   + "".join(f"{a},{b},g,0,0.5,0.5\n"
+                             for a in (name, "z") for b in (name, "z")))
+    pop = tmp_path / "population.csv"
+    code, _, _ = run_cli(capsys, "replicator", "--input", str(csv),
+                         "--generations", "3", "--runs", "1", "--out", str(pop),
+                         "--svg")
+    assert code == 0
+    texts = [e.text for e in ET.parse(pop.with_suffix(".svg"))
+             .iter("{http://www.w3.org/2000/svg}text")]
+    assert name in texts
+
+
 @pytest.mark.parametrize("flag", ["--delta", "--C1", "--C3", "--C4", "--eta-m"])
 def test_removed_tuning_flags_are_usage_errors(capsys, flag):
     code, out, _ = run_cli(capsys, "match", "--game", "chicken", "--p1", "laff",
@@ -179,6 +236,18 @@ def test_regret_subcommand(tmp_path, capsys):
     assert lines[0] == "t,avg_regret"
     assert len(lines) == 11
     assert (tmp_path / "regret_chicken_qlearn.svg").exists()
+
+
+def test_regret_output_names_p1(tmp_path, capsys):
+    # the name used to leave out --p1, so the second run overwrote the first
+    for p1 in ("laff", "bully"):
+        code, out, _ = run_cli(capsys, "regret", "--game", "chicken",
+                               "--p1", p1, "--p2", "qlearn",
+                               "--opp-class", "follower_unconditional",
+                               "--T", "50", "--seeds", "1", "--out", str(tmp_path))
+        assert code == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "regret_chicken_bully_vs_qlearn.csv", "regret_chicken_qlearn.csv"]
 
 
 def test_tournament_and_replicator(tmp_path, capsys):
