@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from laff import (BimatrixGame, EnforceParams, JointAction, builtin_game,
                   bully_solution, deviation_profit, enforceable_ebs,
@@ -234,3 +236,37 @@ def test_solver_handles_rectangular_games():
             assert want_b is None
         else:
             assert bully.u1 == pytest.approx(want_b, abs=1e-3)
+
+
+@st.composite
+def _random_games(draw):
+    """2x2 and 3x2 games, entries on the quarter grid or anywhere in [0, 1]."""
+    shape = (draw(st.sampled_from((2, 3))), 2)
+    elements = draw(st.sampled_from((st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+                                     st.floats(0.0, 1.0))))
+    return BimatrixGame("random", draw(arrays(np.float64, shape, elements=elements)),
+                        draw(arrays(np.float64, shape, elements=elements)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_random_games())
+def test_solvers_match_grid_oracle_on_random_games(g):
+    muS1, _ = security_value(g, 1)
+    muS2, _ = security_value(g, 2)
+    for K, eps in GRID:
+        ep = EnforceParams(K, eps)
+        ebs = enforceable_ebs(g, ep)
+        want = bargaining_grid(g, K, eps, selfish=False)
+        if ebs.is_fallback:  # the fallback's score is 0
+            assert want is None or want <= 1e-3, (K, eps)
+        else:
+            assert want is not None, (K, eps)
+            got = min(ebs.u1 - muS1, ebs.u2 - muS2)
+            assert got == pytest.approx(want, abs=1e-3), (K, eps)
+        bully = bully_solution(g, ep)
+        want_b = bargaining_grid(g, K, eps, selfish=True)
+        if bully.is_fallback:
+            assert want_b is None or want_b <= muS1 + 1e-3, (K, eps)
+        else:
+            assert want_b is not None, (K, eps)
+            assert bully.u1 == pytest.approx(want_b, abs=1e-3), (K, eps)
