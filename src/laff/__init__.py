@@ -20,8 +20,7 @@ from .experts import LeaderKit, rq_bound
 from .games import (BimatrixGame, EVALUATION_GAMES, GAME_NAMES, TRAINING_GAMES,
                     builtin_game, load_game, punishment_strategy,
                     security_value, swap_players)
-from .mdp import InducedMdp, induce_mdp, optimal_average_reward, \
-    policy_average_reward
+from .mdp import InducedMdp, induce_mdp, optimal_average_reward
 from .opponents import build_agent, bounded_memory_policy
 
 __all__ = [
@@ -31,8 +30,8 @@ __all__ = [
     "benchmark_for", "bounded_memory_policy", "build_agent", "builtin_game",
     "bully_solution", "deviation_profit", "draw_signals", "enforceable_ebs",
     "exploiter_regret", "induce_mdp", "load_game",
-    "optimal_average_reward", "play_match", "policy_average_reward",
-    "punishment_length", "punishment_strategy", "pure_nash", "regret_curve",
+    "optimal_average_reward", "play_match", "punishment_length",
+    "punishment_strategy", "pure_nash", "regret_curve",
     "replicator_run", "replicator_step", "round_robin", "rq_bound",
     "run_match", "security_value", "slack_b", "state_space_size",
     "swap_players", "xi",

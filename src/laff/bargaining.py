@@ -85,51 +85,30 @@ def deviation_profit(game: BimatrixGame, X) -> float:
     return best
 
 
-def alpha_lower_bound(game: BimatrixGame, xA: JointAction, xB: JointAction,
-                      ep: EnforceParams, muS2: float) -> Optional[float]:
-    """Least weight on xA for which the (xA, xB) mixture is enforceable.
-
-    Requires R2(xA) >= R2(xB).  With strict inequality, returns the bound
-    (it may exceed 1, marking the pair infeasible).  With equality, the
-    weight is unconstrained: returns 0.0 when the constant condition
-    K*R2(xA) >= K*muS2 + r + eps holds, else None (pair unenforceable).
-    """
-    r2a = game.reward(2, *xA)
-    r2b = game.reward(2, *xB)
-    if r2a < r2b - _TOL:
-        raise ValueError("caller must order the pair so that R2(xA) >= R2(xB)")
-    r = deviation_profit(game, {tuple(xA), tuple(xB)})
-    K, eps = ep.K, ep.eps
-    if r2a > r2b + _TOL:
-        return (r + eps + K * (muS2 - r2b)) / (K * (r2a - r2b))
-    if K * r2a >= K * muS2 + r + eps - _TOL:
-        return 0.0
-    return None
-
-
-def _ordered(game, x, y):
-    """Order a cell pair so that R2(xA) >= R2(xB)."""
-    if game.reward(2, *x) >= game.reward(2, *y):
-        return x, y
-    return y, x
-
-
 def _solve(game: BimatrixGame, ep: EnforceParams, selfish: bool) -> PairSolution:
     muS1, _ = security_value(game, 1)
     muS2, _ = security_value(game, 2)
+    K, eps = ep.K, ep.eps
     cells = [JointAction(i, j) for i in range(game.n1) for j in range(game.n2)]
 
     best = None  # (score, u1, solution)
     for ia, x in enumerate(cells):
         for y in cells[ia:]:
-            xA, xB = _ordered(game, x, y)
-            r1a, r1b = game.reward(1, *xA), game.reward(1, *xB)
-            r2a, r2b = game.reward(2, *xA), game.reward(2, *xB)
-            r = deviation_profit(game, {tuple(xA), tuple(xB)})
-            bound = alpha_lower_bound(game, xA, xB, ep, muS2)
-            if bound is None or bound > 1 + _TOL:
+            xA, xB = (x, y) if game.R2[x] >= game.R2[y] else (y, x)
+            r1a, r1b = float(game.R1[xA]), float(game.R1[xB])
+            r2a, r2b = float(game.R2[xA]), float(game.R2[xB])
+            r = deviation_profit(game, {xA, xB})
+            # least weight on xA (R2(xA) >= R2(xB)) that enforces the mixture;
+            # with equal R2 the weight is free when the constant condition holds
+            if r2a > r2b + _TOL:
+                lo = (r + eps + K * (muS2 - r2b)) / (K * (r2a - r2b))
+                if lo > 1 + _TOL:
+                    continue
+                lo = min(max(lo, 0.0), 1.0)
+            elif K * r2a >= K * muS2 + r + eps - _TOL:
+                lo = 0.0
+            else:
                 continue
-            lo = min(max(bound, 0.0), 1.0)
 
             if xA == xB:
                 alpha = 1.0

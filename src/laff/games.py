@@ -63,10 +63,6 @@ class BimatrixGame:
     def n2(self) -> int:
         return self.R1.shape[1]
 
-    def reward(self, player: int, a1: int, a2: int) -> float:
-        m = self.R1 if player == 1 else self.R2
-        return float(m[a1, a2])
-
     def is_symmetric(self) -> bool:
         """True when swapping players and actions leaves the game unchanged."""
         return self.R1.shape[0] == self.R1.shape[1] and np.allclose(

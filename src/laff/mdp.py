@@ -4,8 +4,8 @@ Against an opponent whose action distribution depends only on the current
 state (and whose signal weight is constant), the repeated game seen by
 player 1 is an MDP.  This module builds dense transition/reward tensors
 over the states reachable from the engine's start only, and solves for the
-optimal gain (relative value iteration) or a given policy's gain
-(distribution iteration).  K=3 then takes well under a second on most
+optimal gain and a gain-optimal policy (relative value iteration, with a
+multichain LP fallback).  K=3 then takes well under a second on most
 built-in games; at K=4 the tensors still need 0.5-3.5 GB on train_mixed and
 asym_biased against bully, ftft or egal (62 GB on asym_secondbest).
 """
@@ -44,11 +44,9 @@ class InducedMdp:
     """
 
     states: list
-    index: dict
     n_actions: int
     transition: np.ndarray   # (S, A, S)
     reward1: np.ndarray      # (S, A) expected player-1 reward
-    reward2: np.ndarray      # (S, A) expected player-2 reward
     initial: np.ndarray      # (S,) distribution over starting states
 
     @property
@@ -121,21 +119,18 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
     S = len(states)
     transition = np.zeros((S, A, S))
     reward1 = np.zeros((S, A))
-    reward2 = np.zeros((S, A))
     for i, s in enumerate(states):
         pi2, out = explored[s]
         for a in range(A):
             reward1[i, a] = float(game.R1[a] @ pi2)
-            reward2[i, a] = float(game.R2[a] @ pi2)
         for a, nxt, p in out:
             transition[i, a, index[nxt]] += p
     initial = np.zeros(S)
     for s, p in start.items():
         initial[index[s]] += p
 
-    return InducedMdp(states=states, index=index, n_actions=A,
-                      transition=transition, reward1=reward1, reward2=reward2,
-                      initial=initial)
+    return InducedMdp(states=states, n_actions=A, transition=transition,
+                      reward1=reward1, initial=initial)
 
 
 def optimal_average_reward(mdp: InducedMdp):
@@ -219,40 +214,3 @@ def _multichain_lp(P, r, init):
         policy[s] = best[np.argmax(bias_q[s, best])]
     return float(init @ g), policy
 
-
-def policy_average_reward(mdp: InducedMdp, policy, player: int = 1) -> float:
-    """Long-run average reward of a fixed (possibly mixed) Markov policy.
-
-    ``policy`` is either a sequence of actions by state index or a callable
-    ``state -> distribution over player-1 actions``.  The gain is taken from
-    the match's initial distribution by iterating the state distribution on
-    the self-loop-transformed chain.
-    """
-    S, A = mdp.n_states, mdp.n_actions
-
-    def dist_at(i):
-        s = mdp.states[i]
-        if callable(policy):
-            d = np.asarray(policy(s), dtype=float)
-        else:
-            d = np.zeros(A)
-            d[int(policy[i])] = 1.0
-        return d
-
-    reward = mdp.reward1 if player == 1 else mdp.reward2
-    P_pol = np.zeros((S, S))
-    r_pol = np.zeros(S)
-    for i in range(S):
-        d = dist_at(i)
-        P_pol[i] = d @ mdp.transition[i]
-        r_pol[i] = d @ reward[i]
-
-    tau = 0.5
-    P_pol = (1 - tau) * np.eye(S) + tau * P_pol
-    pi = mdp.initial.copy()
-    for _ in range(_MAX_SWEEPS):
-        nxt = pi @ P_pol
-        if np.abs(nxt - pi).sum() < 1e-12:
-            return float(nxt @ r_pol)
-        pi = nxt
-    raise RuntimeError("policy chain distribution did not converge")

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from laff import policy_average_reward, security_value
+from laff import security_value
 from laff.engine import HistoryState
 from laff.mdp import InducedMdp, signal_outcome_probs
 
@@ -84,14 +84,12 @@ def induce_mdp_full(game, opp_policy, w1: float, w2: float, K: int) -> InducedMd
 
     transition = np.zeros((S, A, S))
     reward1 = np.zeros((S, A))
-    reward2 = np.zeros((S, A))
     for i, s in enumerate(states):
         pi2 = np.asarray(opp_policy(s), dtype=float)
         if pi2.shape != (game.n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
             raise ValueError(f"opponent policy is not a distribution at state {s}")
         for a in range(A):
             reward1[i, a] = float(game.R1[a] @ pi2)
-            reward2[i, a] = float(game.R2[a] @ pi2)
             for b, pb in enumerate(pi2):
                 if pb <= 0:
                     continue
@@ -115,9 +113,48 @@ def induce_mdp_full(game, opp_policy, w1: float, w2: float, K: int) -> InducedMd
             if p > 0:
                 initial[index[HistoryState(zero1, (0,) * K, y1h, y2h)]] += p
 
-    return InducedMdp(states=states, index=index, n_actions=A,
-                      transition=transition, reward1=reward1, reward2=reward2,
-                      initial=initial)
+    return InducedMdp(states=states, n_actions=A, transition=transition,
+                      reward1=reward1, initial=initial)
+
+
+def policy_average_reward(mdp: InducedMdp, policy, reward=None) -> float:
+    """Long-run average reward of a fixed (possibly mixed) Markov policy.
+
+    ``policy`` is either a sequence of actions by state index or a callable
+    ``state -> distribution over player-1 actions``.  ``reward`` is an
+    (S, A) table to average, player 1's ``mdp.reward1`` by default.  The
+    gain is taken from the match's initial distribution by iterating the
+    state distribution on the self-loop-transformed chain.
+    """
+    S, A = mdp.n_states, mdp.n_actions
+    if reward is None:
+        reward = mdp.reward1
+
+    def dist_at(i):
+        s = mdp.states[i]
+        if callable(policy):
+            d = np.asarray(policy(s), dtype=float)
+        else:
+            d = np.zeros(A)
+            d[int(policy[i])] = 1.0
+        return d
+
+    P_pol = np.zeros((S, S))
+    r_pol = np.zeros(S)
+    for i in range(S):
+        d = dist_at(i)
+        P_pol[i] = d @ mdp.transition[i]
+        r_pol[i] = d @ reward[i]
+
+    tau = 0.5
+    P_pol = (1 - tau) * np.eye(S) + tau * P_pol
+    pi = mdp.initial.copy()
+    for _ in range(10 ** 6):
+        nxt = pi @ P_pol
+        if np.abs(nxt - pi).sum() < 1e-12:
+            return float(nxt @ r_pol)
+        pi = nxt
+    raise RuntimeError("policy chain distribution did not converge")
 
 
 def enumerate_deterministic_gains(mdp: InducedMdp) -> list:
@@ -129,14 +166,9 @@ def enumerate_deterministic_gains(mdp: InducedMdp) -> list:
     reach = mdp.reachable_from_initial()
     gains = []
     for choice in itertools.product(range(mdp.n_actions), repeat=len(reach)):
-        policy = {int(s): a for s, a in zip(reach, choice)}
-
-        def pol(state, _p=policy):
-            d = np.zeros(mdp.n_actions)
-            d[_p.get(mdp.index[state], 0)] = 1.0
-            return d
-
-        gains.append(policy_average_reward(mdp, pol))
+        policy = np.zeros(mdp.n_states, dtype=int)  # action 0 off the class
+        policy[reach] = choice
+        gains.append(policy_average_reward(mdp, policy))
     return gains
 
 

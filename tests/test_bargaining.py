@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from laff import (BimatrixGame, EnforceParams, JointAction, builtin_game,
                   bully_solution, deviation_profit, enforceable_ebs,
                   punishment_length, security_value, slack_b, xi)
-from laff.bargaining import PairSolution, alpha_lower_bound, slack_b_enforced
+from laff.bargaining import PairSolution, slack_b_enforced
 from oracles import bargaining_grid
 
 EP = EnforceParams(1, 0.05)
@@ -32,26 +32,16 @@ def test_deviation_profit_single_column():
     assert deviation_profit(g, {(0, 0)}) == -math.inf
 
 
-def test_alpha_lower_bound_chicken():
-    g = builtin_game("chicken")
-    muS2, _ = security_value(g, 2)
-    v = alpha_lower_bound(g, JointAction(0, 1), JointAction(1, 0), EP, muS2)
-    assert v == pytest.approx((-0.25 + 0.05) / 0.75)
-    # large eps pushes the bound beyond 1: returned as-is for the caller
-    v2 = alpha_lower_bound(g, JointAction(0, 1), JointAction(1, 0),
-                           EnforceParams(1, 1.1), muS2)
-    assert v2 > 1
-    with pytest.raises(ValueError):
-        alpha_lower_bound(g, JointAction(1, 0), JointAction(0, 1), EP, muS2)
-
-
-def test_alpha_lower_bound_equal_rewards():
+def test_least_enforceable_weight_branches():
+    # equal player-2 rewards: a pair is enforceable at every weight or at none
     g = BimatrixGame("flat", [[0.6, 0.2], [0.2, 0.6]],
                      [[0.5, 0.45], [0.45, 0.5]])
-    muS2, _ = security_value(g, 2)
-    xa, xb = JointAction(0, 0), JointAction(1, 1)
-    assert alpha_lower_bound(g, xa, xb, EnforceParams(1, 0.05), muS2) == 0.0
-    assert alpha_lower_bound(g, xa, xb, EnforceParams(1, 0.2), muS2) is None
+    sol = enforceable_ebs(g, EnforceParams(1, 0.05))
+    assert (sol.xA, sol.xB, sol.alpha) == ((0, 0), (0, 0), 1.0)
+    assert enforceable_ebs(g, EnforceParams(1, 0.2)).is_fallback
+    # a least weight above 1 makes chicken's even split infeasible
+    sol = enforceable_ebs(builtin_game("chicken"), EnforceParams(1, 1.1))
+    assert (sol.xA, sol.xB, sol.alpha) == ((0, 1), (0, 1), 1.0)
 
 
 def test_chicken_ebs():
@@ -129,10 +119,8 @@ def test_solutions_satisfy_definition_on_all_games():
                 assert K * sol.u2 >= K * muS2 + r + eps - 1e-9, (name, K, eps)
                 assert sol.u1 >= muS1 - 1e-9
                 assert sol.u2 >= muS2 - 1e-9
-                mix1 = (sol.alpha * g.reward(1, *sol.xA)
-                        + (1 - sol.alpha) * g.reward(1, *sol.xB))
-                mix2 = (sol.alpha * g.reward(2, *sol.xA)
-                        + (1 - sol.alpha) * g.reward(2, *sol.xB))
+                mix1 = sol.alpha * g.R1[sol.xA] + (1 - sol.alpha) * g.R1[sol.xB]
+                mix2 = sol.alpha * g.R2[sol.xA] + (1 - sol.alpha) * g.R2[sol.xB]
                 assert mix1 == pytest.approx(sol.u1, abs=1e-9)
                 assert mix2 == pytest.approx(sol.u2, abs=1e-9)
 

@@ -3,14 +3,13 @@ import pytest
 
 import laff.mdp
 from laff import (GAME_NAMES, BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
-                  builtin_game, induce_mdp, optimal_average_reward,
-                  policy_average_reward, security_value)
+                  builtin_game, induce_mdp, optimal_average_reward, security_value)
 from laff.engine import HistoryState
 from laff.experts import LeaderCore
 from laff.mdp import InducedMdp
 from laff.opponents import bounded_memory_policy
 from oracles import (compliant_policy, enumerate_deterministic_gains, enumerate_states,
-                     induce_mdp_full)
+                     induce_mdp_full, policy_average_reward)
 
 RECT = BimatrixGame("rect3x2",
                     [[0.512, 0.95], [0.144, 0.949], [0.312, 0.423]],
@@ -60,10 +59,9 @@ def test_optimal_gain_mixing_opponent():
 
 def test_single_state_mdp():
     states = [HistoryState((0,), (0,), (0, 0), (0, 0))]
-    mdp = InducedMdp(states=states, index={states[0]: 0}, n_actions=2,
+    mdp = InducedMdp(states=states, n_actions=2,
                      transition=np.ones((1, 2, 1)),
                      reward1=np.array([[0.3, 0.9]]),
-                     reward2=np.array([[0.1, 0.2]]),
                      initial=np.array([1.0]))
     gain, policy = optimal_average_reward(mdp)
     assert gain == pytest.approx(0.9)
@@ -76,10 +74,9 @@ def test_policy_gain_period_two_cycle():
     trans = np.zeros((2, 1, 2))
     trans[0, 0, 1] = 1.0
     trans[1, 0, 0] = 1.0
-    mdp = InducedMdp(states=[s0, s1], index={s0: 0, s1: 1}, n_actions=1,
+    mdp = InducedMdp(states=[s0, s1], n_actions=1,
                      transition=trans,
                      reward1=np.array([[0.0], [1.0]]),
-                     reward2=np.array([[0.0], [1.0]]),
                      initial=np.array([1.0, 0.0]))
     assert policy_average_reward(mdp, [0, 0]) == pytest.approx(0.5, abs=1e-9)
 
@@ -98,9 +95,12 @@ def test_leader_vs_compliant_gains():
     kit = LeaderKit.build(g, 1, EnforceParams(1, 0.05))
     core = LeaderCore(kit, "ebs", np.random.default_rng(0))
     w = kit.ebs_weight
-    mdp = induce_mdp(g, compliant_policy(kit, "ebs"), w1=w, w2=w, K=1)
-    g1 = policy_average_reward(mdp, core.policy_distribution, player=1)
-    g2 = policy_average_reward(mdp, core.policy_distribution, player=2)
+    opp = compliant_policy(kit, "ebs")
+    mdp = induce_mdp(g, opp, w1=w, w2=w, K=1)
+    reward2 = np.array([[float(g.R2[a] @ opp(s)) for a in range(g.n1)]
+                        for s in mdp.states])
+    g1 = policy_average_reward(mdp, core.policy_distribution)
+    g2 = policy_average_reward(mdp, core.policy_distribution, reward=reward2)
     assert g1 == pytest.approx(0.625, abs=1e-9)
     assert g2 == pytest.approx(0.625, abs=1e-9)
 
@@ -156,7 +156,6 @@ def test_reachable_mdp_equals_full_space_block(name, K):
         assert np.array_equal(mdp.transition,
                               full.transition[np.ix_(reach, range(g.n1), reach)]), opp
         assert np.array_equal(mdp.reward1, full.reward1[reach]), opp
-        assert np.array_equal(mdp.reward2, full.reward2[reach]), opp
         assert np.array_equal(mdp.initial, full.initial[reach]), opp
         assert optimal_average_reward(mdp)[0] == optimal_average_reward(full)[0], opp
 
@@ -177,10 +176,9 @@ def test_multichain_fallback_two_absorbing_states(monkeypatch):
     trans = np.zeros((2, 2, 2))
     trans[0, :, 0] = 1.0
     trans[1, :, 1] = 1.0
-    mdp = InducedMdp(states=[s0, s1], index={s0: 0, s1: 1}, n_actions=2,
+    mdp = InducedMdp(states=[s0, s1], n_actions=2,
                      transition=trans,
                      reward1=np.array([[0.0, 0.0], [1.0, 1.0]]),
-                     reward2=np.zeros((2, 2)),
                      initial=np.array([0.5, 0.5]))
     gain, policy = optimal_average_reward(mdp)
     assert gain == pytest.approx(0.5, abs=1e-9)
