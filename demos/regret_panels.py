@@ -28,6 +28,11 @@ OUT.mkdir(exist_ok=True)
 ts = np.arange(1, T + 1)
 
 
+def ftft_benchmark(g, cfg):
+    policy, w2 = bounded_memory_policy("ftft", g, cfg)
+    return benchmark_for(g, "bounded_memory", cfg, opp_policy=policy, w2=w2)
+
+
 def averaged_curve(game, opp, bench, player=1):
     curves = []
     for s in range(SEEDS):
@@ -43,11 +48,7 @@ def averaged_curve(game, opp, bench, player=1):
 panels = {
     "qlearn": ("unconditional follower",
                lambda g, cfg: bully_solution(g, EnforceParams(cfg.K, cfg.eps)).u1),
-    "ftft": ("bounded memory",
-             lambda g, cfg: benchmark_for(
-                 g, "bounded_memory", cfg,
-                 opp_policy=bounded_memory_policy("ftft", g, 2, cfg)[0],
-                 w2=bounded_memory_policy("ftft", g, 2, cfg)[1])),
+    "ftft": ("bounded memory", ftft_benchmark),
     "laff": ("conditional follower (self-play)",
              lambda g, cfg: enforceable_ebs(g, EnforceParams(cfg.K, cfg.eps)).u1),
 }

@@ -88,7 +88,6 @@ def deviation_profit(game: BimatrixGame, X) -> float:
 def _solve(game: BimatrixGame, ep: EnforceParams, selfish: bool) -> PairSolution:
     muS1, _ = security_value(game, 1)
     muS2, _ = security_value(game, 2)
-    K, eps = ep.K, ep.eps
     cells = [JointAction(i, j) for i in range(game.n1) for j in range(game.n2)]
 
     best = None  # (score, u1, solution)
@@ -98,14 +97,13 @@ def _solve(game: BimatrixGame, ep: EnforceParams, selfish: bool) -> PairSolution
             r1a, r1b = float(game.R1[xA]), float(game.R1[xB])
             r2a, r2b = float(game.R2[xA]), float(game.R2[xB])
             r = deviation_profit(game, {xA, xB})
-            # least weight on xA (R2(xA) >= R2(xB)) that enforces the mixture;
-            # with equal R2 the weight is free when the constant condition holds
+            # least weight on xA that enforces the mix; with equal R2, any or none
             if r2a > r2b + _TOL:
-                lo = (r + eps + K * (muS2 - r2b)) / (K * (r2a - r2b))
+                lo = (r + ep.eps + ep.K * (muS2 - r2b)) / (ep.K * (r2a - r2b))
                 if lo > 1 + _TOL:
                     continue
                 lo = min(max(lo, 0.0), 1.0)
-            elif K * r2a >= K * muS2 + r + eps - _TOL:
+            elif ep.K * r2a >= ep.K * muS2 + r + ep.eps - _TOL:
                 lo = 0.0
             else:
                 continue

@@ -57,15 +57,6 @@ def _check_counts(args, **minimums):
             raise ValueError(f"--{name} must be >= {low}, got {value}")
 
 
-def _split_distinct(flag: str, text: str) -> list:
-    """A comma-separated list that names each entry once."""
-    items = text.split(",")
-    for i, item in enumerate(items):
-        if item in items[:i]:
-            raise ValueError(f"{flag} names '{item}' more than once")
-    return items
-
-
 def _config(args, T: int = 1) -> MatchConfig:
     return MatchConfig(T=T, K=args.K, eps=args.eps, seed=_seed(args))
 
@@ -115,7 +106,7 @@ def cmd_solve(args) -> int:
 def cmd_benchmark(args) -> int:
     game = load_game(args.game)
     config = _config(args, T=args.T)
-    policy, w2 = bounded_memory_policy(args.opponent, game, 2, config)
+    policy, w2 = bounded_memory_policy(args.opponent, game, config)
     kit = LeaderKit.build(game, 1, EnforceParams(args.K, args.eps))
     mu_star = benchmark_for(game, "bounded_memory", config,
                             opp_policy=policy, w2=w2)
@@ -161,7 +152,7 @@ def cmd_regret(args) -> int:
     base = _config(args, T=args.T)
 
     if args.opp_class == "bounded_memory":
-        policy, w2 = bounded_memory_policy(args.p2, game, 2, base)
+        policy, w2 = bounded_memory_policy(args.p2, game, base)
         bench = benchmark_for(game, "bounded_memory", base,
                               opp_policy=policy, w2=w2)
     else:
@@ -192,8 +183,8 @@ def cmd_regret(args) -> int:
 
 def cmd_tournament(args) -> int:
     _check_counts(args, trials=1)
-    names = _split_distinct("--algorithms", args.algorithms)
-    games = [load_game(g) for g in _split_distinct("--games", args.games)]
+    names = args.algorithms.split(",")
+    games = [load_game(g) for g in args.games.split(",")]
     config = _config(args, T=args.T)
     result = round_robin(names, games, args.trials, config, jobs=args.jobs)
     out_dir = Path(args.out)
@@ -204,15 +195,8 @@ def cmd_tournament(args) -> int:
             for i in range(len(names)) for j in range(len(names))]
     write_csv(out_dir / "learning_game.csv", ["alg1", "alg2", "m1", "m2"], rows)
 
-    detail = []
-    for i in range(len(names)):
-        for j in range(len(names)):
-            for g, gname in enumerate(result.games):
-                for k in range(result.trials):
-                    v = result.data[i, j, g, k]
-                    detail.append((names[i], names[j], gname, k, v[0], v[1]))
-    write_csv(out_dir / "pair_game_trial.csv",
-              ["alg1", "alg2", "game", "trial", "m1", "m2"], detail)
+    write_csv(out_dir / "pair_game_trial.csv", TournamentResult.HEADER,
+              result.rows())
 
     eqs = pure_nash(m1, m2)
     print(json.dumps({"pure_nash": [[names[i], names[j]] for i, j in eqs]},
@@ -220,41 +204,9 @@ def cmd_tournament(args) -> int:
     return 0
 
 
-def _read_pair_game_trial(path) -> TournamentResult:
-    """Parse a tournament's pair_game_trial.csv; every cell must have a row."""
-    cells = {}
-    lines = Path(path).read_text().strip().splitlines()
-    for n, line in enumerate(lines[1:], start=2):
-        try:
-            a1, a2, g, k, m1, m2 = line.split(",")
-            k, m1, m2 = int(k), float(m1), float(m2)
-        except ValueError:
-            raise ValueError(f"{path}:{n}: expected alg1,alg2,game,trial,m1,m2 "
-                             f"with an integer trial, got {line!r}") from None
-        if k < 0 or not (0 <= m1 <= 1 and 0 <= m2 <= 1):
-            raise ValueError(f"{path}:{n}: need a trial >= 0 and m1, m2 in "
-                             f"[0, 1], got {line!r}")
-        cells[(a1, a2, g, k)] = (m1, m2)
-    if not cells:
-        raise ValueError(f"{path} has no data rows")
-    names = list(dict.fromkeys(a for key in cells for a in key[:2]))
-    games = list(dict.fromkeys(key[2] for key in cells))
-    trials = range(max(key[3] for key in cells) + 1)
-    # checked lazily and before any allocation, so that a huge trial index
-    # fails within len(cells) + 1 keys
-    for key in ((a1, a2, g, k) for a1 in names for a2 in names
-                for g in games for k in trials):
-        if key not in cells:
-            raise ValueError(f"{path} has no row for {key[0]} vs {key[1]} on "
-                             f"{key[2]}, trial {key[3]}")
-    data = np.array([[[[cells[(a1, a2, g, k)] for k in trials] for g in games]
-                      for a2 in names] for a1 in names])
-    return TournamentResult(names=names, games=games, trials=len(trials), data=data)
-
-
 def cmd_replicator(args) -> int:
     _check_counts(args, generations=0, runs=1)
-    result = _read_pair_game_trial(args.input)
+    result = TournamentResult.read(args.input)
     names = result.names
     shares = replicator_run(result, args.generations, args.runs, seed=_seed(args))
     mean = shares.mean(axis=0)

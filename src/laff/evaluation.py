@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -119,10 +120,53 @@ class TournamentResult:
     trials: int
     data: np.ndarray  # (nA, nA, nG, trials, 2)
 
+    HEADER = ("alg1", "alg2", "game", "trial", "m1", "m2")
+
     def means(self) -> tuple:
         """Learning-game bimatrix: rewards averaged over games and trials."""
         m = np.nanmean(self.data, axis=(2, 3))
         return m[:, :, 0], m[:, :, 1]
+
+    def rows(self) -> list:
+        """The rows of pair_game_trial.csv, one per (alg1, alg2, game, trial)."""
+        return [(a1, a2, game, k, *self.data[i, j, g, k])
+                for i, a1 in enumerate(self.names) for j, a2 in enumerate(self.names)
+                for g, game in enumerate(self.games) for k in range(self.trials)]
+
+    @classmethod
+    def read(cls, path) -> "TournamentResult":
+        """Parse a pair_game_trial.csv; every cell must have exactly one row."""
+        cells = {}
+        lines = Path(path).read_text().strip().splitlines()
+        for n, line in enumerate(lines[1:], start=2):
+            try:
+                a1, a2, g, k, m1, m2 = line.split(",")
+                k, m1, m2 = int(k), float(m1), float(m2)
+            except ValueError:
+                raise ValueError(f"{path}:{n}: expected alg1,alg2,game,trial,m1,m2 "
+                                 f"with an integer trial, got {line!r}") from None
+            if k < 0 or not (0 <= m1 <= 1 and 0 <= m2 <= 1):
+                raise ValueError(f"{path}:{n}: need a trial >= 0 and m1, m2 in "
+                                 f"[0, 1], got {line!r}")
+            if (a1, a2, g, k) in cells:
+                raise ValueError(f"{path}:{n}: a second row for {a1} vs {a2} on "
+                                 f"{g}, trial {k}")
+            cells[(a1, a2, g, k)] = (m1, m2)
+        if not cells:
+            raise ValueError(f"{path} has no data rows")
+        names = list(dict.fromkeys(a for key in cells for a in key[:2]))
+        games = list(dict.fromkeys(key[2] for key in cells))
+        trials = range(max(key[3] for key in cells) + 1)
+        # checked lazily and before any allocation, so that a huge trial index
+        # fails within len(cells) + 1 keys
+        for key in ((a1, a2, g, k) for a1 in names for a2 in names
+                    for g in games for k in trials):
+            if key not in cells:
+                raise ValueError(f"{path} has no row for {key[0]} vs {key[1]} on "
+                                 f"{key[2]}, trial {key[3]}")
+        data = np.array([[[[cells[(a1, a2, g, k)] for k in trials] for g in games]
+                          for a2 in names] for a1 in names])
+        return cls(names=names, games=games, trials=len(trials), data=data)
 
 
 def _match_seed(base_seed: int, i: int, j: int, g: int, k: int) -> int:
@@ -149,6 +193,12 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     """
     names = list(algorithms)
     games = list(games)
+    # the result table is keyed by names: a repeated one would merge entrants
+    for kind, keys in (("algorithm", names), ("game", [g.name for g in games])):
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ValueError(f"a round robin needs distinct {kind} names; "
+                                 f"'{key}' occurs more than once")
     nA, nG = len(names), len(games)
     data = np.full((nA, nA, nG, trials, 2), np.nan)
 

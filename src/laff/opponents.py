@@ -227,7 +227,7 @@ def _checked_params(name: str, defaults: dict, params) -> dict:
 
 
 def build_agent(name: str, game: BimatrixGame, player: int, config: MatchConfig,
-                rng=None, params: Optional[dict] = None) -> Agent:
+                params: Optional[dict] = None) -> Agent:
     """Construct an agent by name for one seat; 'fixed:<a>' plays action a."""
     if name.startswith("fixed:"):
         try:
@@ -243,22 +243,19 @@ def build_agent(name: str, game: BimatrixGame, player: int, config: MatchConfig,
                        f"or fixed:<a>")
     make, defaults = _KINDS[name]
     kwargs = _checked_params(name, defaults, params)
-    if rng is None:
-        rng = agent_rng(config.seed, player)
-    return make(game, player, config, rng, **kwargs)
+    return make(game, player, config, agent_rng(config.seed, player), **kwargs)
 
 
 BOUNDED_MEMORY = ("bully", "ftft", "egal", "maximin")
 
 
-def bounded_memory_policy(name: str, game: BimatrixGame, player: int,
-                          config: MatchConfig, params: Optional[dict] = None):
+def bounded_memory_policy(name: str, game: BimatrixGame, config: MatchConfig):
     """Markov policy and signal weight of a bounded-memory opponent kind.
 
-    Returns (policy, w) where ``policy(state) -> distribution`` over the
-    seat's actions; used to induce the benchmark MDP for the other seat.
+    Returns (policy, w) where ``policy(state) -> distribution`` over player
+    2's actions; used to induce player 1's benchmark MDP.
     """
     if name not in BOUNDED_MEMORY and not name.startswith("fixed:"):
         raise KeyError(f"'{name}' is not a bounded-memory opponent kind")
-    agent = build_agent(name, game, player, config, params=params)
+    agent = build_agent(name, game, 2, config)
     return agent.policy_distribution, agent.report_weight()

@@ -167,7 +167,7 @@ def test_criterion_5_adaptability_sublinearity():
         for name in EVALUATION_GAMES:
             g = builtin_game(name)
             if opp == "ftft":
-                pol, w2 = bounded_memory_policy("ftft", g, 2, cfg0)
+                pol, w2 = bounded_memory_policy("ftft", g, cfg0)
                 bench = benchmark_for(g, "bounded_memory", cfg0,
                                       opp_policy=pol, w2=w2)
             else:

@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from laff.cli import main
+from laff.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -352,8 +355,10 @@ def _pair_csv_lines(tmp_path, capsys):
                   "trial, got 'fixed:0,fixed:0,chicken,x,0.5,0.5'"),
     ("out_of_range", "{csv}:2: need a trial >= 0 and m1, m2 in [0, 1], got "
                      "'fixed:0,fixed:0,chicken,0,1.5,0.5'"),
+    ("duplicate_row", "{csv}:3: a second row for fixed:0 vs fixed:0 on chicken, "
+                      "trial 0"),
 ], ids=["negative_trial", "missing_row", "nan_reward", "huge_trial", "bad_trial",
-        "out_of_range"])
+        "out_of_range", "duplicate_row"])
 def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
     lines = _pair_csv_lines(tmp_path, capsys)
     assert lines[1].startswith("fixed:0,fixed:0,chicken,0,")
@@ -366,6 +371,9 @@ def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
         lines[1] = ",".join(first[:4] + ["nan", "nan"])
     elif damage == "out_of_range":
         lines[1] = ",".join(first[:4] + ["1.5", "0.5"])
+    elif damage == "duplicate_row":
+        # a second row for a cell used to overwrite the first
+        lines.insert(2, lines[1])
     elif damage == "huge_trial":
         # would need terabytes if the cell array were allocated first
         lines[1] = ",".join(first[:3] + [str(10 ** 12)] + first[4:])
@@ -385,19 +393,29 @@ def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
 
 @pytest.mark.parametrize("flags, message", [
     (["--algorithms", "fixed:0,fixed:0", "--games", "chicken"],
-     "error: --algorithms names 'fixed:0' more than once\n"),
+     "algorithm names; 'fixed:0'"),
     (["--algorithms", "fixed:0,fixed:1", "--games", "chicken,cyclic,chicken"],
-     "error: --games names 'chicken' more than once\n"),
-], ids=["algorithms", "games"])
+     "game names; 'chicken'"),
+    (["--algorithms", "fixed:0,fixed:1", "--games", "{dir}/a.json,{dir}/b.json"],
+     "game names; 'g'"),
+    (["--algorithms", "fixed:0,fixed:1", "--games", "chicken,{dir}/chicken.json"],
+     "game names; 'chicken'"),
+], ids=["algorithms", "games", "files_named_g", "file_named_chicken"])
 def test_tournament_rejects_repeated_names(tmp_path, capsys, flags, message):
-    # a repeated entrant used to write duplicate rows, which the replicator
-    # then merged into one
+    # a repeated entrant or game name used to write duplicate rows, which the
+    # replicator then merged into one
+    for stem, name in (("a", "g"), ("b", "g"), ("chicken", "chicken")):
+        (tmp_path / f"{stem}.json").write_text(json.dumps(
+            {"name": name, "R1": [[0.5, 0.0], [1.0, 0.25]],
+             "R2": [[0.5, 1.0], [0.0, 0.25]]}))
     out_dir = tmp_path / "out"
-    code, out, err = run_cli(capsys, "tournament", *flags, "--trials", "1",
-                             "--T", "20", "--out", str(out_dir))
+    code, out, err = run_cli(capsys, "tournament",
+                             *[f.format(dir=tmp_path) for f in flags],
+                             "--trials", "1", "--T", "20", "--out", str(out_dir))
     assert code == 2
     assert out == ""
-    assert err == message
+    assert err == (f"error: a round robin needs distinct {message} occurs more "
+                   f"than once\n")
     assert not out_dir.exists()
 
 
@@ -428,3 +446,22 @@ def test_out_of_range_counts_are_rejected(tmp_path, capsys, argv, message):
     assert out == ""
     assert err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+def test_readme_command_lines_parse():
+    # every `laff ...` line in README's bash blocks, continuations joined,
+    # is accepted by the parser, and together they cover every subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", readme, flags=re.S)
+    lines = [line.strip() for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.strip().startswith("laff ")]
+    parser = build_parser()
+    commands = set()
+    for line in lines:
+        try:
+            commands.add(parser.parse_args(shlex.split(line)[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+    assert commands == {"solve", "benchmark", "match", "regret", "tournament",
+                        "replicator"}

@@ -134,7 +134,7 @@ def test_optimal_gain_at_least_security_vs_leaders():
         muS1, _ = security_value(g, 1)
         kit = LeaderKit.build(g, 1, EnforceParams(cfg.K, cfg.eps))
         for opp in ("bully", "ftft", "egal", "maximin"):
-            pol, w2 = bounded_memory_policy(opp, g, 2, cfg)
+            pol, w2 = bounded_memory_policy(opp, g, cfg)
             mdp = induce_mdp(g, pol, w1=kit.ebs_weight, w2=w2, K=1)
             gain, _ = optimal_average_reward(mdp)
             assert gain >= muS1 - 1e-6, (name, opp)
@@ -148,7 +148,7 @@ def test_reachable_mdp_equals_full_space_block(name, K):
     cfg = MatchConfig(T=1, K=K)
     w1 = LeaderKit.build(g, 1, EnforceParams(K, cfg.eps)).ebs_weight
     for opp in ("bully", "ftft", "egal", "maximin", "fixed:0", "fixed:1"):
-        pol, w2 = bounded_memory_policy(opp, g, 2, cfg)
+        pol, w2 = bounded_memory_policy(opp, g, cfg)
         mdp = induce_mdp(g, pol, w1=w1, w2=w2, K=K)
         full = induce_mdp_full(g, pol, w1=w1, w2=w2, K=K)
         reach = full.reachable_from_initial()
@@ -191,7 +191,7 @@ def test_value_iteration_sweep_cap_raises(monkeypatch):
     # detector's first check, is an error rather than a silent gain
     monkeypatch.setattr(laff.mdp, "_MAX_SWEEPS", 3)
     g = builtin_game("chicken")
-    pol, w2 = bounded_memory_policy("ftft", g, 2, MatchConfig(T=1))
+    pol, w2 = bounded_memory_policy("ftft", g, MatchConfig(T=1))
     mdp = induce_mdp(g, pol, w1=0.5, w2=w2, K=1)  # needs more than 10 sweeps
     with pytest.raises(RuntimeError, match=r"did not reach span 1e-08 within "
                                            r"3 sweeps"):

@@ -150,7 +150,7 @@ def test_fixed_action_parsing_and_unknown_agent():
 def test_bounded_memory_policies_are_distributions():
     g = builtin_game("cyclic")
     for name in ("bully", "ftft", "egal", "maximin", "fixed:0"):
-        pol, w = bounded_memory_policy(name, g, 2, CFG)
+        pol, w = bounded_memory_policy(name, g, CFG)
         assert 0.0 <= w <= 1.0
         for s in enumerate_states(g, CFG.K)[:32]:
             d = pol(s)
