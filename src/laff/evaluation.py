@@ -143,7 +143,7 @@ class TournamentResult:
                 a1, a2, g, k, m1, m2 = line.split(",")
                 k, m1, m2 = int(k), float(m1), float(m2)
             except ValueError:
-                raise ValueError(f"{path}:{n}: expected alg1,alg2,game,trial,m1,m2 "
+                raise ValueError(f"{path}:{n}: expected {','.join(cls.HEADER)} "
                                  f"with an integer trial, got {line!r}") from None
             if k < 0 or not (0 <= m1 <= 1 and 0 <= m2 <= 1):
                 raise ValueError(f"{path}:{n}: need a trial >= 0 and m1, m2 in "
