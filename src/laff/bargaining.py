@@ -44,8 +44,9 @@ class EnforceParams:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("memory length K must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("enforceability slack eps must be > 0")
+        if not (self.eps > 0 and math.isfinite(self.eps)):  # NaN fails too
+            raise ValueError(f"enforceability slack eps must be finite and > 0, "
+                             f"got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,7 @@ def deviation_profit(game: BimatrixGame, X) -> float:
     best = -math.inf
     for (x1, x2) in X:
         row = game.R2[x1]
-        alt = -math.inf
-        for j in range(game.n2):
-            if j != x2 and row[j] > alt:
-                alt = row[j]
+        alt = max((row[j] for j in range(game.n2) if j != x2), default=-math.inf)
         best = max(best, alt - row[x2])
     return best
 
@@ -108,10 +106,10 @@ def _solve(game: BimatrixGame, ep: EnforceParams, selfish: bool) -> PairSolution
             else:
                 continue
 
+            s1 = r1a - r1b
             if xA == xB:
                 alpha = 1.0
             elif not selfish:
-                s1 = r1a - r1b
                 if s1 >= -1e-12:
                     # both players' rewards weakly increase toward xA
                     alpha = 1.0
@@ -124,7 +122,6 @@ def _solve(game: BimatrixGame, ep: EnforceParams, selfish: bool) -> PairSolution
                         alpha = min(max(peak, lo), 1.0)
             else:
                 # selfish objective u1; the solution must stay inside U
-                s1 = r1a - r1b
                 s2 = r2a - r2b
                 lo2, hi = lo, 1.0
                 if s2 > _TOL:
@@ -201,15 +198,11 @@ def xi(eps: float, r: float, Kp: int) -> float:
 
     xi = eps/(2K') if r >= 0; (eps+r)/(2K') if -eps < r < 0; -r otherwise.
     """
-    if r >= 0:
-        if Kp < 1:
-            raise ValueError("punishment length must be >= 1 when r >= 0")
-        return eps / (2 * Kp)
-    if r > -eps:
-        if Kp < 1:
-            raise ValueError("punishment length must be >= 1 when r > -eps")
-        return (eps + r) / (2 * Kp)
-    return -r
+    if r <= -eps:
+        return -r
+    if Kp < 1:
+        raise ValueError("punishment length must be >= 1 when r > -eps")
+    return (eps if r >= 0 else eps + r) / (2 * Kp)
 
 
 def slack_b(tau: int, T: int, delta: float) -> float:

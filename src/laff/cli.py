@@ -145,7 +145,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_regret(args) -> int:
-    _check_counts(args, seeds=1)
+    _check_counts(args, seeds=1, stride=1)
     game = load_game(args.game)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -166,8 +166,7 @@ def cmd_regret(args) -> int:
         trace = play_match(game, args.p1, args.p2, cfg)
         curves.append(regret_curve(trace.r1, bench) / ts)
     avg = np.mean(curves, axis=0)
-    stride = max(1, args.stride)
-    rows = [(int(t), avg[t - 1]) for t in ts[::stride]]
+    rows = [(int(t), avg[t - 1]) for t in ts[::args.stride]]
     # LAFF's runs keep the older name, which perfbench and criterion 9 read
     stem = (f"regret_{game.name}_{args.p2}" if args.p1 == "laff"
             else f"regret_{game.name}_{args.p1}_vs_{args.p2}")
@@ -175,14 +174,14 @@ def cmd_regret(args) -> int:
     write_csv(out_csv, ["t", "avg_regret"], rows)
     if args.svg:
         svg_line_plot(out_dir / f"{stem}.svg",
-                      ts[::stride], {"avg_regret": avg[::stride]},
+                      ts[::args.stride], {"avg_regret": avg[::args.stride]},
                       title=f"{game.name}: {args.p1} vs {args.p2}")
     print(f"wrote {out_csv} (benchmark {_fmt(bench)})")
     return 0
 
 
 def cmd_tournament(args) -> int:
-    _check_counts(args, trials=1)
+    _check_counts(args, trials=1, jobs=1)
     names = args.algorithms.split(",")
     games = [load_game(g) for g in args.games.split(",")]
     config = _config(args, T=args.T)

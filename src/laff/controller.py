@@ -5,12 +5,13 @@ Experts run in descending order of potential:
     follower (bully target), bully leader, follower (egalitarian target),
     egalitarian leader, follower (security target), maximin
 
-After each epoch of H = floor(sqrt(T)) steps, the active expert is dropped
-when its average reward since activation falls below the current target
-minus a slack that shrinks with time.  Follower instances share one Q table.
-When the active follower or maximin expert trips its exploitation test, the
-controller hands the seat to the egalitarian leader; after a follower trip,
-every later follower slot starts as that leader.
+The controller runs the switch test and both tripwires over its own running
+sums since the last switch.  After each epoch of H = floor(sqrt(T)) steps,
+the active expert is dropped when its average reward falls below the current
+target minus a slack that shrinks with time.  A follower or maximin expert
+that trips its exploitation test at a subepoch boundary hands the seat to
+the egalitarian leader; after a follower trip, every later follower slot
+starts as that leader.  Follower instances share one Q table.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 import math
 
 from .bargaining import EnforceParams, slack_b, slack_b_enforced, xi
-from .engine import Agent, MatchConfig
-from .experts import (DELTA, FollowerExpert, FollowerShared, LeaderCore,
-                      LeaderKit, MaximinExpert)
+from .engine import Agent, MatchConfig, state_space_size
+from .experts import (DELTA, FollowerExpert, LeaderCore, LeaderKit,
+                      MaximinExpert, follower_trip, maximin_trip)
 from .games import BimatrixGame
 
 
@@ -30,7 +31,6 @@ class Laff(Agent):
     N_EXPERTS = 6
 
     def __init__(self, game: BimatrixGame, player: int, config: MatchConfig, rng):
-        self.game = game
         self.config = config
         self.rng = rng
         self.kit = LeaderKit.build(game, player,
@@ -39,21 +39,24 @@ class Laff(Agent):
                         self.kit.ebs.u1, self.kit.ebs.u1, self.kit.mu_s_own]
         self.H = max(1, int(math.isqrt(config.T)))
         self.subepoch = max(1, math.ceil(math.sqrt(self.H)))
-        self.shared = FollowerShared()
+        self.S = state_space_size(game, config.K)
+        self.q_table, self.q_counts = {}, {}   # shared by every follower
         self.follower_tripped = False
         self.expert_index = 1   # the schedule slot, 1..N_EXPERTS
+        # since the last switch: steps, own reward, and the opponent's
+        # reward after its first K steps
         self.tau = 0
         self.r_tau = 0.0
+        self.opp_r_tau = 0.0
         self.switch_times: list = []
         self.active = self._build_expert(self.expert_index)
 
     def _build_expert(self, j: int):
-        cfg, kit, rng = self.config, self.kit, self.rng
         if j in (1, 3, 5) and not self.follower_tripped:
-            return FollowerExpert(self.game, cfg, kit, self.shared, self.subepoch)
+            return FollowerExpert(self.kit, self.q_table, self.q_counts)
         if j == 6:
-            return MaximinExpert(cfg, kit, self.subepoch, rng)
-        return LeaderCore(kit, "bully" if j == 2 else "ebs", rng)
+            return MaximinExpert(self.kit, self.rng)
+        return LeaderCore(self.kit, "bully" if j == 2 else "ebs", self.rng)
 
     def report_weight(self):
         return self.active.report_weight()
@@ -75,17 +78,28 @@ class Laff(Agent):
                                 t0=cfg.T / 20.0)
 
     def observe(self, t, opp_action, r_own, r_opp):
-        self.active.observe(t, opp_action, r_own, r_opp)
-        if getattr(self.active, "tripped", False):
-            if isinstance(self.active, FollowerExpert):
-                self.follower_tripped = True
-            self.active = LeaderCore(self.kit, "ebs", self.rng)
+        cfg, active = self.config, self.active
+        active.observe(t, opp_action, r_own, r_opp)
         self.tau += 1
         self.r_tau += r_own
+        if self.tau > cfg.K:
+            self.opp_r_tau += r_opp
+        if self.tau % self.subepoch == 0:
+            if isinstance(active, FollowerExpert):
+                # followers act only while no follower has tripped
+                tripped = self.follower_tripped = follower_trip(
+                    self.kit, self.tau, self.r_tau, cfg.T, self.S)
+            else:
+                tripped = (isinstance(active, MaximinExpert) and self.tau > cfg.K
+                           and maximin_trip(self.kit, self.tau - cfg.K,
+                                            self.opp_r_tau, cfg.T))
+            if tripped:
+                self.active = LeaderCore(self.kit, "ebs", self.rng)
         if self.expert_index < self.N_EXPERTS and self.tau % self.H == 0:
             if self.r_tau / self.tau < self.targets[self.expert_index - 1] - self._slack():
                 self.expert_index += 1
                 self.switch_times.append(t)
                 self.tau = 0
                 self.r_tau = 0.0
+                self.opp_r_tau = 0.0
                 self.active = self._build_expert(self.expert_index)

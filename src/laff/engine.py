@@ -14,6 +14,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .bargaining import EnforceParams
+
 
 class HistoryState(NamedTuple):
     """Last K actions per player plus last K+1 signal bits per player."""
@@ -34,10 +36,9 @@ class MatchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.T < 1 or self.K < 1:
-            raise ValueError("T and K must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("need eps > 0")
+        if self.T < 1:
+            raise ValueError("horizon T must be >= 1")
+        EnforceParams(self.K, self.eps)  # checks K and eps
 
     def with_seed(self, seed: int) -> "MatchConfig":
         return replace(self, seed=int(seed))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -175,7 +176,8 @@ def _match_seed(base_seed: int, i: int, j: int, g: int, k: int) -> int:
 
 
 def _game_job(args):
-    game, matches = args
+    game, kits, matches = args
+    game._kits.update(kits)  # a pickled game arrives without its kits
     return [play_match(game, name_i, name_j, cfg).mean_rewards()
             for name_i, name_j, cfg in matches]
 
@@ -188,8 +190,8 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     reversed cell is filled with the same numbers swapped.  Seeds derive
     deterministically from (config.seed, i, j, game, trial), so results do
     not depend on scheduling.  With ``jobs > 1`` each game's matches form
-    one worker task, so a worker receives each game once and solves its
-    leader kits once.
+    one worker task, so a worker receives each game once, with the leader
+    kits solved while checking the entrants.
     """
     names = list(algorithms)
     games = list(games)
@@ -199,6 +201,10 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
             if key in keys[:i]:
                 raise ValueError(f"a round robin needs distinct {kind} names; "
                                  f"'{key}' occurs more than once")
+    # the one registry checks each entrant in each seat of each game before
+    # any match; the kits it solves stay on the games, for the matches
+    for game, name, player in product(games, names, (1, 2)):
+        build_agent(name, game, player, config)
     nA, nG = len(names), len(games)
     data = np.full((nA, nA, nG, trials, 2), np.nan)
 
@@ -214,7 +220,7 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
                     cfg = config.with_seed(_match_seed(config.seed, i, j, g, k))
                     matches.append((names[i], names[j], cfg))
                     job_keys.append((i, j, g, k))
-        job_args.append((game, matches))
+        job_args.append((game, game._kits, matches))
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -1,5 +1,9 @@
 """LAFF's sub-algorithms: leader enforcement, optimistic-Q follower, maximin.
 
+The experts are plain policies.  The two exploitation tests, `follower_trip`
+and `maximin_trip`, are pure predicates that the controller applies to its
+own running sums.
+
 Leaders hold a bargaining solution, map the public signal bit to one of its
 two cells, and punish recent opponent deviations with the punishment
 strategy.  So that two independently built leaders coordinate on the same
@@ -11,7 +15,7 @@ the reported weight is that cell's mixture weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from .bargaining import (EnforceParams, JointAction, PairSolution,
                          enforceable_ebs, bully_solution, punishment_length)
-from .engine import Agent, HistoryState, state_space_size
+from .engine import Agent, HistoryState
 from .games import BimatrixGame, security_value, punishment_strategy, swap_players
 
 
@@ -42,6 +46,20 @@ def rq_bound(tau: int, delta: float, S: int, A: int) -> float:
     if tau < 1:
         raise ValueError("tau must be >= 1")
     return (S * A * math.log(tau / delta)) ** (1.0 / 3.0) * tau ** (2.0 / 3.0)
+
+
+def follower_trip(kit: LeaderKit, tau: int, cum: float, T: int, S: int) -> bool:
+    """True when the average ``cum / tau`` falls below the own egalitarian
+    value by more than the scaled follower-regret allowance over S states."""
+    allowance = RQ_SCALE * rq_bound(tau, DELTA / T, S, kit.n_own)
+    return cum / tau < kit.ebs.u1 - allowance / tau
+
+
+def maximin_trip(kit: LeaderKit, n: int, opp_cum: float, T: int) -> bool:
+    """True when the opponent's average ``opp_cum / n`` over n steps
+    significantly exceeds its egalitarian value."""
+    bound = kit.ebs.u2 - ETA_M + math.sqrt(math.log(T / DELTA) / (2 * n))
+    return opp_cum / n > bound
 
 
 def _sample(dist: np.ndarray, rng) -> int:
@@ -101,6 +119,11 @@ class LeaderKit:
     bully: PairSolution
     ebs_map: Optional[SolutionMap]
     bully_map: Optional[SolutionMap]
+
+    def __setstate__(self, state):
+        for arr in (state["maximin"], state["punish"]):
+            arr.setflags(write=False)  # unpickled arrays are writable
+        self.__dict__.update(state)
 
     @classmethod
     def build(cls, game: BimatrixGame, player: int, ep: EnforceParams) -> "LeaderKit":
@@ -171,12 +194,8 @@ class LeaderCore(Agent):
             self.target = tuple(cell[own] for cell in cells)
             self.expected = tuple(cell[opp] for cell in cells)
 
-    @property
-    def weight(self) -> float:
+    def report_weight(self) -> float:
         return self.map.weight if self.map is not None else 0.0
-
-    def report_weight(self):
-        return self.weight
 
     def _deviated(self, state: HistoryState) -> bool:
         opp_actions = self._opp_actions(state)
@@ -235,10 +254,6 @@ class TabularQ:
             self.table[state] = row
         return row
 
-    def greedy(self, state) -> int:
-        row = self.row(state)
-        return row.index(max(row))  # ties go to the lowest index
-
     def act(self, state, t: int, action: Optional[int] = None) -> int:
         """Settle the pending step, then take ``action`` (greedy if None)."""
         row = self.row(state)
@@ -252,7 +267,7 @@ class TabularQ:
             prev = self.table[ps]  # made when the pending step acted
             prev[pa] += lr * (pr + self.GAMMA * max(row) - prev[pa])
         if action is None:
-            action = row.index(max(row))
+            action = row.index(max(row))  # ties go to the lowest index
         self._pending = [state, action, 0.0, t]
         return action
 
@@ -262,37 +277,17 @@ class TabularQ:
             self._pending[2] = r
 
 
-@dataclass
-class FollowerShared:
-    """State carried across every follower instance within one match."""
-
-    table: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
-
-
 class FollowerExpert(Agent):
-    """Optimistic Q-learning with an exploitation tripwire.
+    """Greedy tabular Q-learning from an optimistic start, on shared tables.
 
-    Learns greedily over memory-K states from an optimistic start.  At each
-    subepoch boundary the running average since activation is compared with
-    the own egalitarian value minus the scaled follower-regret allowance; a
-    failure sets ``tripped``, on which the controller acts.
+    The controller runs its exploitation test, `follower_trip`.
     """
 
     H0 = 10
 
-    def __init__(self, game: BimatrixGame, config, kit: LeaderKit,
-                 shared: FollowerShared, subepoch: int):
-        self.config = config
+    def __init__(self, kit: LeaderKit, table: dict, counts: dict):
         self.kit = kit
-        self.subepoch = max(1, int(subepoch))
-        self.S = state_space_size(game, config.K)
-        self.A = kit.n_own
-        self.q = TabularQ(self.A, self.learning_rate,
-                          table=shared.table, counts=shared.counts)
-        self.tau = 0
-        self.cum = 0.0
-        self.tripped = False
+        self.q = TabularQ(kit.n_own, self.learning_rate, table=table, counts=counts)
 
     @classmethod
     def learning_rate(cls, n: int, t: int) -> float:
@@ -306,47 +301,17 @@ class FollowerExpert(Agent):
 
     def observe(self, t, opp_action, r_own, r_opp):
         self.q.reward(r_own)
-        self.tau += 1
-        self.cum += r_own
-        if self.tau % self.subepoch == 0:
-            allowance = RQ_SCALE * rq_bound(self.tau, DELTA / self.config.T,
-                                            self.S, self.A)
-            if self.cum / self.tau < self.kit.ebs.u1 - allowance / self.tau:
-                self.tripped = True
 
 
 class MaximinExpert(Agent):
-    """Safety play with an exploitation tripwire on the opponent's rewards.
+    """Safety play; the controller runs its exploitation test, `maximin_trip`."""
 
-    Plays the maximin strategy; at subepoch boundaries, if the opponent's
-    average reward since activation (first K steps excluded) significantly
-    exceeds its egalitarian value, sets ``tripped``, on which the controller
-    acts.
-    """
-
-    def __init__(self, config, kit: LeaderKit, subepoch: int, rng):
-        self.config = config
+    def __init__(self, kit: LeaderKit, rng):
         self.kit = kit
-        self.subepoch = max(1, int(subepoch))
         self.rng = rng
-        self.tau = 0
-        self.opp_cum = 0.0
-        self.tripped = False
 
     def report_weight(self):
         return self.kit.ebs_weight
 
     def act(self, state, t):
         return _sample(self.kit.maximin, self.rng)
-
-    def observe(self, t, opp_action, r_own, r_opp):
-        K = self.config.K
-        self.tau += 1
-        if self.tau > K:
-            self.opp_cum += r_opp
-        if self.tau % self.subepoch == 0 and self.tau > K:
-            n = self.tau - K
-            bound = (self.kit.ebs.u2 - ETA_M
-                     + math.sqrt(math.log(self.config.T / DELTA) / (2 * n)))
-            if self.opp_cum / n > bound:
-                self.tripped = True

@@ -117,13 +117,9 @@ def security_value(game: BimatrixGame, player: int):
     Returns (value, strategy).  The value is what the player can
     guarantee regardless of the opponent.
     """
-    if player == 1:
-        v, p = _maximin(game.R1)
-    elif player == 2:
-        v, p = _maximin(game.R2.T)
-    else:
+    if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
-    return v, p
+    return _maximin(game.R1 if player == 1 else game.R2.T)
 
 
 def punishment_strategy(game: BimatrixGame):

@@ -143,7 +143,7 @@ class ManipulatorAgent(Agent):
         return 0.5 * np.abs(last - prev).sum() > 0.1
 
     def report_weight(self):
-        return self.leader.weight if self.arm == "leader" else 0.0
+        return self.leader.report_weight() if self.arm == "leader" else 0.0
 
     def act(self, state, t):
         if self.override:

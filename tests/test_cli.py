@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import laff.evaluation
 from laff.cli import build_parser, main
 
 
@@ -423,17 +424,28 @@ def test_tournament_rejects_repeated_names(tmp_path, capsys, flags, message):
     (["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
       "adversarial", "--T", "20", "--seeds", "0"],
      "--seeds must be >= 1, got 0"),
+    (["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
+      "adversarial", "--T", "20", "--stride", "0"],
+     "--stride must be >= 1, got 0"),
+    (["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
+      "adversarial", "--T", "20", "--stride", "-3"],
+     "--stride must be >= 1, got -3"),
     (["tournament", "--algorithms", "fixed:0,fixed:1", "--games", "chicken",
       "--T", "20", "--trials", "0"],
      "--trials must be >= 1, got 0"),
+    (["tournament", "--algorithms", "fixed:0,fixed:1", "--games", "chicken",
+      "--T", "20", "--jobs", "-4"],
+     "--jobs must be >= 1, got -4"),
     (["replicator", "--generations", "-1", "--runs", "2"],
      "--generations must be >= 0, got -1"),
     (["replicator", "--generations", "5", "--runs", "0"],
      "--runs must be >= 1, got 0"),
-], ids=["regret_seeds", "tournament_trials", "replicator_generations",
+], ids=["regret_seeds", "regret_stride_zero", "regret_stride_negative",
+        "tournament_trials", "tournament_jobs", "replicator_generations",
         "replicator_runs"])
 def test_out_of_range_counts_are_rejected(tmp_path, capsys, argv, message):
-    # these used to raise IndexError or write all-nan CSVs
+    # these used to raise IndexError, write all-nan CSVs or silently run with
+    # a count of 1
     if argv[0] == "replicator":
         lines = _pair_csv_lines(tmp_path, capsys)
         csv = tmp_path / "pair.csv"
@@ -446,6 +458,43 @@ def test_out_of_range_counts_are_rejected(tmp_path, capsys, argv, message):
     assert out == ""
     assert err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("algorithms, message", [
+    ("laff,qlearn,martian", "unknown agent 'martian'; choose from"),
+    ("laff,fixed:7", "fixed:7 is not an action of player 1; choose 0..1"),
+], ids=["unknown", "fixed_outside_2x2"])
+def test_tournament_rejects_bad_entrant_before_any_match(tmp_path, capsys,
+                                                          monkeypatch,
+                                                          algorithms, message):
+    # a bad entrant used to fail at its first match, after every match before it
+    def no_match(*args):
+        raise AssertionError("a match was played")
+
+    monkeypatch.setattr(laff.evaluation, "run_match", no_match)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "tournament", "--algorithms", algorithms,
+                             "--games", "chicken,cyclic", "--trials", "2",
+                             "--T", "20000", "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--game", "chicken"],
+    ["match", "--game", "chicken", "--p1", "laff", "--p2", "bully", "--T", "20"],
+    ["benchmark", "--game", "chicken", "--opponent", "bully", "--T", "20"],
+], ids=["solve", "match", "benchmark"])
+def test_non_finite_eps_is_rejected(capsys, argv, eps):
+    # nan used to fail deep in punishment_length, and inf to run or to print
+    # "eps": Infinity, which is not JSON
+    code, out, err = run_cli(capsys, *argv, "--eps", eps)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: enforceability slack eps must be finite and > 0, got {eps}\n"
 
 
 def test_readme_command_lines_parse():

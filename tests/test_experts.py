@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from laff import EnforceParams, LeaderKit, MatchConfig, builtin_game, rq_bound
 from laff.evaluation import round_robin
 from laff.games import load_game
 from laff.engine import (Agent, FixedActionAgent, HistoryState, agent_rng,
-                         run_match)
-from laff.experts import (FollowerExpert, FollowerShared, LeaderCore,
-                          MaximinExpert, TabularQ)
+                         run_match, state_space_size)
+from laff.experts import (FollowerExpert, LeaderCore, MaximinExpert, TabularQ,
+                          follower_trip, maximin_trip)
 
 EP = EnforceParams(1, 0.05)
 
@@ -20,6 +21,25 @@ EP = EnforceParams(1, 0.05)
 def _subepoch(T):
     H = max(1, math.isqrt(T))
     return max(1, math.ceil(math.sqrt(H)))
+
+
+def _follower_tripped(game, kit, trace, cfg):
+    """Whether `follower_trip` fires at some subepoch boundary of a match
+    that one follower played from its first step."""
+    S, sub = state_space_size(game, cfg.K), _subepoch(cfg.T)
+    cum = np.cumsum(trace.r1)
+    return any(follower_trip(kit, tau, cum[tau - 1], cfg.T, S)
+               for tau in range(sub, cfg.T + 1, sub))
+
+
+def _maximin_tripped(kit, trace, cfg):
+    """Whether `maximin_trip` fires at some subepoch boundary of a match that
+    the maximin expert played from its first step, the opponent's first K
+    rewards left out."""
+    K, sub = cfg.K, _subepoch(cfg.T)
+    opp_cum = np.cumsum(trace.r2[K:])
+    return any(maximin_trip(kit, tau - K, opp_cum[tau - K - 1], cfg.T)
+               for tau in range(sub, cfg.T + 1, sub) if tau > K)
 
 
 class CompliantAgent(Agent):
@@ -53,7 +73,7 @@ def test_leader_weight_reports_alpha():
     g = builtin_game("chicken")
     kit = LeaderKit.build(g, 1, EP)
     core = LeaderCore(kit, "ebs", agent_rng(0, 1))
-    assert core.weight == pytest.approx(0.5)
+    assert core.report_weight() == pytest.approx(0.5)
     assert kit.ebs_weight == pytest.approx(0.5)
 
 
@@ -75,7 +95,7 @@ def test_leader_never_punishes_with_zero_length():
         player = 1
 
         def report_weight(self):
-            return core.weight
+            return core.report_weight()
 
         def act(self, state, t):
             return core.act(state, t)
@@ -125,9 +145,9 @@ def test_follower_trips_against_capped_opponent():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        f = FollowerExpert(g, cfg, kit, FollowerShared(), _subepoch(T))
-        run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
-        assert f.tripped, seed
+        f = FollowerExpert(kit, {}, {})
+        tr = run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
+        assert _follower_tripped(g, kit, tr, cfg), seed
 
 
 def test_follower_survives_leader_copy():
@@ -141,9 +161,9 @@ def test_follower_survives_leader_copy():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        f = FollowerExpert(g, cfg, kit, FollowerShared(), _subepoch(T))
-        run_match(g, f, build_agent("egal", g, 2, cfg), cfg)
-        trips += f.tripped
+        f = FollowerExpert(kit, {}, {})
+        tr = run_match(g, f, build_agent("egal", g, 2, cfg), cfg)
+        trips += _follower_tripped(g, kit, tr, cfg)
     assert trips <= 1, f"{trips}/10 seeds tripped"
 
 
@@ -152,18 +172,18 @@ def test_follower_learns_best_response():
     T = 5000
     cfg = MatchConfig(T=T, seed=2)
     kit = LeaderKit.build(g, 1, EP)
-    shared = FollowerShared()
-    f = FollowerExpert(g, cfg, kit, shared, _subepoch(T))
+    counts = {}
+    f = FollowerExpert(kit, {}, counts)
     tr = run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
     # the greedy policy on recently visited states settles on the row
     # paying 0.25 against column 1
-    dominant = {s for s, c in shared.counts.items() if sum(c) > 300}
+    dominant = {s for s, c in counts.items() if sum(c) > 300}
     assert dominant
-    assert all(f.q.greedy(s) == 0 for s in dominant)
+    assert all(f.q.table[s].index(max(f.q.table[s])) == 0 for s in dominant)
     assert tr.a1[-500:].mean() < 0.15
     # the capped opponent trips the test, yet the expert keeps learning:
     # acting on the trip is the controller's job
-    assert f.tripped
+    assert _follower_tripped(g, kit, tr, cfg)
 
 
 def test_maximin_trips_when_exploited():
@@ -173,9 +193,9 @@ def test_maximin_trips_when_exploited():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        m = MaximinExpert(cfg, kit, _subepoch(T), agent_rng(seed, 1))
-        run_match(g, m, FixedActionAgent(1, 2, player=2), cfg)
-        assert m.tripped, seed
+        m = MaximinExpert(kit, agent_rng(seed, 1))
+        tr = run_match(g, m, FixedActionAgent(1, 2, player=2), cfg)
+        assert _maximin_tripped(kit, tr, cfg), seed
 
 
 def test_maximin_tolerates_security_level_opponent():
@@ -195,16 +215,17 @@ def test_maximin_tolerates_security_level_opponent():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        m = MaximinExpert(cfg, kit, _subepoch(T), agent_rng(seed, 1))
-        run_match(g, m, HalfHalf(agent_rng(seed, 2)), cfg)
-        assert not m.tripped, seed
+        m = MaximinExpert(kit, agent_rng(seed, 1))
+        tr = run_match(g, m, HalfHalf(agent_rng(seed, 2)), cfg)
+        assert not _maximin_tripped(kit, tr, cfg), seed
 
 
 def test_tabular_q_basics():
     rates = []
     q = TabularQ(2, lambda n, t: rates.append((n, t)) or 0.5)
     s = ("s",)
-    assert q.greedy(s) == 0  # optimistic tie breaks to the lowest index
+    # the optimistic start ties, and a tie goes to the lowest index
+    assert TabularQ(2, None).act(s, 1) == 0
     assert q.act(s, 1, action=1) == 1
     q.reward(1.0)
     # the step is settled, with its visit count and time, once s follows it
@@ -219,14 +240,14 @@ def test_new_follower_leaves_shared_tables_alone_on_first_act():
     g = builtin_game("chicken")
     cfg = MatchConfig(T=300, seed=4)
     kit = LeaderKit.build(g, 1, EP)
-    shared = FollowerShared()
-    f = FollowerExpert(g, cfg, kit, shared, _subepoch(300))
+    shared_table, shared_counts = {}, {}
+    f = FollowerExpert(kit, shared_table, shared_counts)
     run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
-    table = {s: list(row) for s, row in shared.table.items()}
-    counts = {s: list(row) for s, row in shared.counts.items()}
-    f2 = FollowerExpert(g, cfg, kit, shared, _subepoch(300))
+    table = {s: list(row) for s, row in shared_table.items()}
+    counts = {s: list(row) for s, row in shared_counts.items()}
+    f2 = FollowerExpert(kit, shared_table, shared_counts)
     f2.act(next(iter(table)), 1)
-    assert shared.table == table and shared.counts == counts
+    assert shared_table == table and shared_counts == counts
 
 
 def test_q_estimates_decay_without_reward():
@@ -235,10 +256,10 @@ def test_q_estimates_decay_without_reward():
     g = BimatrixGame("zero", [[0.0]], [[0.0]])
     cfg = MatchConfig(T=5000, seed=0)
     kit = LeaderKit.build(g, 1, EnforceParams(1, 0.05))
-    shared = FollowerShared()
-    f = FollowerExpert(g, cfg, kit, shared, _subepoch(5000))
+    table = {}
+    f = FollowerExpert(kit, table, {})
     run_match(g, f, FixedActionAgent(0, 2, player=2), cfg)
-    assert max(max(row) for row in shared.table.values()) < 10.0
+    assert max(max(row) for row in table.values()) < 10.0
 
 
 def test_leader_empirical_matches_solution_values():
@@ -251,7 +272,7 @@ def test_leader_empirical_matches_solution_values():
         player = 1
 
         def report_weight(self):
-            return core.weight
+            return core.report_weight()
 
         def act(self, state, t):
             return core.act(state, t)
@@ -301,9 +322,12 @@ def test_shared_kit_is_read_only():
         kit.mu_s_own = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         kit.ebs_map.weight = 0.0
-    for arr in (kit.maximin, kit.punish):
+    # round_robin sends each game's kits to its worker pickled
+    copy = pickle.loads(pickle.dumps(kit))
+    for arr in (kit.maximin, kit.punish, copy.maximin, copy.punish):
         with pytest.raises(ValueError):
             arr[0] = 0.5
+    assert np.array_equal(copy.maximin, kit.maximin) and copy.ebs == kit.ebs
 
 
 def test_round_robin_solves_each_seat_once(monkeypatch):

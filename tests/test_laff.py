@@ -5,7 +5,7 @@ from laff import (BimatrixGame, EnforceParams, GAME_NAMES, Laff, MatchConfig,
                   build_agent, builtin_game, bully_solution, enforceable_ebs,
                   play_match, run_match, security_value)
 from laff.engine import HistoryState, agent_rng
-from laff.experts import FollowerExpert, LeaderCore, MaximinExpert
+from laff.experts import FollowerExpert, LeaderCore, MaximinExpert, maximin_trip
 
 
 def _mk(game, T=10000, seed=0):
@@ -82,13 +82,43 @@ def test_tripped_expert_hands_seat_to_egalitarian_leader():
     _feed(laff, [0.0] * (9 * H), start=4 * H + 1)
     assert laff.switch_times[-1] == 13 * H
     assert laff.expert_index == 6 and isinstance(laff.active, MaximinExpert)
-    maximin = laff.active
     t = 13 * H
-    while not maximin.tripped and t < 15 * H:
+    while isinstance(laff.active, MaximinExpert) and t < 15 * H:
         t += 1
         _feed(laff, [1.0], start=t)
-    assert maximin.tripped
     assert seat_is_egalitarian_leader() and laff.expert_index == 6
+    assert t < 15 * H
+
+
+def test_maximin_tripwire_skips_the_opponents_first_K_rewards():
+    K = 2
+    laff = Laff(builtin_game("chicken"), 1, MatchConfig(T=100, K=K),
+                agent_rng(0, 1))
+    s = HistoryState((0,) * K, (0,) * K, (0,) * (K + 1), (0,) * (K + 1))
+    t = 0
+    while laff.expert_index < 6:  # starved of reward, down to maximin
+        t += 1
+        laff.act(s, t)
+        laff.observe(t, 0, 0.0, 0.0)
+    # the opponent earns 1 from the slot's first step, the seat 0; the
+    # controller must add only the opponent's rewards after the first K
+    r_opp = np.ones(laff.config.T)
+
+    def first_trip(opp_cum, skip):
+        return next(tau for tau in range(laff.subepoch, len(r_opp) + 1,
+                                         laff.subepoch)
+                    if tau > K and maximin_trip(laff.kit, tau - K,
+                                                opp_cum[tau - skip - 1],
+                                                laff.config.T))
+
+    expected = first_trip(np.cumsum(r_opp[K:]), K)
+    assert first_trip(np.cumsum(r_opp), 0) < expected  # the sums differ here
+    for tau in range(1, expected + 1):
+        assert isinstance(laff.active, MaximinExpert), tau
+        laff.act(s, t + tau)
+        laff.observe(t + tau, 0, 0.0, r_opp[tau - 1])
+    assert isinstance(laff.active, LeaderCore)
+    assert laff.active.map is laff.kit.ebs_map
 
 
 class _SlotRecorder(Laff):

@@ -24,7 +24,7 @@ def test_bully_no_punishment_against_compliant():
     cfg = MatchConfig(T=2000, seed=3)
     b = build_agent("bully", g, 2, cfg)
     # its solution mixes (0,0) and (1,0): column 0 is compliant at any bit
-    run_match(g, FixedActionAgent(0, 2, player=1, weight=b.weight), b, cfg)
+    run_match(g, FixedActionAgent(0, 2, player=1, weight=b.report_weight()), b, cfg)
     assert b.punish_steps == 0
 
 
