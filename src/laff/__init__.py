@@ -11,8 +11,8 @@ from .bargaining import (EnforceParams, JointAction, PairSolution,
                          bully_solution, deviation_profit, enforceable_ebs,
                          punishment_length, slack_b, xi)
 from .controller import Laff
-from .engine import (Agent, HistoryState, MatchConfig, MatchTrace, draw_signals,
-                     run_match, state_space_size)
+from .engine import (Agent, MatchConfig, MatchTrace, decode, encode, run_match,
+                     state_space_size)
 from .evaluation import (benchmark_for, exploiter_regret, play_match,
                          pure_nash, regret_curve, replicator_run,
                          replicator_step, round_robin)
@@ -25,10 +25,10 @@ from .opponents import build_agent, bounded_memory_policy
 
 __all__ = [
     "Agent", "BimatrixGame", "EnforceParams", "EVALUATION_GAMES", "GAME_NAMES",
-    "HistoryState", "InducedMdp", "JointAction", "Laff", "LeaderKit",
+    "InducedMdp", "JointAction", "Laff", "LeaderKit",
     "MatchConfig", "MatchTrace", "PairSolution", "TRAINING_GAMES",
     "benchmark_for", "bounded_memory_policy", "build_agent", "builtin_game",
-    "bully_solution", "deviation_profit", "draw_signals", "enforceable_ebs",
+    "bully_solution", "decode", "deviation_profit", "encode", "enforceable_ebs",
     "exploiter_regret", "induce_mdp", "load_game",
     "optimal_average_reward", "play_match", "punishment_length",
     "punishment_strategy", "pure_nash", "regret_curve",

@@ -1,29 +1,26 @@
-"""Repeated-game engine: memory-K states, public signals, seeded match loop.
+"""Repeated-game engine: memory-K state codes, public signals, seeded match loop.
 
 The state at step t holds both players' last K actions and last K+1 signal
-bits (the current bit included).  One uniform draw x_t per step feeds both
-players' signal bits, y_i = 1[x_t < w_i], so equal weights give a shared
-coin.  All randomness in a match derives from the seed: the engine stream
-and one substream per agent.
+bits (the current bit included), packed into one mixed-radix integer, the
+state code.  Its digits, most significant first, are player 1's last K
+actions in base n1, player 2's last K actions in base n2, player 1's K+1
+signal bits and player 2's K+1 signal bits, each oldest first.  So the
+codes of a game run over 0 .. state_space_size - 1, and their numeric
+order is the lexicographic order of the tuples (a1, a2, y1, y2);
+`encode` and `decode` convert between the two.  One uniform draw x_t per
+step feeds both players' signal bits, y_i = 1[x_t < w_i], so equal weights
+give a shared coin.  All randomness in a match derives from the seed: the
+engine stream and one substream per agent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .bargaining import EnforceParams
-
-
-class HistoryState(NamedTuple):
-    """Last K actions per player plus last K+1 signal bits per player."""
-
-    a1: tuple
-    a2: tuple
-    y1: tuple
-    y2: tuple
 
 
 @dataclass
@@ -49,9 +46,26 @@ def state_space_size(game, K: int) -> int:
     return (game.n1 * game.n2) ** K * 2 ** (2 * K + 2)
 
 
-def draw_signals(x: float, w1: float, w2: float):
-    """Both players' signal bits from the shared uniform draw x."""
-    return int(x < w1), int(x < w2)
+def encode(state, n1: int, n2: int) -> int:
+    """The code of a state given as digit tuples (a1, a2, y1, y2), oldest first."""
+    code = 0
+    for digits, base in zip(state, (n1, n2, 2, 2)):
+        for d in digits:
+            code = code * base + d
+    return code
+
+
+def decode(code: int, n1: int, n2: int, K: int) -> tuple:
+    """The digit tuples (a1, a2, y1, y2) of a memory-K state code."""
+    parts = []
+    for base, length in ((2, K + 1), (2, K + 1), (n2, K), (n1, K)):
+        digits = []
+        for _ in range(length):
+            code, d = divmod(code, base)
+            digits.append(d)
+        parts.append(tuple(reversed(digits)))
+    y2, y1, a2, a1 = parts
+    return a1, a2, y1, y2
 
 
 def engine_rng(seed: int) -> np.random.Generator:
@@ -68,14 +82,18 @@ class Agent:
 
     Agents are constructed for a specific seat (player 1 or 2) of a specific
     game.  Each step the engine asks both seats for their signal weight,
-    shows both the same state in the global frame, and then tells each seat
-    the opponent's action and the two rewards, its own first.
+    shows both the same state code, and then tells each seat the opponent's
+    action and the two rewards, its own first.
     """
 
     def report_weight(self) -> float:
         return 0.0
 
-    def act(self, state: HistoryState, t: int) -> int:
+    def act(self, state: int, t: int) -> int:
+        """The action at step t in the state coded ``state``, whose digits,
+        most significant first, are player 1's last K actions (base n1),
+        player 2's last K actions (base n2), player 1's last K+1 signal bits
+        and player 2's, each oldest first (see `decode`)."""
         raise NotImplementedError
 
     def observe(self, t: int, opp_action: int, r_own: float, r_opp: float) -> None:
@@ -125,73 +143,70 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
 
     Histories start at action 0 with signal bits drawn from the seeded
     stream (weights requested once at t=0), so the first K+1 uniform draws
-    fully determine the starting state.
+    fully determine the starting state.  The four digit groups of the state
+    code are kept apart and each is shifted by one digit a step.
     """
     T, K = config.T, config.K
-    rng = engine_rng(config.seed)
-    R1, R2 = game.R1, game.R2
     n1, n2 = game.n1, game.n2
+    m1, m2, mY = n1 ** K, n2 ** K, 2 ** (K + 1)
+    mYY = mY * mY
+    R1, R2 = game.R1.tolist(), game.R2.tolist()
+    xs = engine_rng(config.seed).random(K + T)
+    weight1, weight2 = alg1.report_weight, alg2.report_weight
+    act1, act2 = alg1.act, alg2.act
+    observe1, observe2 = alg1.observe, alg2.observe
 
-    a1h = (0,) * K
-    a2h = (0,) * K
-    w1 = float(alg1.report_weight())
-    w2 = float(alg2.report_weight())
+    w1 = float(weight1())
+    w2 = float(weight2())
     if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
         raise _weight_error(w1, w2, 0)
-    y1h, y2h = (), ()
-    for _ in range(K):
-        xb = rng.random()
-        b1, b2 = draw_signals(xb, w1, w2)
-        y1h += (b1,)
-        y2h += (b2,)
+    Y1 = Y2 = 0
+    for x in memoryview(xs)[:K]:
+        Y1 = 2 * Y1 + (x < w1)
+        Y2 = 2 * Y2 + (x < w2)
+    A1 = A2 = 0
+    high = 0  # the action digits of the code, (A1 * m2 + A2) * mY * mY
 
     t_col = np.arange(1, T + 1, dtype=np.int64)
-    a1_col = np.empty(T, dtype=np.int64)
-    a2_col = np.empty(T, dtype=np.int64)
-    y1_col = np.empty(T, dtype=np.int64)
-    y2_col = np.empty(T, dtype=np.int64)
-    x_col = np.empty(T, dtype=np.float64)
-    r1_col = np.empty(T, dtype=np.float64)
-    r2_col = np.empty(T, dtype=np.float64)
+    a1_col, a2_col, y1_col, y2_col = (np.empty(T, dtype=np.int64) for _ in range(4))
+    # filled through memoryviews, which store a Python int as fast as a list
+    a1_put, a2_put, y1_put, y2_put = map(memoryview, (a1_col, a2_col, y1_col, y2_col))
 
-    for t in range(1, T + 1):
-        w1 = float(alg1.report_weight())
-        w2 = float(alg2.report_weight())
+    for i, x in enumerate(memoryview(xs)[K:]):
+        t = i + 1
+        w1 = float(weight1())
+        w2 = float(weight2())
         if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
             raise _weight_error(w1, w2, t)
-        x = rng.random()
-        b1, b2 = draw_signals(x, w1, w2)
-        y1h = y1h[-K:] + (b1,)
-        y2h = y2h[-K:] + (b2,)
-        state = HistoryState(a1h, a2h, y1h, y2h)
+        b1 = x < w1
+        b2 = x < w2
+        Y1 = Y1 * 2 % mY + b1
+        Y2 = Y2 * 2 % mY + b2
+        state = high + Y1 * mY + Y2
 
-        a1 = alg1.act(state, t)
-        a2 = alg2.act(state, t)
+        a1 = act1(state, t)
+        a2 = act2(state, t)
         if not 0 <= a1 < n1:
             raise RuntimeError(f"player 1 agent returned action {a1} "
                                f"outside 0..{n1 - 1} at step {t}")
         if not 0 <= a2 < n2:
             raise RuntimeError(f"player 2 agent returned action {a2} "
                                f"outside 0..{n2 - 1} at step {t}")
-        r1 = R1[a1, a2]
-        r2 = R2[a1, a2]
-        alg1.observe(t, a2, r1, r2)
-        alg2.observe(t, a1, r2, r1)
+        r1 = R1[a1][a2]
+        r2 = R2[a1][a2]
+        observe1(t, a2, r1, r2)
+        observe2(t, a1, r2, r1)
 
-        i = t - 1
-        a1_col[i] = a1
-        a2_col[i] = a2
-        y1_col[i] = b1
-        y2_col[i] = b2
-        x_col[i] = x
-        r1_col[i] = r1
-        r2_col[i] = r2
+        a1_put[i] = a1
+        a2_put[i] = a2
+        y1_put[i] = b1
+        y2_put[i] = b2
+        A1 = A1 * n1 % m1 + a1
+        A2 = A2 * n2 % m2 + a2
+        high = (A1 * m2 + A2) * mYY
 
-        a1h = a1h[1:] + (a1,)
-        a2h = a2h[1:] + (a2,)
-
-    return MatchTrace(t=t_col, a1=a1_col, a2=a2_col,
-                      y1=y1_col, y2=y2_col, x=x_col, r1=r1_col, r2=r2_col,
+    return MatchTrace(t=t_col, a1=a1_col, a2=a2_col, y1=y1_col, y2=y2_col,
+                      x=xs[K:], r1=game.R1[a1_col, a2_col], r2=game.R2[a1_col, a2_col],
                       expert1=_expert_column(alg1, t_col),
                       expert2=_expert_column(alg2, t_col))
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .bargaining import (EnforceParams, JointAction, PairSolution,
                          enforceable_ebs, bully_solution, punishment_length)
-from .engine import Agent, HistoryState
+from .engine import Agent
 from .games import BimatrixGame, security_value, punishment_strategy, swap_players
 
 
@@ -110,6 +109,7 @@ class LeaderKit:
     """
 
     player: int
+    K: int                   # memory length of the states the kit's leaders read
     n_own: int
     n_opp: int
     mu_s_own: float
@@ -147,7 +147,7 @@ class LeaderKit:
         bully = bully_solution(own, ep)
         kp_e = 0 if ebs.is_fallback else punishment_length(ebs, ep, mu_s_opp)
         kp_b = 0 if bully.is_fallback else punishment_length(bully, ep, mu_s_opp)
-        return cls(player=player, n_own=own.n1, n_opp=own.n2,
+        return cls(player=player, K=ep.K, n_own=own.n1, n_opp=own.n2,
                    mu_s_own=mu_s_own, maximin=maximin, punish=punish,
                    ebs=ebs, bully=bully,
                    ebs_map=_canonical_map(ebs, player, kp_e),
@@ -183,33 +183,44 @@ class LeaderCore(Agent):
         self.punish_prob = float(punish_prob)
         self.steps_active = 0
         self.punish_steps = 0
-        own, opp = (0, 1) if kit.player == 1 else (1, 0)
-        # the seat's own signal bits and the opponent's actions in a state
-        self._own_bits = attrgetter(("y1", "y2")[own])
-        self._opp_actions = attrgetter(("a1", "a2")[opp])
+        # in a state code, the seat's own signal bits are the low bits of
+        # state >> bit_shift and the opponent's actions the low base-n_opp
+        # digits of state // opp_div, the newest lowest
+        K, mY = kit.K, 2 ** (kit.K + 1)
+        if kit.player == 1:
+            self._bit_shift, self._opp_div = K + 1, mY * mY
+        else:
+            self._bit_shift, self._opp_div = 0, mY * mY * kit.n_own ** K
         if self.map is not None:
             # indexed by the own signal bit: the own half of that bit's cell
             # (the target) and the opponent's half (its expected action)
+            own, opp = (0, 1) if kit.player == 1 else (1, 0)
             cells = (self.map.cell0, self.map.cell1)
             self.target = tuple(cell[own] for cell in cells)
             self.expected = tuple(cell[opp] for cell in cells)
+            self._points = np.eye(kit.n_own)
 
     def report_weight(self) -> float:
         return self.map.weight if self.map is not None else 0.0
 
-    def _deviated(self, state: HistoryState) -> bool:
-        opp_actions = self._opp_actions(state)
-        own_bits = self._own_bits(state)
-        for k in range(1, self.map.Kp + 1):
-            if opp_actions[-k] != self.expected[own_bits[-k - 1]]:
+    def _deviated(self, state: int) -> bool:
+        """Whether the opponent left the expected cell in the last Kp steps,
+        each step judged by the own signal bit of that step (Kp <= K)."""
+        bits = state >> self._bit_shift
+        opp_actions = state // self._opp_div
+        n_opp = self.kit.n_opp
+        for _ in range(self.map.Kp):
+            bits >>= 1
+            opp_actions, last = divmod(opp_actions, n_opp)
+            if last != self.expected[bits & 1]:
                 return True
         return False
 
-    def act(self, state: HistoryState, t: int) -> int:
+    def act(self, state: int, t: int) -> int:
         if self.map is None:
             self.steps_active += 1
             return _sample(self.kit.maximin, self.rng)
-        action = self.target[self._own_bits(state)[-1]]
+        action = self.target[(state >> self._bit_shift) & 1]
         if self.steps_active >= self.map.Kp and self._deviated(state):
             if self.punish_prob >= 1.0 or self.rng.random() < self.punish_prob:
                 action = _sample(self.kit.punish, self.rng)
@@ -217,18 +228,18 @@ class LeaderCore(Agent):
         self.steps_active += 1
         return action
 
-    def policy_distribution(self, state: HistoryState) -> np.ndarray:
+    def policy_distribution(self, state: int) -> np.ndarray:
         """Stationary action law at a state (the post-amnesty Markov policy)."""
         if self.map is None:
             return self.kit.maximin.copy()
-        point = np.eye(self.kit.n_own)[self.target[self._own_bits(state)[-1]]]
+        point = self._points[self.target[(state >> self._bit_shift) & 1]]
         if self._deviated(state):
             return self.punish_prob * self.kit.punish + (1 - self.punish_prob) * point
-        return point
+        return point.copy()
 
 
 class TabularQ:
-    """Tabular Q-learning over memory-K states, optimistic at 1/(1 - GAMMA).
+    """Tabular Q-learning over state codes, optimistic at 1/(1 - GAMMA).
 
     A step's update waits for the state that follows it: `act` settles the
     pending step at the caller's learning rate ``schedule(n, t)``, for the

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import HistoryState
+from .engine import decode, encode
 
 _SPAN_TOL = 1e-8
 _MAX_SWEEPS = 10 ** 6
@@ -43,7 +43,7 @@ class InducedMdp:
     Built by ``induce_mdp``, every state is reachable from ``initial``.
     """
 
-    states: list
+    states: list             # engine state codes, ascending
     n_actions: int
     transition: np.ndarray   # (S, A, S)
     reward1: np.ndarray      # (S, A) expected player-1 reward
@@ -71,16 +71,19 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
     """Build the MDP for player 1 against ``opp_policy``.
 
     ``opp_policy(state) -> array of len n2`` gives the opponent's action
-    distribution; it is called, and checked to be a distribution, once per
-    reachable state.  States are explored forward from the support of the
-    engine's start distribution under every player-1 action, and listed in
-    ``sorted()`` order.  Transitions shift the action histories and refresh
-    the signal bits with the four joint outcomes implied by the shared draw.
-    Rewards are the expected stage rewards of the current joint action.
+    distribution at an engine state code; it is called, and checked to be a
+    distribution, once per reachable state.  States are explored forward
+    from the support of the engine's start distribution under every
+    player-1 action, and listed in ascending code order.  Transitions shift
+    the action digits and refresh the signal bits with the four joint
+    outcomes implied by the shared draw.  Rewards are the expected stage
+    rewards of the current joint action.
     """
     probs = signal_outcome_probs(w1, w2)
     sig = [(bits, p) for bits, p in probs.items() if p > 0]
-    A = game.n1
+    A = n1 = game.n1
+    n2 = game.n2
+    m1, m2, mY = n1 ** K, n2 ** K, 2 ** (K + 1)
 
     # engine start: action histories all zero, signal bits drawn independently
     start = {}
@@ -89,7 +92,7 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
         for y2h in itertools.product((0, 1), repeat=K + 1):
             p = math.prod(probs[bits] for bits in zip(y1h, y2h))
             if p > 0:
-                start[HistoryState(zero, zero, y1h, y2h)] = p
+                start[encode((zero, zero, y1h, y2h), n1, n2)] = p
 
     explored = {}  # reachable state -> (opponent distribution, [(a, next, prob)])
     seen = set(start)
@@ -97,18 +100,23 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
     while frontier:
         s = frontier.pop()
         pi2 = np.asarray(opp_policy(s), dtype=float)
-        if pi2.shape != (game.n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
-            raise ValueError(f"opponent policy is not a distribution at state {s}")
+        if pi2.shape != (n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
+            raise ValueError(f"opponent policy is not a distribution at state "
+                             f"{decode(s, n1, n2, K)}")
         out = []
         explored[s] = (pi2, out)
+        actions, bits = divmod(s, mY * mY)
+        A1, A2 = divmod(actions, m2)
+        Y1, Y2 = divmod(bits, mY)
+        y1h, y2h = Y1 * 2 % mY, Y2 * 2 % mY  # shifted, the new bit still 0
         for a in range(A):
-            a1h = s.a1[1:] + (a,)
+            a1h = A1 * n1 % m1 + a
             for b, pb in enumerate(pi2):
                 if pb <= 0:
                     continue
-                a2h = s.a2[1:] + (b,)
+                high = (a1h * m2 + A2 * n2 % m2 + b) * mY
                 for (b1, b2), ps in sig:
-                    nxt = HistoryState(a1h, a2h, s.y1[1:] + (b1,), s.y2[1:] + (b2,))
+                    nxt = (high + y1h + b1) * mY + y2h + b2
                     out.append((a, nxt, pb * ps))
                     if nxt not in seen:
                         seen.add(nxt)

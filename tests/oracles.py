@@ -4,8 +4,7 @@ import itertools
 
 import numpy as np
 
-from laff import security_value
-from laff.engine import HistoryState
+from laff import decode, encode, security_value
 from laff.mdp import InducedMdp, signal_outcome_probs
 
 
@@ -58,7 +57,7 @@ def _dev_profit(game, X):
 
 
 def enumerate_states(game, K: int):
-    """All memory-K states, in a fixed deterministic order."""
+    """All memory-K states as digit tuples (a1, a2, y1, y2), in tuple order."""
     acts1 = range(game.n1)
     acts2 = range(game.n2)
     bits = (0, 1)
@@ -67,7 +66,7 @@ def enumerate_states(game, K: int):
         for a2h in itertools.product(acts2, repeat=K):
             for y1h in itertools.product(bits, repeat=K + 1):
                 for y2h in itertools.product(bits, repeat=K + 1):
-                    states.append(HistoryState(a1h, a2h, y1h, y2h))
+                    states.append((a1h, a2h, y1h, y2h))
     return states
 
 
@@ -75,6 +74,8 @@ def induce_mdp_full(game, opp_policy, w1: float, w2: float, K: int) -> InducedMd
     """The induced MDP over every memory-K state, reachable or not.
 
     Dense (S, A, S) over all (n1*n2)^K * 4^(K+1) states, so only small K.
+    The states are digit tuples, shifted as tuples; ``opp_policy`` is shown
+    each state's engine code.
     """
     states = enumerate_states(game, K)
     index = {s: i for i, s in enumerate(states)}
@@ -85,18 +86,19 @@ def induce_mdp_full(game, opp_policy, w1: float, w2: float, K: int) -> InducedMd
     transition = np.zeros((S, A, S))
     reward1 = np.zeros((S, A))
     for i, s in enumerate(states):
-        pi2 = np.asarray(opp_policy(s), dtype=float)
+        pi2 = np.asarray(opp_policy(encode(s, game.n1, game.n2)), dtype=float)
         if pi2.shape != (game.n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
             raise ValueError(f"opponent policy is not a distribution at state {s}")
+        a1, a2, y1, y2 = s
         for a in range(A):
             reward1[i, a] = float(game.R1[a] @ pi2)
             for b, pb in enumerate(pi2):
                 if pb <= 0:
                     continue
-                a1h = s.a1[1:] + (a,)
-                a2h = s.a2[1:] + (b,)
+                a1h = a1[1:] + (a,)
+                a2h = a2[1:] + (b,)
                 for (b1, b2), ps in sig:
-                    nxt = HistoryState(a1h, a2h, s.y1[1:] + (b1,), s.y2[1:] + (b2,))
+                    nxt = (a1h, a2h, y1[1:] + (b1,), y2[1:] + (b2,))
                     transition[i, a, index[nxt]] += pb * ps
 
     # engine start: action histories all zero, signal bits drawn independently
@@ -111,7 +113,7 @@ def induce_mdp_full(game, opp_policy, w1: float, w2: float, K: int) -> InducedMd
                 if p == 0:
                     break
             if p > 0:
-                initial[index[HistoryState(zero1, (0,) * K, y1h, y2h)]] += p
+                initial[index[(zero1, (0,) * K, y1h, y2h)]] += p
 
     return InducedMdp(states=states, n_actions=A, transition=transition,
                       reward1=reward1, initial=initial)
@@ -175,22 +177,46 @@ def enumerate_deterministic_gains(mdp: InducedMdp) -> list:
 def compliant_policy(kit, which: str = "ebs"):
     """Opponent policy that always plays its half of the leader's solution.
 
-    Compliance tracks the leader's (public) signal bit.
+    Compliance tracks the leader's (public) signal bit, read off the state
+    code.
     """
     m = kit.solution_map(which)
     if m is None:
         raise ValueError("no enforceable solution to comply with")
     opp_is_p2 = kit.player == 1
-    n_opp = kit.n_opp
+    n1, n2 = (kit.n_own, kit.n_opp) if opp_is_p2 else (kit.n_opp, kit.n_own)
 
-    def policy(state: HistoryState) -> np.ndarray:
-        bit = (state.y1 if opp_is_p2 else state.y2)[-1]
+    def policy(state: int) -> np.ndarray:
+        _, _, y1, y2 = decode(state, n1, n2, kit.K)
+        bit = (y1 if opp_is_p2 else y2)[-1]
         cell = m.cell1 if bit else m.cell0
-        d = np.zeros(n_opp)
+        d = np.zeros(kit.n_opp)
         d[cell.a2 if opp_is_p2 else cell.a1] = 1.0
         return d
 
     return policy
+
+
+def leader_distribution(core, state) -> np.ndarray:
+    """`LeaderCore.policy_distribution` worked out on a state's digit tuples.
+
+    The seat's current signal bit picks the target cell.  The opponent has
+    deviated when, at any of the last Kp steps, its action was not its half
+    of the cell that the seat's signal bit of that step picked.
+    """
+    kit, m = core.kit, core.map
+    if m is None:
+        return kit.maximin.copy()
+    own, opp = (0, 1) if kit.player == 1 else (1, 0)
+    a1, a2, y1, y2 = state
+    own_bits, opp_actions = (y1, y2)[own], (a1, a2)[opp]
+    cells = (m.cell0, m.cell1)
+    point = np.zeros(kit.n_own)
+    point[cells[own_bits[-1]][own]] = 1.0
+    if any(opp_actions[-k] != cells[own_bits[-k - 1]][opp]
+           for k in range(1, m.Kp + 1)):
+        return core.punish_prob * kit.punish + (1 - core.punish_prob) * point
+    return point
 
 
 def second_half_slope(curve) -> float:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from laff import (EnforceParams, GAME_NAMES, EVALUATION_GAMES, MatchConfig,
-                  builtin_game, bully_solution, enforceable_ebs,
+                  builtin_game, bully_solution, decode, enforceable_ebs,
                   exploiter_regret, induce_mdp, optimal_average_reward,
                   play_match, pure_nash, replicator_step, replicator_run,
                   round_robin, security_value)
@@ -95,12 +95,12 @@ def _scripted_opponents():
 
     def tit_for_tat(state):
         d = np.zeros(2)
-        d[state.a1[-1]] = 1.0
+        d[decode(state, 2, 2, 1)[0][-1]] = 1.0
         return d
 
     def alternator(state):
         d = np.zeros(2)
-        d[1 - state.a2[-1]] = 1.0
+        d[1 - decode(state, 2, 2, 1)[1][-1]] = 1.0
         return d
 
     return [("always0", always(0)), ("always1", always(1)),
@@ -113,9 +113,10 @@ def test_criterion_3_mdp_gain_vs_enumeration():
         g = builtin_game(name)
 
         def win_stay(state, _g=g):
+            a1, a2, _, _ = decode(state, 2, 2, 1)
             d = np.zeros(2)
-            last = _g.R2[state.a1[-1], state.a2[-1]]
-            d[state.a2[-1] if last >= 0.5 else 1 - state.a2[-1]] = 1.0
+            last = _g.R2[a1[-1], a2[-1]]
+            d[a2[-1] if last >= 0.5 else 1 - a2[-1]] = 1.0
             return d
 
         for opp_name, pol in _scripted_opponents() + [("winstay", win_stay)]:

@@ -1,16 +1,59 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from laff import (MatchConfig, build_agent, builtin_game, draw_signals,
-                  play_match, run_match, state_space_size)
-from laff.engine import Agent, FixedActionAgent
+from laff import (BimatrixGame, MatchConfig, build_agent, builtin_game, decode,
+                  encode, play_match, run_match, state_space_size)
+from laff.engine import Agent, FixedActionAgent, engine_rng
+
+SIZES = st.integers(1, 3)
+
+
+@st.composite
+def _state(draw, n1, n2, K):
+    """The digit tuples (a1, a2, y1, y2) of a memory-K state."""
+    def digits(base, length):
+        return tuple(draw(st.lists(st.integers(0, base - 1),
+                                   min_size=length, max_size=length)))
+    return digits(n1, K), digits(n2, K), digits(2, K + 1), digits(2, K + 1)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data(), SIZES, SIZES, SIZES)
+def test_state_code_round_trip_and_order(data, n1, n2, K):
+    s, u = data.draw(_state(n1, n2, K)), data.draw(_state(n1, n2, K))
+    g = BimatrixGame("sizes", np.zeros((n1, n2)), np.zeros((n1, n2)))
+    code = encode(s, n1, n2)
+    assert decode(code, n1, n2, K) == s
+    assert 0 <= code < state_space_size(g, K)
+    # numeric order is the order of the digit tuples
+    assert (code < encode(u, n1, n2)) == (s < u)
+    assert (code == encode(u, n1, n2)) == (s == u)
+
+
+def test_state_codes_cover_the_state_space():
+    # every code below the state-space size decodes to a distinct state
+    for n1, n2, K in itertools.product((1, 2, 3), (1, 2, 3), (1, 2)):
+        g = BimatrixGame("sizes", np.zeros((n1, n2)), np.zeros((n1, n2)))
+        S = state_space_size(g, K)
+        states = [decode(c, n1, n2, K) for c in range(S)]
+        assert states == sorted(set(states))
+        assert [encode(s, n1, n2) for s in states] == list(range(S))
 
 
 def test_draw_signals():
-    assert draw_signals(0.3, 0.5, 0.5) == (1, 1)
-    assert draw_signals(0.7, 0.5, 1.0) == (0, 1)
-    for x in (0.0, 0.3, 0.999):
-        assert draw_signals(x, 0.0, 0.0) == (0, 0)
+    # each step's bits threshold the shared draw at the reported weights
+    g = builtin_game("chicken")
+    for w1, w2 in ((0.5, 0.5), (0.5, 1.0), (0.0, 0.0), (1.0, 0.0), (0.3, 0.7)):
+        tr = run_match(g, FixedActionAgent(0, 2, player=1, weight=w1),
+                       FixedActionAgent(1, 2, player=2, weight=w2),
+                       MatchConfig(T=400, seed=3))
+        for y, w in ((tr.y1, w1), (tr.y2, w2)):
+            assert np.array_equal(y, tr.x < w)
+            if w in (0.0, 1.0):  # a weight of 0 or 1 fixes the bit
+                assert (y == w).all()
 
 
 def test_state_space_size():
@@ -81,11 +124,47 @@ def test_history_window():
     tr = run_match(g, spy, FixedActionAgent(1, 2, player=2), cfg)
     K = cfg.K
     for t in range(K, len(tr)):            # state seen at step t+1 (0-based t)
-        s = spy.states[t]
-        assert s.a1 == tuple(tr.a1[t - K:t])
-        assert s.a2 == tuple(tr.a2[t - K:t])
-        assert len(s.y1) == K + 1 and len(s.y2) == K + 1
-        assert s.y1[-1] == tr.y1[t]
+        a1, a2, y1, y2 = decode(spy.states[t], g.n1, g.n2, K)
+        assert a1 == tuple(tr.a1[t - K:t])
+        assert a2 == tuple(tr.a2[t - K:t])
+        assert len(y1) == K + 1 and len(y2) == K + 1
+        assert y1[-1] == tr.y1[t]
+
+
+class _RandomSpy(Agent):
+    """Records the state code and plays a uniform random action."""
+
+    def __init__(self, n, weight, rng):
+        self.n, self.weight, self.rng = n, weight, rng
+        self.states = []
+
+    def report_weight(self):
+        return self.weight
+
+    def act(self, state, t):
+        self.states.append(state)
+        return int(self.rng.integers(self.n))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(SIZES, st.integers(0, 10 ** 6), st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+       st.sampled_from([0.0, 0.6, 1.0]))
+def test_each_step_code_encodes_the_shifted_history(K, seed, w1, w2):
+    g = BimatrixGame("rect", np.arange(6.0).reshape(3, 2) / 6, np.ones((3, 2)))
+    rng = np.random.default_rng(seed)
+    spies = _RandomSpy(3, w1, rng), _RandomSpy(2, w2, rng)
+    cfg = MatchConfig(T=60, K=K, seed=seed)
+    tr = run_match(g, *spies, cfg)
+    # histories start at action 0, the first K bits from the first K draws
+    start = engine_rng(seed).random(K)
+    a1 = (0,) * K + tuple(tr.a1.tolist())
+    a2 = (0,) * K + tuple(tr.a2.tolist())
+    y1 = tuple((start < w1).tolist()) + tuple(tr.y1.tolist())
+    y2 = tuple((start < w2).tolist()) + tuple(tr.y2.tolist())
+    for t in range(cfg.T):
+        shifted = (a1[t:t + K], a2[t:t + K], y1[t:t + K + 1], y2[t:t + K + 1])
+        code = encode(shifted, g.n1, g.n2)
+        assert spies[0].states[t] == spies[1].states[t] == code
 
 
 def test_seat_two_observes_its_own_outcome():

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import laff.games
-from laff import EnforceParams, LeaderKit, MatchConfig, builtin_game, rq_bound
+from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
+                  builtin_game, decode, encode, rq_bound)
 from laff.evaluation import round_robin
 from laff.games import load_game
-from laff.engine import (Agent, FixedActionAgent, HistoryState, agent_rng,
-                         run_match, state_space_size)
+from laff.engine import (Agent, FixedActionAgent, agent_rng, run_match,
+                         state_space_size)
 from laff.experts import (FollowerExpert, LeaderCore, MaximinExpert, TabularQ,
                           follower_trip, maximin_trip)
+from oracles import leader_distribution
 
 EP = EnforceParams(1, 0.05)
 
@@ -49,9 +51,12 @@ class CompliantAgent(Agent):
     def __init__(self, kit, which, player):
         self.player = player
         self.map = kit.solution_map(which)
+        self.n = (kit.n_own, kit.n_opp) if kit.player == 1 else (kit.n_opp, kit.n_own)
+        self.K = kit.K
 
     def act(self, state, t):
-        bit = (state.y1 if self.player == 2 else state.y2)[-1]
+        _, _, y1, y2 = decode(state, *self.n, self.K)
+        bit = (y1 if self.player == 2 else y2)[-1]
         cell = self.map.cell1 if bit else self.map.cell0
         return cell.a2 if self.player == 2 else cell.a1
 
@@ -88,7 +93,8 @@ def test_leader_never_punishes_with_zero_length():
         player = 2
 
         def act(self, state, t):
-            cell = kit.ebs_map.cell1 if state.y1[-1] else kit.ebs_map.cell0
+            y1 = decode(state, 2, 2, 1)[2]
+            cell = kit.ebs_map.cell1 if y1[-1] else kit.ebs_map.cell0
             return 1 - cell.a2
 
     class Wrap(Agent):
@@ -112,29 +118,55 @@ def test_leader_punishment_branch_and_amnesty():
     assert kit.ebs_map.Kp == 1
     assert np.allclose(kit.punish, [0.0, 1.0])
     core = LeaderCore(kit, "ebs", agent_rng(0, 1))
-    deviant = HistoryState((0,), (1,), (1, 1), (1, 1))  # opponent played 1, not 0
+    deviant = encode(((0,), (1,), (1, 1), (1, 1)), 2, 2)  # opponent played 1, not 0
     # startup amnesty: the first Kp steps play the target regardless
     assert core.act(deviant, 1) == 0
     assert core.punish_steps == 0
     # afterwards the same state triggers the punishment row
     assert core.act(deviant, 2) == 1
     assert core.punish_steps == 1
-    compliant = HistoryState((0,), (0,), (1, 1), (1, 1))
+    compliant = encode(((0,), (0,), (1, 1), (1, 1)), 2, 2)
     assert core.act(compliant, 3) == 0
 
 
 def test_leader_fallback_plays_maximin():
-    from laff import BimatrixGame
-
     g = BimatrixGame("flat2", [[0.3, 0.7], [0.2, 0.9]],
                      [[0.5, 0.5], [0.5, 0.5]])
     kit = LeaderKit.build(g, 1, EP)
     assert kit.ebs_map is None
     core = LeaderCore(kit, "ebs", agent_rng(0, 1))
-    s = HistoryState((0,), (0,), (0, 0), (0, 0))
+    s = encode(((0,), (0,), (0, 0), (0, 0)), 2, 2)
     seen = {core.act(s, t) for t in range(50)}
     support = {i for i, p in enumerate(kit.maximin) if p > 1e-9}
     assert seen <= support
+
+
+def _rect3x2():
+    rng = np.random.default_rng(np.random.SeedSequence((3, 3, 2)))
+    r1, r2 = np.round(rng.random((2, 3, 2)), 3)
+    return BimatrixGame("rect3x2_s3", r1, r2)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("game", [builtin_game("chicken"), _rect3x2()],
+                         ids=["chicken", "rect3x2"])
+def test_leader_policy_matches_the_tuple_reference(game, K):
+    # every state code, both seats, both maps; on the 3x2 game the seats'
+    # radixes differ, so a seat or radix mix-up shows
+    codes = range(state_space_size(game, K))
+    states = [decode(code, game.n1, game.n2, K) for code in codes]
+    punishing = 0
+    for player in (1, 2):
+        kit = LeaderKit.build(game, player, EnforceParams(K, 0.05))
+        for which, p in (("ebs", 0.2), ("bully", 1.0)):
+            core = LeaderCore(kit, which, agent_rng(0, player), punish_prob=p)
+            punishing += core.map is not None and core.map.Kp > 0
+            got = np.array([core.policy_distribution(code) for code in codes])
+            want = np.array([leader_distribution(core, s) for s in states])
+            bad = np.flatnonzero((got != want).any(axis=1))
+            assert not bad.size, (player, which, states[bad[0]])
+    # chicken's solutions need no punishment, the 3x2 game's seat 1 does
+    assert game.name == "chicken" or punishing >= 2
 
 
 def test_follower_trips_against_capped_opponent():
@@ -223,7 +255,7 @@ def test_maximin_tolerates_security_level_opponent():
 def test_tabular_q_basics():
     rates = []
     q = TabularQ(2, lambda n, t: rates.append((n, t)) or 0.5)
-    s = ("s",)
+    s = 5  # any state code
     # the optimistic start ties, and a tie goes to the lowest index
     assert TabularQ(2, None).act(s, 1) == 0
     assert q.act(s, 1, action=1) == 1
@@ -251,8 +283,6 @@ def test_new_follower_leaves_shared_tables_alone_on_first_act():
 
 
 def test_q_estimates_decay_without_reward():
-    from laff import BimatrixGame
-
     g = BimatrixGame("zero", [[0.0]], [[0.0]])
     cfg = MatchConfig(T=5000, seed=0)
     kit = LeaderKit.build(g, 1, EnforceParams(1, 0.05))

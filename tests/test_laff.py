@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from laff import (BimatrixGame, EnforceParams, GAME_NAMES, Laff, MatchConfig,
-                  build_agent, builtin_game, bully_solution, enforceable_ebs,
-                  play_match, run_match, security_value)
-from laff.engine import HistoryState, agent_rng
+                  build_agent, builtin_game, bully_solution, encode,
+                  enforceable_ebs, play_match, run_match, security_value)
+from laff.engine import agent_rng
 from laff.experts import FollowerExpert, LeaderCore, MaximinExpert, maximin_trip
 
 
@@ -35,7 +35,7 @@ def test_fallback_targets_collapse_to_security():
 
 def _feed(laff, rewards, start=1):
     """Push synthetic steps through the controller."""
-    s = HistoryState((0,), (0,), (0, 0), (0, 0))
+    s = encode(((0,), (0,), (0, 0), (0, 0)), 2, 2)
     for t, r in enumerate(rewards, start=start):
         laff.act(s, t)
         laff.observe(t, 0, r, r)
@@ -94,7 +94,7 @@ def test_maximin_tripwire_skips_the_opponents_first_K_rewards():
     K = 2
     laff = Laff(builtin_game("chicken"), 1, MatchConfig(T=100, K=K),
                 agent_rng(0, 1))
-    s = HistoryState((0,) * K, (0,) * K, (0,) * (K + 1), (0,) * (K + 1))
+    s = encode(((0,) * K, (0,) * K, (0,) * (K + 1), (0,) * (K + 1)), 2, 2)
     t = 0
     while laff.expert_index < 6:  # starved of reward, down to maximin
         t += 1

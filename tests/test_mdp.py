@@ -3,8 +3,8 @@ import pytest
 
 import laff.mdp
 from laff import (GAME_NAMES, BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
-                  builtin_game, induce_mdp, optimal_average_reward, security_value)
-from laff.engine import HistoryState
+                  builtin_game, decode, encode, induce_mdp, optimal_average_reward,
+                  security_value)
 from laff.experts import LeaderCore
 from laff.mdp import InducedMdp
 from laff.opponents import bounded_memory_policy
@@ -20,6 +20,11 @@ def _point(n, a):
     d = np.zeros(n)
     d[a] = 1.0
     return d
+
+
+def _copy_last_a1(state):
+    """Player 2 repeats player 1's last action (2x2, K=1)."""
+    return _point(2, decode(state, 2, 2, 1)[0][-1])
 
 
 def test_state_enumeration_count():
@@ -58,7 +63,7 @@ def test_optimal_gain_mixing_opponent():
 
 
 def test_single_state_mdp():
-    states = [HistoryState((0,), (0,), (0, 0), (0, 0))]
+    states = [encode(((0,), (0,), (0, 0), (0, 0)), 2, 2)]
     mdp = InducedMdp(states=states, n_actions=2,
                      transition=np.ones((1, 2, 1)),
                      reward1=np.array([[0.3, 0.9]]),
@@ -69,8 +74,8 @@ def test_single_state_mdp():
 
 
 def test_policy_gain_period_two_cycle():
-    s0 = HistoryState((0,), (0,), (0,), (0,))
-    s1 = HistoryState((1,), (1,), (0,), (0,))
+    s0 = encode(((0,), (0,), (0, 0), (0, 0)), 2, 2)
+    s1 = encode(((1,), (1,), (0, 0), (0, 0)), 2, 2)
     trans = np.zeros((2, 1, 2))
     trans[0, 0, 1] = 1.0
     trans[1, 0, 0] = 1.0
@@ -107,7 +112,7 @@ def test_leader_vs_compliant_gains():
 
 def test_optimality_dominates_fixed_policies():
     g = builtin_game("sym_biased")
-    mdp = induce_mdp(g, lambda s: _point(2, s.a1[-1]), w1=0.0, w2=0.0, K=1)
+    mdp = induce_mdp(g, _copy_last_a1, w1=0.0, w2=0.0, K=1)
     gain, _ = optimal_average_reward(mdp)
     for a in (0, 1):
         assert gain >= policy_average_reward(mdp, lambda s, _a=a: _point(2, _a)) - 1e-8
@@ -117,7 +122,7 @@ def test_optimality_dominates_fixed_policies():
 
 def test_gain_matches_policy_enumeration():
     g = builtin_game("chicken")
-    mdp = induce_mdp(g, lambda s: _point(2, s.a1[-1]), w1=0.0, w2=0.0, K=1)
+    mdp = induce_mdp(g, _copy_last_a1, w1=0.0, w2=0.0, K=1)
     gain, _ = optimal_average_reward(mdp)
     assert gain == pytest.approx(max(enumerate_deterministic_gains(mdp)), abs=1e-6)
 
@@ -152,7 +157,8 @@ def test_reachable_mdp_equals_full_space_block(name, K):
         mdp = induce_mdp(g, pol, w1=w1, w2=w2, K=K)
         full = induce_mdp_full(g, pol, w1=w1, w2=w2, K=K)
         reach = full.reachable_from_initial()
-        assert mdp.states == [full.states[i] for i in reach], opp
+        assert [decode(c, g.n1, g.n2, K) for c in mdp.states] \
+            == [full.states[i] for i in reach], opp
         assert np.array_equal(mdp.transition,
                               full.transition[np.ix_(reach, range(g.n1), reach)]), opp
         assert np.array_equal(mdp.reward1, full.reward1[reach]), opp
@@ -171,8 +177,8 @@ def test_multichain_fallback_two_absorbing_states(monkeypatch):
         return lp(*args)
 
     monkeypatch.setattr(laff.mdp, "_multichain_lp", spy)
-    s0 = HistoryState((0,), (0,), (0, 0), (0, 0))
-    s1 = HistoryState((1,), (0,), (0, 0), (0, 0))
+    s0 = encode(((0,), (0,), (0, 0), (0, 0)), 2, 2)
+    s1 = encode(((1,), (0,), (0, 0), (0, 0)), 2, 2)
     trans = np.zeros((2, 2, 2))
     trans[0, :, 0] = 1.0
     trans[1, :, 1] = 1.0

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from laff import (EnforceParams, MatchConfig, builtin_game, enforceable_ebs,
-                  play_match, run_match)
+from laff import (BimatrixGame, EnforceParams, MatchConfig, builtin_game, encode,
+                  enforceable_ebs, play_match, run_match)
 from laff.engine import FixedActionAgent
 from laff.opponents import (AGENT_NAMES, EpsGreedyQAgent,
                             FictitiousPlayAgent, bounded_memory_policy,
@@ -86,8 +87,6 @@ def test_fictitious_play_best_responds():
 
 
 def test_fictitious_play_tiebreak_and_determinism():
-    from laff import BimatrixGame
-
     flat = BimatrixGame("flat", [[0.5, 0.5], [0.5, 0.5]],
                         [[0.5, 0.5], [0.5, 0.5]])
     fp = FictitiousPlayAgent(flat, 2)
@@ -130,6 +129,45 @@ def test_manipulator_punished_by_laff():
     assert all(m < mu_e2 for m in means)
 
 
+# a few payoffs with inexact products, so exact and near ties are common
+_PAYOFFS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0 / 3.0])
+
+
+def _check_fictitious_play(M, counts, player):
+    """FictitiousPlayAgent's action equals numpy's argmax over its own rows."""
+    M = np.array(M)
+    zeros = np.zeros_like(M)
+    g = BimatrixGame("g", M, zeros) if player == 1 else BimatrixGame("g", zeros.T, M.T)
+    fp = FictitiousPlayAgent(g, player)
+    for b, c in enumerate(counts):
+        for _ in range(c):
+            fp.observe(1, b, 0.0, 0.0)
+    total = sum(counts)
+    phat = np.array(counts) / total if total else np.full(len(counts), 1.0 / len(counts))
+    own = g.R1 if player == 1 else g.R2.T
+    assert fp.act(None, 1) == int(np.argmax(own @ phat))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 2]), st.data())
+def test_fictitious_play_best_response_equals_numpy_argmax(n_own, n_opp, player, data):
+    M = [data.draw(st.lists(_PAYOFFS, min_size=n_opp, max_size=n_opp))
+         for _ in range(n_own)]
+    counts = data.draw(st.lists(st.integers(0, 30), min_size=n_opp, max_size=n_opp))
+    _check_fictitious_play(M, counts, player)
+
+
+@pytest.mark.parametrize("player", [1, 2])
+@pytest.mark.parametrize("M, counts", [
+    ([[0.1, 0.1, 1 / 3], [1 / 3, 0.1, 0.1]], [23, 4, 23]),
+    ([[0.1, 0.1, 0.3], [0.0, 0.1, 0.2], [0.0, 0.1, 1 / 3]], [5, 15, 15]),
+])
+def test_fictitious_play_near_ties_break_as_numpy_rounds(M, counts, player):
+    # rows equal in exact arithmetic: summed left to right in Python floats
+    # they would tie-break differently from numpy's matrix product
+    _check_fictitious_play(M, counts, player)
+
+
 def test_all_agents_honor_contract():
     g = builtin_game("asym_secondbest")
     for name in AGENT_NAMES:
@@ -153,7 +191,7 @@ def test_bounded_memory_policies_are_distributions():
         pol, w = bounded_memory_policy(name, g, CFG)
         assert 0.0 <= w <= 1.0
         for s in enumerate_states(g, CFG.K)[:32]:
-            d = pol(s)
+            d = pol(encode(s, g.n1, g.n2))
             assert d.shape == (g.n2,)
             assert abs(d.sum() - 1.0) < 1e-9 and (d >= -1e-12).all()
 
