@@ -7,7 +7,8 @@ actions in base n1, player 2's last K actions in base n2, player 1's K+1
 signal bits and player 2's K+1 signal bits, each oldest first.  So the
 codes of a game run over 0 .. state_space_size - 1, and their numeric
 order is the lexicographic order of the tuples (a1, a2, y1, y2);
-`encode` and `decode` convert between the two.  One uniform draw x_t per
+`encode` and `decode` convert between the two, and `StateLayout` is the
+one place that knows where each digit group sits.  One uniform draw x_t per
 step feeds both players' signal bits, y_i = 1[x_t < w_i], so equal weights
 give a shared coin.  All randomness in a match derives from the seed: the
 engine stream and one substream per agent.
@@ -44,6 +45,39 @@ class MatchConfig:
 def state_space_size(game, K: int) -> int:
     """Number of distinct memory-K states: (n1*n2)^K * 2^(2K+2)."""
     return (game.n1 * game.n2) ** K * 2 ** (2 * K + 2)
+
+
+class StateLayout:
+    """Where each digit group sits in the memory-K state codes of an n1 x n2 game.
+
+    Group g of (a1, a2, y1, y2) takes ``sizes[g]`` values (n1^K, n2^K,
+    2^(K+1), 2^(K+1)) and reads ``code // units[g] % sizes[g]``, its newest
+    digit lowest, so ``units[g]`` is the place value of that newest digit.
+    """
+
+    def __init__(self, n1: int, n2: int, K: int):
+        m1, m2, mY = n1 ** K, n2 ** K, 2 ** (K + 1)
+        self.n1, self.n2, self.K = n1, n2, K
+        self.sizes = (m1, m2, mY, mY)
+        self.units = (m2 * mY * mY, mY * mY, mY, 1)
+
+    def actions_unit(self, player: int) -> int:
+        """Place value of the newest digit of ``player``'s action group."""
+        return self.units[player - 1]
+
+    def signals_unit(self, player: int) -> int:
+        """Place value of ``player``'s current signal bit."""
+        return self.units[player + 1]
+
+    def successor(self, code: int, a1: int, a2: int, b1: int, b2: int) -> int:
+        """The code one step on: each group drops its oldest digit and takes
+        the new one (actions a1, a2, signal bits b1, b2) as its newest."""
+        m1, m2, mY, _ = self.sizes
+        u1, u2, uY, _ = self.units
+        return ((code // u1 * self.n1 % m1 + a1) * u1
+                + (code // u2 * self.n2 % m2 + a2) * u2
+                + (code // uY * 2 % mY + b1) * uY
+                + code * 2 % mY + b2)
 
 
 def encode(state, n1: int, n2: int) -> int:
@@ -148,8 +182,9 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
     """
     T, K = config.T, config.K
     n1, n2 = game.n1, game.n2
-    m1, m2, mY = n1 ** K, n2 ** K, 2 ** (K + 1)
-    mYY = mY * mY
+    layout = StateLayout(n1, n2, K)
+    m1, m2, mY, _ = layout.sizes
+    u1, u2, uY, _ = layout.units
     R1, R2 = game.R1.tolist(), game.R2.tolist()
     xs = engine_rng(config.seed).random(K + T)
     weight1, weight2 = alg1.report_weight, alg2.report_weight
@@ -165,7 +200,7 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
         Y1 = 2 * Y1 + (x < w1)
         Y2 = 2 * Y2 + (x < w2)
     A1 = A2 = 0
-    high = 0  # the action digits of the code, (A1 * m2 + A2) * mY * mY
+    high = 0  # the action digits of the code, A1 * u1 + A2 * u2
 
     t_col = np.arange(1, T + 1, dtype=np.int64)
     a1_col, a2_col, y1_col, y2_col = (np.empty(T, dtype=np.int64) for _ in range(4))
@@ -182,7 +217,7 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
         b2 = x < w2
         Y1 = Y1 * 2 % mY + b1
         Y2 = Y2 * 2 % mY + b2
-        state = high + Y1 * mY + Y2
+        state = high + Y1 * uY + Y2
 
         a1 = act1(state, t)
         a2 = act2(state, t)
@@ -203,7 +238,7 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
         y2_put[i] = b2
         A1 = A1 * n1 % m1 + a1
         A2 = A2 * n2 % m2 + a2
-        high = (A1 * m2 + A2) * mYY
+        high = A1 * u1 + A2 * u2
 
     return MatchTrace(t=t_col, a1=a1_col, a2=a2_col, y1=y1_col, y2=y2_col,
                       x=xs[K:], r1=game.R1[a1_col, a2_col], r2=game.R2[a1_col, a2_col],

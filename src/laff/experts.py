@@ -22,7 +22,7 @@ import numpy as np
 
 from .bargaining import (EnforceParams, JointAction, PairSolution,
                          enforceable_ebs, bully_solution, punishment_length)
-from .engine import Agent
+from .engine import Agent, StateLayout
 from .games import BimatrixGame, security_value, punishment_strategy, swap_players
 
 
@@ -184,13 +184,12 @@ class LeaderCore(Agent):
         self.steps_active = 0
         self.punish_steps = 0
         # in a state code, the seat's own signal bits are the low bits of
-        # state >> bit_shift and the opponent's actions the low base-n_opp
-        # digits of state // opp_div, the newest lowest
-        K, mY = kit.K, 2 ** (kit.K + 1)
-        if kit.player == 1:
-            self._bit_shift, self._opp_div = K + 1, mY * mY
-        else:
-            self._bit_shift, self._opp_div = 0, mY * mY * kit.n_own ** K
+        # state // bit_unit and the opponent's actions the low base-n_opp
+        # digits of state // opp_unit, the newest lowest
+        n = (kit.n_own, kit.n_opp) if kit.player == 1 else (kit.n_opp, kit.n_own)
+        layout = StateLayout(*n, kit.K)
+        self._bit_unit = layout.signals_unit(kit.player)
+        self._opp_unit = layout.actions_unit(3 - kit.player)
         if self.map is not None:
             # indexed by the own signal bit: the own half of that bit's cell
             # (the target) and the opponent's half (its expected action)
@@ -206,8 +205,8 @@ class LeaderCore(Agent):
     def _deviated(self, state: int) -> bool:
         """Whether the opponent left the expected cell in the last Kp steps,
         each step judged by the own signal bit of that step (Kp <= K)."""
-        bits = state >> self._bit_shift
-        opp_actions = state // self._opp_div
+        bits = state // self._bit_unit
+        opp_actions = state // self._opp_unit
         n_opp = self.kit.n_opp
         for _ in range(self.map.Kp):
             bits >>= 1
@@ -220,7 +219,7 @@ class LeaderCore(Agent):
         if self.map is None:
             self.steps_active += 1
             return _sample(self.kit.maximin, self.rng)
-        action = self.target[(state >> self._bit_shift) & 1]
+        action = self.target[state // self._bit_unit & 1]
         if self.steps_active >= self.map.Kp and self._deviated(state):
             if self.punish_prob >= 1.0 or self.rng.random() < self.punish_prob:
                 action = _sample(self.kit.punish, self.rng)
@@ -232,7 +231,7 @@ class LeaderCore(Agent):
         """Stationary action law at a state (the post-amnesty Markov policy)."""
         if self.map is None:
             return self.kit.maximin.copy()
-        point = self._points[self.target[(state >> self._bit_shift) & 1]]
+        point = self._points[self.target[state // self._bit_unit & 1]]
         if self._deviated(state):
             return self.punish_prob * self.kit.punish + (1 - self.punish_prob) * point
         return point.copy()

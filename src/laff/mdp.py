@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import decode, encode
+from .engine import StateLayout, decode, encode
 
 _SPAN_TOL = 1e-8
 _MAX_SWEEPS = 10 ** 6
@@ -83,7 +83,7 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
     sig = [(bits, p) for bits, p in probs.items() if p > 0]
     A = n1 = game.n1
     n2 = game.n2
-    m1, m2, mY = n1 ** K, n2 ** K, 2 ** (K + 1)
+    successor = StateLayout(n1, n2, K).successor
 
     # engine start: action histories all zero, signal bits drawn independently
     start = {}
@@ -105,18 +105,12 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
                              f"{decode(s, n1, n2, K)}")
         out = []
         explored[s] = (pi2, out)
-        actions, bits = divmod(s, mY * mY)
-        A1, A2 = divmod(actions, m2)
-        Y1, Y2 = divmod(bits, mY)
-        y1h, y2h = Y1 * 2 % mY, Y2 * 2 % mY  # shifted, the new bit still 0
         for a in range(A):
-            a1h = A1 * n1 % m1 + a
             for b, pb in enumerate(pi2):
                 if pb <= 0:
                     continue
-                high = (a1h * m2 + A2 * n2 % m2 + b) * mY
                 for (b1, b2), ps in sig:
-                    nxt = (high + y1h + b1) * mY + y2h + b2
+                    nxt = successor(s, a, b, b1, b2)
                     out.append((a, nxt, pb * ps))
                     if nxt not in seen:
                         seen.add(nxt)

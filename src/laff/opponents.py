@@ -81,43 +81,23 @@ class FictitiousPlayAgent(Agent):
 
     State-independent; starts from a uniform prior and breaks ties toward
     the lowest action index.  Deterministic given the opponent's sequence.
-    The row values are summed in Python floats.  When the best two lie
-    within rounding distance of each other, numpy's ``argmax(M @ phat)``
-    decides, so near-ties break exactly as the matrix product rounds them.
     """
 
     def __init__(self, game: BimatrixGame, player: int):
         # own x opponent payoff matrix
         self.M = game.R1 if player == 1 else game.R2.T
-        self.rows = self.M.tolist()
-        # rounding moves a row value by at most ~n_opp * 1.1e-16 * max|M|, so
-        # a wider gap between the best two rows holds in any summation order
-        self.tie_gap = 1e-12 * float(np.abs(self.M).max())
-        self.counts = [0] * self.M.shape[1]
-        self.total = 0
+        self.counts = np.zeros(self.M.shape[1])
 
     def act(self, state, t):
-        if self.total:
-            phat = [c / self.total for c in self.counts]
+        total = self.counts.sum()
+        if total > 0:
+            phat = self.counts / total
         else:
-            phat = [1.0 / len(self.counts)] * len(self.counts)
-        best = second = -math.inf
-        action = 0
-        for i, row in enumerate(self.rows):
-            v = 0.0
-            for m, p in zip(row, phat):
-                v += m * p
-            if v > best:
-                best, second, action = v, best, i
-            elif v > second:
-                second = v
-        if best - second > self.tie_gap:
-            return action
-        return int(np.argmax(self.M @ np.array(phat)))
+            phat = np.full(self.M.shape[1], 1.0 / self.M.shape[1])
+        return int(np.argmax(self.M @ phat))
 
     def observe(self, t, opp_action, r_own, r_opp):
         self.counts[opp_action] += 1
-        self.total += 1
 
 
 class ManipulatorAgent(Agent):

@@ -6,41 +6,40 @@ from hypothesis import given, settings, strategies as st
 
 from laff import (BimatrixGame, MatchConfig, build_agent, builtin_game, decode,
                   encode, play_match, run_match, state_space_size)
-from laff.engine import Agent, FixedActionAgent, engine_rng
+from laff.engine import Agent, FixedActionAgent, StateLayout, engine_rng
 
 SIZES = st.integers(1, 3)
 
 
-@st.composite
-def _state(draw, n1, n2, K):
-    """The digit tuples (a1, a2, y1, y2) of a memory-K state."""
-    def digits(base, length):
-        return tuple(draw(st.lists(st.integers(0, base - 1),
-                                   min_size=length, max_size=length)))
-    return digits(n1, K), digits(n2, K), digits(2, K + 1), digits(2, K + 1)
+def _all_states(n1, n2, K):
+    """Every memory-K state as digit tuples (a1, a2, y1, y2), in tuple order."""
+    return list(itertools.product(itertools.product(range(n1), repeat=K),
+                                  itertools.product(range(n2), repeat=K),
+                                  itertools.product((0, 1), repeat=K + 1),
+                                  itertools.product((0, 1), repeat=K + 1)))
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.data(), SIZES, SIZES, SIZES)
-def test_state_code_round_trip_and_order(data, n1, n2, K):
-    s, u = data.draw(_state(n1, n2, K)), data.draw(_state(n1, n2, K))
-    g = BimatrixGame("sizes", np.zeros((n1, n2)), np.zeros((n1, n2)))
-    code = encode(s, n1, n2)
-    assert decode(code, n1, n2, K) == s
-    assert 0 <= code < state_space_size(g, K)
-    # numeric order is the order of the digit tuples
-    assert (code < encode(u, n1, n2)) == (s < u)
-    assert (code == encode(u, n1, n2)) == (s == u)
-
-
-def test_state_codes_cover_the_state_space():
-    # every code below the state-space size decodes to a distinct state
-    for n1, n2, K in itertools.product((1, 2, 3), (1, 2, 3), (1, 2)):
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_state_codes_number_the_states_in_tuple_order(K):
+    # codes are 0 .. S-1 in the order of the digit tuples, and decode inverts
+    for n1, n2 in itertools.product((1, 2, 3), (1, 2, 3)):
         g = BimatrixGame("sizes", np.zeros((n1, n2)), np.zeros((n1, n2)))
-        S = state_space_size(g, K)
-        states = [decode(c, n1, n2, K) for c in range(S)]
-        assert states == sorted(set(states))
-        assert [encode(s, n1, n2) for s in states] == list(range(S))
+        states = _all_states(n1, n2, K)
+        assert len(states) == state_space_size(g, K)
+        assert [encode(s, n1, n2) for s in states] == list(range(len(states)))
+        assert [decode(c, n1, n2, K) for c in range(len(states))] == states
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_layout_successor_shifts_each_digit_group(K):
+    layout = StateLayout(3, 2, K)
+    for code, (a1h, a2h, y1h, y2h) in enumerate(_all_states(3, 2, K)):
+        a1, a2, b1, b2 = code % 3, code // 3 % 2, code // 6 % 2, code // 12 % 2
+        shifted = (a1h[1:] + (a1,), a2h[1:] + (a2,), y1h[1:] + (b1,), y2h[1:] + (b2,))
+        assert layout.successor(code, a1, a2, b1, b2) == encode(shifted, 3, 2)
+    # each group's newest digit sits at its unit
+    for g, (a1, a2, b1, b2) in enumerate(np.eye(4, dtype=int).tolist()):
+        assert layout.successor(0, a1, a2, b1, b2) == layout.units[g]
 
 
 def test_draw_signals():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from laff import (BimatrixGame, EnforceParams, MatchConfig, builtin_game, encode,
+from laff import (EnforceParams, MatchConfig, builtin_game, encode,
                   enforceable_ebs, play_match, run_match)
 from laff.engine import FixedActionAgent
 from laff.opponents import (AGENT_NAMES, EpsGreedyQAgent,
@@ -87,6 +86,8 @@ def test_fictitious_play_best_responds():
 
 
 def test_fictitious_play_tiebreak_and_determinism():
+    from laff import BimatrixGame
+
     flat = BimatrixGame("flat", [[0.5, 0.5], [0.5, 0.5]],
                         [[0.5, 0.5], [0.5, 0.5]])
     fp = FictitiousPlayAgent(flat, 2)
@@ -127,45 +128,6 @@ def test_manipulator_punished_by_laff():
         tr = play_match(g, "laff", "manipulator", MatchConfig(T=200000, seed=seed))
         means.append(tr.r2.mean())
     assert all(m < mu_e2 for m in means)
-
-
-# a few payoffs with inexact products, so exact and near ties are common
-_PAYOFFS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0 / 3.0])
-
-
-def _check_fictitious_play(M, counts, player):
-    """FictitiousPlayAgent's action equals numpy's argmax over its own rows."""
-    M = np.array(M)
-    zeros = np.zeros_like(M)
-    g = BimatrixGame("g", M, zeros) if player == 1 else BimatrixGame("g", zeros.T, M.T)
-    fp = FictitiousPlayAgent(g, player)
-    for b, c in enumerate(counts):
-        for _ in range(c):
-            fp.observe(1, b, 0.0, 0.0)
-    total = sum(counts)
-    phat = np.array(counts) / total if total else np.full(len(counts), 1.0 / len(counts))
-    own = g.R1 if player == 1 else g.R2.T
-    assert fp.act(None, 1) == int(np.argmax(own @ phat))
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 2]), st.data())
-def test_fictitious_play_best_response_equals_numpy_argmax(n_own, n_opp, player, data):
-    M = [data.draw(st.lists(_PAYOFFS, min_size=n_opp, max_size=n_opp))
-         for _ in range(n_own)]
-    counts = data.draw(st.lists(st.integers(0, 30), min_size=n_opp, max_size=n_opp))
-    _check_fictitious_play(M, counts, player)
-
-
-@pytest.mark.parametrize("player", [1, 2])
-@pytest.mark.parametrize("M, counts", [
-    ([[0.1, 0.1, 1 / 3], [1 / 3, 0.1, 0.1]], [23, 4, 23]),
-    ([[0.1, 0.1, 0.3], [0.0, 0.1, 0.2], [0.0, 0.1, 1 / 3]], [5, 15, 15]),
-])
-def test_fictitious_play_near_ties_break_as_numpy_rounds(M, counts, player):
-    # rows equal in exact arithmetic: summed left to right in Python floats
-    # they would tie-break differently from numpy's matrix product
-    _check_fictitious_play(M, counts, player)
 
 
 def test_all_agents_honor_contract():
