@@ -130,7 +130,9 @@ class LeaderKit:
         """The seat's kit, solved on the first call for this game instance.
 
         Later calls with the same player and ``ep`` return the same object,
-        so every match on one game shares the seat's LPs and pair searches.
+        so every match on one game shares the seat's pair searches.  The
+        LPs are cached per game instance and shared with the swapped view,
+        so both seats' kits solve each distinct LP matrix once.
         """
         kit = game._kits.get((player, ep))
         if kit is None:

@@ -27,7 +27,10 @@ class BimatrixGame:
     """Two reward matrices in [0, 1] over the same joint action space.
 
     R1 and R2 are read-only copies of the given matrices, also after a
-    pickle round trip (as in `round_robin`'s worker processes).
+    pickle round trip (as in `round_robin`'s worker processes).  The
+    instance caches its maximin LPs (`security_value`,
+    `punishment_strategy`), shared with its `swap_players` view, and its
+    leader kits; a pickle round trip starts both caches empty.
     """
 
     name: str
@@ -35,9 +38,11 @@ class BimatrixGame:
     R2: np.ndarray
     # LeaderKit.build's kits by (player, EnforceParams), solved once per instance
     _kits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # _maximin's results by the LP matrix's (shape, bytes), shared with swapped views
+    _lps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __reduce__(self):
-        # unpickled through __init__: read-only matrices again, no kit cache
+        # unpickled through __init__: read-only matrices again, no caches
         return type(self), (self.name, self.R1, self.R2)
 
     def __post_init__(self):
@@ -71,8 +76,13 @@ class BimatrixGame:
 
 
 def swap_players(game: BimatrixGame) -> BimatrixGame:
-    """The same game seen from player 2's chair (it becomes the row player)."""
-    return BimatrixGame(name=game.name + "~swapped", R1=game.R2.T, R2=game.R1.T)
+    """The same game seen from player 2's chair (it becomes the row player).
+
+    The view shares the game's LP cache, so either frame solves an LP once.
+    """
+    view = BimatrixGame(name=game.name + "~swapped", R1=game.R2.T, R2=game.R1.T)
+    view._lps = game._lps
+    return view
 
 
 def _maximin(M: np.ndarray):
@@ -111,6 +121,14 @@ def _maximin(M: np.ndarray):
     return value, p
 
 
+def _cached_maximin(game: BimatrixGame, M: np.ndarray):
+    """`_maximin(M)`, solved once per matrix content for the game's LP cache."""
+    key = (M.shape, M.tobytes())
+    if key not in game._lps:
+        game._lps[key] = _maximin(M)
+    return game._lps[key]
+
+
 def security_value(game: BimatrixGame, player: int):
     """Maximin value and strategy of a player's own reward matrix.
 
@@ -119,7 +137,7 @@ def security_value(game: BimatrixGame, player: int):
     """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
-    return _maximin(game.R1 if player == 1 else game.R2.T)
+    return _cached_maximin(game, game.R1 if player == 1 else game.R2.T)
 
 
 def punishment_strategy(game: BimatrixGame):
@@ -128,7 +146,7 @@ def punishment_strategy(game: BimatrixGame):
     By LP duality the value equals player 2's security value.
     Returns (value, strategy).
     """
-    v, p = _maximin(-game.R2)
+    v, p = _cached_maximin(game, -game.R2)
     return -v, p
 
 

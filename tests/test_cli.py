@@ -227,6 +227,19 @@ def test_benchmark_subcommand(capsys):
     assert doc["mu_b1"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("game, opponent, lps", [
+    ("cyclic", "bully", 4),    # both seats' kits: 2 security + 2 punishment
+    ("cyclic", "maximin", 3),  # seat 1's kit; the opponent reads its security LP
+    ("chicken", "bully", 2),   # symmetric: the seats' LPs are the same matrices
+])
+def test_benchmark_solves_each_distinct_lp_once(capsys, lp_calls, game,
+                                                opponent, lps):
+    code, _, _ = run_cli(capsys, "benchmark", "--game", game,
+                         "--opponent", opponent, "--K", "2")
+    assert code == 0
+    assert len(lp_calls) == lps
+
+
 def test_regret_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "regret", "--game", "chicken",
                            "--p1", "laff", "--p2", "qlearn",

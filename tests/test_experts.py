@@ -6,7 +6,6 @@ import pickle
 import numpy as np
 import pytest
 
-import laff.games
 from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
                   builtin_game, decode, encode, rq_bound)
 from laff.evaluation import round_robin
@@ -360,19 +359,20 @@ def test_shared_kit_is_read_only():
     assert np.array_equal(copy.maximin, kit.maximin) and copy.ebs == kit.ebs
 
 
-def test_round_robin_solves_each_seat_once(monkeypatch):
-    # a kit runs 7 LPs; every match on a game shares each seat's kit
-    real, calls = laff.games._maximin, []
-
-    def spy(M):
-        calls.append(M.shape)
-        return real(M)
-
-    monkeypatch.setattr(laff.games, "_maximin", spy)
+def test_round_robin_solves_each_seat_once(lp_calls):
+    # both seats' kits share the game's LPs: 4 distinct matrices (security
+    # values and punishment strategies of both seats), 2 on a symmetric game
     games = [load_game("chicken"), load_game("cyclic")]
     round_robin(["laff", "bully", "manipulator", "egal"], games, 2,
                 MatchConfig(T=60, seed=0))
-    assert len(calls) == 7 * len(games) * 2
+    assert len(lp_calls) == 2 + 4
+
+
+def test_maximin_opponent_reads_the_games_lps(lp_calls):
+    # one security LP per distinct seat matrix, however many maximin matches
+    games = [load_game("chicken"), load_game("cyclic"), load_game("asym_biased")]
+    round_robin(["maximin", "fixed:0"], games, 5, MatchConfig(T=20))
+    assert len(lp_calls) == 1 + 2 + 2
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

@@ -3,7 +3,10 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import laff.games
 from laff import (BimatrixGame, EnforceParams, GAME_NAMES, LeaderKit,
                   builtin_game, load_game, punishment_strategy, security_value,
                   swap_players)
@@ -142,3 +145,46 @@ def test_unpickled_game_keeps_read_only_matrices():
         assert not m.flags.writeable
     # kits stay with their process, so none arrives with writable arrays
     assert h._kits == {}
+
+
+@st.composite
+def _lp_games(draw):
+    """2x2, 3x2 and 2x3 games, entries on the quarter grid or anywhere in [0, 1]."""
+    shape = draw(st.sampled_from(((2, 2), (3, 2), (2, 3))))
+    elements = draw(st.sampled_from((st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+                                     st.floats(0.0, 1.0))))
+    return BimatrixGame("random", draw(arrays(np.float64, shape, elements=elements)),
+                        draw(arrays(np.float64, shape, elements=elements)))
+
+
+# (frame, call, the LP matrix the call solves, sign of the returned value)
+_LP_CALLS = [
+    (frame, name, call, matrix, sign)
+    for frame in ("game", "swapped")
+    for name, call, matrix, sign in (
+        ("security 1", lambda g: security_value(g, 1), lambda g: g.R1, 1.0),
+        ("security 2", lambda g: security_value(g, 2), lambda g: g.R2.T, 1.0),
+        ("punishment", punishment_strategy, lambda g: -g.R2, -1.0),
+    )
+]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_lp_games(), st.lists(st.sampled_from(range(len(_LP_CALLS))),
+                             min_size=1, max_size=12))
+# R1 and R2.T hold the same bytes in different shapes and have different values
+@example(BimatrixGame("same bytes", [[1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]]),
+         [0, 1])
+def test_lp_cache_returns_exactly_a_fresh_solve(g, order):
+    frames = {"game": g, "swapped": swap_players(g)}
+    assert frames["swapped"]._lps is g._lps
+    for i in order:
+        frame, name, call, matrix, sign = _LP_CALLS[i]
+        value, strategy = call(frames[frame])
+        want_value, want_strategy = laff.games._maximin(matrix(frames[frame]))
+        assert value.hex() == (sign * want_value).hex(), (frame, name)
+        assert strategy.tobytes() == want_strategy.tobytes(), (frame, name)
+        assert not strategy.flags.writeable, (frame, name)
+    # four distinct LPs at most: each seat's security and punishment
+    assert 1 <= len(g._lps) <= 4
+    assert pickle.loads(pickle.dumps(g))._lps == {}
