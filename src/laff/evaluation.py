@@ -105,11 +105,12 @@ def replicator_step(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     rewards ``r[i]`` (a (J, J) matrix in [0, 1]).  Shares update
     multiplicatively by (1 - mean fitness + fitness), a nonnegative factor
     for rewards in [0, 1], and are renormalized to the simplex (the raw
-    update does not preserve it exactly).
+    update does not preserve it exactly).  Stacked p (..., J) and r (..., J, J)
+    step together, each exactly as it would alone.
     """
-    f = r @ p
-    new = p * ((1.0 - f.mean()) + f)
-    return new / new.sum()
+    f = (r @ p[..., None])[..., 0]
+    new = p * ((1.0 - f.mean(axis=-1, keepdims=True)) + f)
+    return new / new.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -176,8 +177,9 @@ def _match_seed(base_seed: int, i: int, j: int, g: int, k: int) -> int:
 
 
 def _game_job(args):
-    game, kits, matches = args
-    game._kits.update(kits)  # a pickled game arrives without its kits
+    game, kits, lps, matches = args
+    game._kits.update(kits)  # a pickled game arrives without its caches
+    game._lps.update(lps)
     return [play_match(game, name_i, name_j, cfg).mean_rewards()
             for name_i, name_j, cfg in matches]
 
@@ -191,7 +193,7 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     deterministically from (config.seed, i, j, game, trial), so results do
     not depend on scheduling.  With ``jobs > 1`` each game's matches form
     one worker task, so a worker receives each game once, with the leader
-    kits solved while checking the entrants.
+    kits and LPs solved while checking the entrants.
     """
     names = list(algorithms)
     games = list(games)
@@ -209,18 +211,18 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     data = np.full((nA, nA, nG, trials, 2), np.nan)
 
     job_args, job_keys = [], []
+    sym = [game.is_symmetric() for game in games]
     for g, game in enumerate(games):
-        sym = game.is_symmetric()
         matches = []
         for i in range(nA):
             for j in range(nA):
-                if sym and j < i:
+                if sym[g] and j < i:
                     continue
                 for k in range(trials):
                     cfg = config.with_seed(_match_seed(config.seed, i, j, g, k))
                     matches.append((names[i], names[j], cfg))
                     job_keys.append((i, j, g, k))
-        job_args.append((game, game._kits, matches))
+        job_args.append((game, game._kits, game._lps, matches))
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -232,7 +234,7 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
 
     for (i, j, g, k), (m1, m2) in zip(job_keys, results):
         data[i, j, g, k] = (m1, m2)
-        if games[g].is_symmetric() and i != j:
+        if sym[g] and i != j:
             data[j, i, g, k] = (m2, m1)
     return TournamentResult(names=names, games=[g.name for g in games],
                             trials=trials, data=data)
@@ -245,21 +247,25 @@ def replicator_run(result: TournamentResult, generations: int, runs: int,
     Returns shares of shape (runs, generations + 1, J); each generation
     samples one trial per game with replacement and averages the sampled
     role-worst rewards over the games.  The rewards must lie in [0, 1].
+    The runs advance together, each drawing its trials from its own stream.
     """
     data = result.data
     if not ((data >= 0.0) & (data <= 1.0)).all():  # NaN fails as well
         raise ValueError("replicator rewards must lie in [0, 1]")
     J, G = len(result.names), len(result.games)
-    rmin = role_min_rewards(data[..., 0], data[..., 1])  # (J, J, G, trials)
-    out = np.zeros((runs, generations + 1, J))
+    # (G, trials, J, J), so one index per game gathers every run's sample
+    rmin = role_min_rewards(data[..., 0], data[..., 1]).transpose(2, 3, 0, 1).copy()
+    # one call per run draws the same integers as a scalar call per game
+    draws = np.empty((generations, runs, G), dtype=np.int64)
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
-        p = np.full(J, 1.0 / J)
-        out[run, 0] = p
-        for gen in range(1, generations + 1):
-            r = np.zeros((J, J))
-            for g in range(G):
-                r += rmin[:, :, g, int(rng.integers(result.trials))]
-            p = replicator_step(p, r / G)
-            out[run, gen] = p
+        draws[:, run] = rng.integers(result.trials, size=(generations, G))
+    out = np.empty((runs, generations + 1, J))
+    out[:, 0] = 1.0 / J
+    p, r = out[:, 0], np.empty((runs, J, J))
+    for gen in range(generations):
+        r.fill(0.0)
+        for g in range(G):
+            r += rmin[g, draws[gen, :, g]]
+        p = out[:, gen + 1] = replicator_step(p, r / G)
     return out

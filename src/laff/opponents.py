@@ -87,17 +87,16 @@ class FictitiousPlayAgent(Agent):
         # own x opponent payoff matrix
         self.M = game.R1 if player == 1 else game.R2.T
         self.counts = np.zeros(self.M.shape[1])
+        self.seen = 0  # observations so far, self.counts.sum()
+        self.prior = np.full(self.M.shape[1], 1.0 / self.M.shape[1])
 
     def act(self, state, t):
-        total = self.counts.sum()
-        if total > 0:
-            phat = self.counts / total
-        else:
-            phat = np.full(self.M.shape[1], 1.0 / self.M.shape[1])
-        return int(np.argmax(self.M @ phat))
+        phat = self.counts / self.seen if self.seen else self.prior
+        return int((self.M @ phat).argmax())
 
     def observe(self, t, opp_action, r_own, r_opp):
         self.counts[opp_action] += 1
+        self.seen += 1
 
 
 class ManipulatorAgent(Agent):

@@ -149,6 +149,39 @@ def test_replicator_run_matches_per_generation_reference(result, generations,
     assert np.all(np.abs(shares.sum(axis=2) - 1.0) < 1e-9)
 
 
+@pytest.mark.parametrize("J", range(1, 6))
+def test_replicator_step_on_a_stack_equals_each_row_alone(J):
+    rng = np.random.default_rng(J)
+    p = rng.random((40, J))
+    p /= p.sum(axis=1, keepdims=True)
+    r = rng.random((40, J, J))
+    stacked = replicator_step(p, r)
+    for row in range(40):
+        assert np.array_equal(stacked[row], replicator_step(p[row], r[row]))
+
+
+def test_replicator_run_matches_reference_at_the_benchmark_shape():
+    # the shape of the tournament pipeline's replicator: 4 entrants, 11
+    # games, 2 trials, 200 generations, 40 runs
+    data = np.random.default_rng(14).random((4, 4, 11, 2, 2))
+    shares = replicator_run(_tournament(data), 200, 40, seed=7)
+    assert np.array_equal(shares, replicator_run_reference(_tournament(data),
+                                                           200, 40, seed=7))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_one_integers_call_draws_what_scalar_calls_draw(n):
+    # replicator_run draws a run's trials with one call; the reference draws
+    # them one at a time from the same stream
+    seed = np.random.SeedSequence((3, n))
+    block = np.random.default_rng(seed).integers(n, size=(25, 11))
+    rng = np.random.default_rng(seed)
+    scalars = [int(rng.integers(n)) for _ in range(25 * 11)]
+    assert block.ravel().tolist() == scalars, (
+        f"numpy's Generator.integers({n}, size=...) no longer draws the same "
+        "integers as repeated scalar calls; replicator_run relies on it")
+
+
 @pytest.mark.parametrize("bad", [1.5, np.nan])
 def test_replicator_run_rejects_rewards_outside_unit_interval(bad):
     data = np.full((2, 2, 1, 1, 2), 0.5)

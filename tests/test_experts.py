@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+import laff.games
 from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
                   builtin_game, decode, encode, rq_bound)
 from laff.evaluation import round_robin
@@ -397,3 +398,31 @@ def test_round_robin_workers_solve_each_seat_once(monkeypatch, tmp_path):
         solved[jobs] = sorted(log.read_text().split())
     assert solved[1] == ["chicken,1", "chicken,2", "cyclic,1", "cyclic,2"]
     assert solved[2] == solved[1]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the spy reaches workers only through fork")
+def test_round_robin_workers_reuse_the_games_lps(monkeypatch, tmp_path):
+    # each game travels with its LP memo, so a maximin entrant's worker
+    # solves nothing the entrant check did not
+    log = tmp_path / "lps"
+    real = laff.games._maximin
+
+    def spy(M):
+        with open(log, "a") as f:
+            f.write("lp\n")
+        return real(M)
+
+    monkeypatch.setattr(laff.games, "_maximin", spy)
+    calls, data = {}, {}
+    for jobs in (1, 2):
+        log.write_text("")
+        # fresh games, so that each pass starts with empty caches
+        games = [load_game("chicken"), load_game("cyclic"),
+                 load_game("asym_biased")]
+        data[jobs] = round_robin(["maximin", "fixed:0"], games, 5,
+                                 MatchConfig(T=20), jobs=jobs).data
+        calls[jobs] = len(log.read_text().split())
+    assert calls[1] == 5
+    assert calls[2] == calls[1]
+    assert np.array_equal(data[2], data[1])
