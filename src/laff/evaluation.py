@@ -180,6 +180,8 @@ def _game_job(args):
     game, kits, lps, matches = args
     game._kits.update(kits)  # a pickled game arrives without its caches
     game._lps.update(lps)
+    for _, strategy in lps.values():
+        strategy.setflags(write=False)  # unpickled arrays are writable
     return [play_match(game, name_i, name_j, cfg).mean_rewards()
             for name_i, name_j, cfg in matches]
 

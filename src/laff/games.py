@@ -1,7 +1,10 @@
 """Bimatrix games, zero-sum solution kernels, and the built-in game library.
 
 Rewards are always normalized to [0, 1].  Player 1 is the row player and
-player 2 the column player; all indices are 0-based.
+player 2 the column player; all indices are 0-based.  The zero-sum kernels
+(`security_value`, `punishment_strategy`) read a pure saddle point off the
+matrix and solve an LP with HiGHS only for a matrix without one, so
+scipy.optimize is imported on the first such LP, not with this module.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 _TOL = 1e-9
 # Entrywise tolerance of `BimatrixGame.is_symmetric`.
@@ -89,34 +91,40 @@ def _maximin(M: np.ndarray):
     """max over row mixtures p of min_j (p'M)_j, with the optimal p.
 
     Pure optima are preferred (lowest index) so results are deterministic.
-    p is a read-only float array on the simplex.
+    A matrix with a pure saddle point (max of the row minima equals min of
+    the column maxima) has its best pure row optimal (von Neumann's minimax
+    theorem), so HiGHS runs, and scipy.optimize is imported, only for a
+    matrix without one.  HiGHS's optimum is kept only where it beats the
+    best pure row by more than `_TOL`.  p is a read-only float array on
+    the simplex.
     """
     M = np.asarray(M, dtype=float)
     m, n = M.shape
-    # variables (p_1..p_m, v); maximize v s.t. p'M >= v, p on the simplex
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-M.T, np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    A_eq = np.zeros((1, m + 1))
-    A_eq[0, :m] = 1.0
-    b_eq = np.array([1.0])
-    bounds = [(0.0, 1.0)] * m + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"maximin LP failed: {res.message}")
-    value = float(res.x[-1])
-
     pure_vals = M.min(axis=1)
     best_pure = int(np.argmax(pure_vals))
-    if pure_vals[best_pure] >= value - _TOL:
-        value = float(pure_vals[best_pure])
-        p = np.zeros(m)
-        p[best_pure] = 1.0
-    else:
-        p = np.clip(res.x[:m], 0.0, None)
-        p /= p.sum()
+    value = float(pure_vals[best_pure])
+    p = np.zeros(m)
+    p[best_pure] = 1.0
+    if value < M.max(axis=0).min():  # no pure saddle point
+        from scipy.optimize import linprog
+
+        # variables (p_1..p_m, v); maximize v s.t. p'M >= v, p on the simplex
+        c = np.zeros(m + 1)
+        c[-1] = -1.0
+        A_ub = np.hstack([-M.T, np.ones((n, 1))])
+        b_ub = np.zeros(n)
+        A_eq = np.zeros((1, m + 1))
+        A_eq[0, :m] = 1.0
+        b_eq = np.array([1.0])
+        bounds = [(0.0, 1.0)] * m + [(None, None)]
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs")
+        if not res.success:
+            raise RuntimeError(f"maximin LP failed: {res.message}")
+        if value < float(res.x[-1]) - _TOL:
+            value = float(res.x[-1])
+            p = np.clip(res.x[:m], 0.0, None)
+            p /= p.sum()
     p.setflags(write=False)
     return value, p
 

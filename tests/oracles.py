@@ -3,8 +3,10 @@
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 from laff import decode, encode, security_value
+from laff.games import _TOL
 from laff.mdp import InducedMdp, signal_outcome_probs
 
 
@@ -16,6 +18,40 @@ def maximin_grid(M, step=1e-3):
     vals = np.minimum.reduce([ps * M[0, j] + (1 - ps) * M[1, j]
                               for j in range(M.shape[1])])
     return float(vals.max())
+
+
+def maximin_lp(M):
+    """`games._maximin` as it was before the pure-saddle shortcut: HiGHS on
+    every matrix, its value replaced by the best pure row (lowest index)
+    when that row is within `_TOL` of it."""
+    M = np.asarray(M, dtype=float)
+    m, n = M.shape
+    # variables (p_1..p_m, v); maximize v s.t. p'M >= v, p on the simplex
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    A_ub = np.hstack([-M.T, np.ones((n, 1))])
+    b_ub = np.zeros(n)
+    A_eq = np.zeros((1, m + 1))
+    A_eq[0, :m] = 1.0
+    b_eq = np.array([1.0])
+    bounds = [(0.0, 1.0)] * m + [(None, None)]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs")
+    if not res.success:
+        raise RuntimeError(f"maximin LP failed: {res.message}")
+    value = float(res.x[-1])
+
+    pure_vals = M.min(axis=1)
+    best_pure = int(np.argmax(pure_vals))
+    if pure_vals[best_pure] >= value - _TOL:
+        value = float(pure_vals[best_pure])
+        p = np.zeros(m)
+        p[best_pure] = 1.0
+    else:
+        p = np.clip(res.x[:m], 0.0, None)
+        p /= p.sum()
+    p.setflags(write=False)
+    return value, p
 
 
 def bargaining_grid(game, K, eps, selfish, step=1e-4):

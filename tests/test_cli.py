@@ -240,6 +240,20 @@ def test_benchmark_solves_each_distinct_lp_once(capsys, lp_calls, game,
     assert len(lp_calls) == lps
 
 
+@pytest.mark.parametrize("game, lps, solves", [
+    ("chicken", 2, 0),     # every LP matrix has a pure saddle point
+    ("cyclic", 4, 2),      # player 1's security and punishment LPs mix
+    ("sym_biased", 2, 2),  # symmetric, and both of its LPs mix
+])
+def test_benchmark_runs_highs_only_without_a_saddle_point(
+        capsys, lp_calls, highs_solves, game, lps, solves):
+    code, _, _ = run_cli(capsys, "benchmark", "--game", game,
+                         "--opponent", "bully", "--K", "2")
+    assert code == 0
+    assert len(lp_calls) == lps
+    assert len(highs_solves) == solves
+
+
 def test_regret_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "regret", "--game", "chicken",
                            "--p1", "laff", "--p2", "qlearn",

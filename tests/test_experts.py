@@ -8,8 +8,8 @@ import pytest
 
 import laff.games
 from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
-                  builtin_game, decode, encode, rq_bound)
-from laff.evaluation import round_robin
+                  builtin_game, decode, encode, rq_bound, security_value)
+from laff.evaluation import _game_job, round_robin
 from laff.games import load_game
 from laff.engine import (Agent, FixedActionAgent, agent_rng, run_match,
                          state_space_size)
@@ -426,3 +426,13 @@ def test_round_robin_workers_reuse_the_games_lps(monkeypatch, tmp_path):
     assert calls[1] == 5
     assert calls[2] == calls[1]
     assert np.array_equal(data[2], data[1])
+
+
+def test_worker_lps_stay_read_only():
+    # a maximin-only entrant list builds no kit that would share the arrays
+    game = load_game("cyclic")
+    round_robin(["maximin"], [game], 1, MatchConfig(T=20))
+    copy, lps = pickle.loads(pickle.dumps((game, game._lps)))
+    _game_job((copy, {}, lps, [("maximin", "maximin", MatchConfig(T=20))]))
+    for player in (1, 2):
+        assert not security_value(copy, player)[1].flags.writeable

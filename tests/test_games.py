@@ -10,7 +10,7 @@ import laff.games
 from laff import (BimatrixGame, EnforceParams, GAME_NAMES, LeaderKit,
                   builtin_game, load_game, punishment_strategy, security_value,
                   swap_players)
-from oracles import maximin_grid
+from oracles import maximin_grid, maximin_lp
 
 
 def test_chicken_security_values():
@@ -188,3 +188,26 @@ def test_lp_cache_returns_exactly_a_fresh_solve(g, order):
     # four distinct LPs at most: each seat's security and punishment
     assert 1 <= len(g._lps) <= 4
     assert pickle.loads(pickle.dumps(g))._lps == {}
+
+
+@st.composite
+def _lp_matrices(draw):
+    """1-4 x 1-4 matrices, entries on the quarter grid or anywhere in [-1, 1]."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    quarters = st.sampled_from([k / 4 for k in range(-4, 5)])
+    elements = draw(st.sampled_from((quarters, st.floats(-1.0, 1.0))))
+    return draw(arrays(np.float64, shape, elements=elements))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_lp_matrices())
+@example(np.array([[0.0, 1.0], [0.5, 0.75]]))  # saddle in the second row
+@example(np.array([[0.0, 1.0], [0.5, 1.0], [0.5, 0.75]]))  # tie: row 1 wins
+@example(-np.zeros((2, 2)))  # the value is -0.0
+@example(builtin_game("cyclic").R1)  # no saddle: HiGHS runs
+def test_maximin_matches_the_highs_oracle_exactly(M):
+    value, strategy = laff.games._maximin(M)
+    want_value, want_strategy = maximin_lp(M)
+    assert value.hex() == want_value.hex()
+    assert strategy.tobytes() == want_strategy.tobytes()
+    assert not strategy.flags.writeable
