@@ -11,8 +11,7 @@ from .bargaining import (EnforceParams, JointAction, PairSolution,
                          bully_solution, deviation_profit, enforceable_ebs,
                          punishment_length, slack_b, xi)
 from .controller import Laff
-from .engine import (Agent, MatchConfig, MatchTrace, decode, encode, run_match,
-                     state_space_size)
+from .engine import Agent, MatchConfig, MatchTrace, run_match
 from .evaluation import (benchmark_for, exploiter_regret, play_match,
                          pure_nash, regret_curve, replicator_run,
                          replicator_step, round_robin)
@@ -28,13 +27,12 @@ __all__ = [
     "InducedMdp", "JointAction", "Laff", "LeaderKit",
     "MatchConfig", "MatchTrace", "PairSolution", "TRAINING_GAMES",
     "benchmark_for", "bounded_memory_policy", "build_agent", "builtin_game",
-    "bully_solution", "decode", "deviation_profit", "encode", "enforceable_ebs",
+    "bully_solution", "deviation_profit", "enforceable_ebs",
     "exploiter_regret", "induce_mdp", "load_game",
     "optimal_average_reward", "play_match", "punishment_length",
     "punishment_strategy", "pure_nash", "regret_curve",
     "replicator_run", "replicator_step", "round_robin", "rq_bound",
-    "run_match", "security_value", "slack_b", "state_space_size",
-    "swap_players", "xi",
+    "run_match", "security_value", "slack_b", "swap_players", "xi",
 ]
 
 __version__ = "0.1.0"

@@ -147,8 +147,6 @@ def cmd_match(args) -> int:
 def cmd_regret(args) -> int:
     _check_counts(args, seeds=1, stride=1)
     game = load_game(args.game)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = _config(args, T=args.T)
 
     if args.opp_class == "bounded_memory":
@@ -170,6 +168,8 @@ def cmd_regret(args) -> int:
     # LAFF's runs keep the older name, which perfbench and criterion 9 read
     stem = (f"regret_{game.name}_{args.p2}" if args.p1 == "laff"
             else f"regret_{game.name}_{args.p1}_vs_{args.p2}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / f"{stem}.csv"
     write_csv(out_csv, ["t", "avg_regret"], rows)
     if args.svg:

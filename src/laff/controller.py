@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .bargaining import EnforceParams, slack_b, slack_b_enforced, xi
-from .engine import Agent, MatchConfig, state_space_size
+from .engine import Agent, MatchConfig, StateLayout
 from .experts import (DELTA, FollowerExpert, LeaderCore, LeaderKit,
                       MaximinExpert, follower_trip, maximin_trip)
 from .games import BimatrixGame
@@ -39,7 +39,7 @@ class Laff(Agent):
                         self.kit.ebs.u1, self.kit.ebs.u1, self.kit.mu_s_own]
         self.H = max(1, int(math.isqrt(config.T)))
         self.subepoch = max(1, math.ceil(math.sqrt(self.H)))
-        self.S = state_space_size(game, config.K)
+        self.S = StateLayout(game.n1, game.n2, config.K).n_states
         self.q_table, self.q_counts = {}, {}   # shared by every follower
         self.follower_tripped = False
         self.expert_index = 1   # the schedule slot, 1..N_EXPERTS

@@ -5,13 +5,12 @@ bits (the current bit included), packed into one mixed-radix integer, the
 state code.  Its digits, most significant first, are player 1's last K
 actions in base n1, player 2's last K actions in base n2, player 1's K+1
 signal bits and player 2's K+1 signal bits, each oldest first.  So the
-codes of a game run over 0 .. state_space_size - 1, and their numeric
-order is the lexicographic order of the tuples (a1, a2, y1, y2);
-`encode` and `decode` convert between the two, and `StateLayout` is the
-one place that knows where each digit group sits.  One uniform draw x_t per
-step feeds both players' signal bits, y_i = 1[x_t < w_i], so equal weights
-give a shared coin.  All randomness in a match derives from the seed: the
-engine stream and one substream per agent.
+codes of a game run over 0 .. StateLayout.n_states - 1, and their numeric
+order is the lexicographic order of the tuples (a1, a2, y1, y2).
+`StateLayout` is the one place that knows where each digit group sits.  One
+uniform draw x_t per step feeds both players' signal bits, y_i = 1[x_t < w_i],
+so equal weights give a shared coin.  All randomness in a match derives from
+the seed: the engine stream and one substream per agent.
 """
 
 from __future__ import annotations
@@ -42,11 +41,6 @@ class MatchConfig:
         return replace(self, seed=int(seed))
 
 
-def state_space_size(game, K: int) -> int:
-    """Number of distinct memory-K states: (n1*n2)^K * 2^(2K+2)."""
-    return (game.n1 * game.n2) ** K * 2 ** (2 * K + 2)
-
-
 class StateLayout:
     """Where each digit group sits in the memory-K state codes of an n1 x n2 game.
 
@@ -60,6 +54,11 @@ class StateLayout:
         self.n1, self.n2, self.K = n1, n2, K
         self.sizes = (m1, m2, mY, mY)
         self.units = (m2 * mY * mY, mY * mY, mY, 1)
+
+    @property
+    def n_states(self) -> int:
+        """Number of distinct codes: (n1*n2)^K * 2^(2K+2)."""
+        return self.sizes[0] * self.units[0]
 
     def actions_unit(self, player: int) -> int:
         """Place value of the newest digit of ``player``'s action group."""
@@ -78,28 +77,6 @@ class StateLayout:
                 + (code // u2 * self.n2 % m2 + a2) * u2
                 + (code // uY * 2 % mY + b1) * uY
                 + code * 2 % mY + b2)
-
-
-def encode(state, n1: int, n2: int) -> int:
-    """The code of a state given as digit tuples (a1, a2, y1, y2), oldest first."""
-    code = 0
-    for digits, base in zip(state, (n1, n2, 2, 2)):
-        for d in digits:
-            code = code * base + d
-    return code
-
-
-def decode(code: int, n1: int, n2: int, K: int) -> tuple:
-    """The digit tuples (a1, a2, y1, y2) of a memory-K state code."""
-    parts = []
-    for base, length in ((2, K + 1), (2, K + 1), (n2, K), (n1, K)):
-        digits = []
-        for _ in range(length):
-            code, d = divmod(code, base)
-            digits.append(d)
-        parts.append(tuple(reversed(digits)))
-    y2, y1, a2, a1 = parts
-    return a1, a2, y1, y2
 
 
 def engine_rng(seed: int) -> np.random.Generator:
@@ -127,7 +104,7 @@ class Agent:
         """The action at step t in the state coded ``state``, whose digits,
         most significant first, are player 1's last K actions (base n1),
         player 2's last K actions (base n2), player 1's last K+1 signal bits
-        and player 2's, each oldest first (see `decode`)."""
+        and player 2's, each oldest first (see `StateLayout`)."""
         raise NotImplementedError
 
     def observe(self, t: int, opp_action: int, r_own: float, r_opp: float) -> None:
@@ -148,9 +125,6 @@ class MatchTrace:
     r2: np.ndarray
     expert1: Optional[np.ndarray] = None
     expert2: Optional[np.ndarray] = None
-
-    def __len__(self):
-        return len(self.t)
 
     def mean_rewards(self):
         return float(self.r1.mean()), float(self.r2.mean())

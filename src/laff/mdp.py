@@ -12,14 +12,12 @@ asym_biased against bully, ftft or egal (62 GB on asym_secondbest).
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .engine import StateLayout, decode, encode
+from .engine import StateLayout
 
 _SPAN_TOL = 1e-8
 _MAX_SWEEPS = 10 ** 6
@@ -79,30 +77,24 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
     outcomes implied by the shared draw.  Rewards are the expected stage
     rewards of the current joint action.
     """
-    probs = signal_outcome_probs(w1, w2)
-    sig = [(bits, p) for bits, p in probs.items() if p > 0]
-    A = n1 = game.n1
-    n2 = game.n2
-    successor = StateLayout(n1, n2, K).successor
+    sig = [(bits, p) for bits, p in signal_outcome_probs(w1, w2).items() if p > 0]
+    A, n2 = game.n1, game.n2
+    successor = StateLayout(A, n2, K).successor
 
-    # engine start: action histories all zero, signal bits drawn independently
-    start = {}
-    zero = (0,) * K
-    for y1h in itertools.product((0, 1), repeat=K + 1):
-        for y2h in itertools.product((0, 1), repeat=K + 1):
-            p = math.prod(probs[bits] for bits in zip(y1h, y2h))
-            if p > 0:
-                start[encode((zero, zero, y1h, y2h), n1, n2)] = p
+    # engine start: action histories all zero, K+1 signal draws shifted in
+    start = {0: 1.0}
+    for _ in range(K + 1):
+        start = {successor(s, 0, 0, b1, b2): p * ps
+                 for s, p in start.items() for (b1, b2), ps in sig}
 
     explored = {}  # reachable state -> (opponent distribution, [(a, next, prob)])
     seen = set(start)
-    frontier = list(start)
+    frontier = sorted(start)
     while frontier:
         s = frontier.pop()
         pi2 = np.asarray(opp_policy(s), dtype=float)
         if pi2.shape != (n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
-            raise ValueError(f"opponent policy is not a distribution at state "
-                             f"{decode(s, n1, n2, K)}")
+            raise ValueError(f"opponent policy is not a distribution at state code {s}")
         out = []
         explored[s] = (pi2, out)
         for a in range(A):

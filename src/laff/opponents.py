@@ -2,9 +2,10 @@
 
 Every opponent is built for a specific seat (player 1 or 2) of the global
 game and honors the engine's act/observe interface.  Bounded-memory kinds
-(bully, ftft, egal, fixed, maximin) also expose a Markov policy over states
-so benchmark values can be computed exactly.  `build_agent` is the one
-registry of kinds and their parameters; `bounded_memory_policy` reads the
+(bully, ftft, egal, fixed, maximin) also expose a Markov policy over states,
+``policy_distribution``, so benchmark values can be computed exactly.
+`build_agent` is the one registry of kinds and their parameters; the
+bounded-memory kinds are read off it, and `bounded_memory_policy` reads the
 policy off the agent it builds.
 """
 
@@ -26,10 +27,9 @@ from .games import BimatrixGame, security_value
 class LeaderOpponent(LeaderCore):
     """Standalone leader: enforces its own bargaining solution forever."""
 
-    def __init__(self, game, player, config, rng, which: str,
-                 punish_prob: float = 1.0):
+    def __init__(self, game, player, config, rng, which: str, p: float = 1.0):
         kit = LeaderKit.build(game, player, EnforceParams(config.K, config.eps))
-        super().__init__(kit, which, rng, punish_prob=punish_prob)
+        super().__init__(kit, which, rng, punish_prob=p)
 
 
 class MaximinAgent(Agent):
@@ -83,9 +83,9 @@ class FictitiousPlayAgent(Agent):
     the lowest action index.  Deterministic given the opponent's sequence.
     """
 
-    def __init__(self, game: BimatrixGame, player: int):
-        # own x opponent payoff matrix
-        self.M = game.R1 if player == 1 else game.R2.T
+    def __init__(self, game: BimatrixGame, player: int, *_):
+        # build_agent also passes the config and rng, which FP does not need
+        self.M = game.R1 if player == 1 else game.R2.T  # own x opponent payoffs
         self.counts = np.zeros(self.M.shape[1])
         self.seen = 0  # observations so far, self.counts.sum()
         self.prior = np.full(self.M.shape[1], 1.0 / self.M.shape[1])
@@ -195,15 +195,17 @@ _KINDS = {
     "laff": (Laff, {}),
     "bully": (partial(LeaderOpponent, which="bully"), {}),
     # forgiving tit-for-tat: the egalitarian leader, punishing only w.p. p
-    "ftft": (lambda game, player, config, rng, p:
-             LeaderOpponent(game, player, config, rng, "ebs", p), {"p": 0.2}),
+    "ftft": (partial(LeaderOpponent, which="ebs"), {"p": 0.2}),
     "qlearn": (EpsGreedyQAgent, {}),
-    "fp": (lambda game, player, config, rng: FictitiousPlayAgent(game, player), {}),
+    "fp": (FictitiousPlayAgent, {}),
     "manipulator": (ManipulatorAgent, {"eps_prime": 0.025, "p_switch": 0.00005}),
     "egal": (partial(LeaderOpponent, which="ebs"), {}),
     "maximin": (MaximinAgent, {}),
 }
 AGENT_NAMES = tuple(_KINDS)
+# the kinds with a Markov policy: their class has ``policy_distribution``
+BOUNDED_MEMORY = tuple(name for name, (make, _) in _KINDS.items()
+                       if hasattr(getattr(make, "func", make), "policy_distribution"))
 
 
 def _checked_params(name: str, defaults: dict, params) -> dict:
@@ -218,7 +220,9 @@ def _checked_params(name: str, defaults: dict, params) -> dict:
             raise ValueError(f"agent '{name}' has no parameter '{key}' "
                              f"(accepted: {accepted})")
         check, demand = _PARAM_RANGES[key]
-        if not isinstance(value, (int, float)) or not check(value):
+        # a JSON true/false is a bool, which Python also counts as an int
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not check(value)):
             raise ValueError(f"parameter '{key}' of agent '{name}' must {demand}, "
                              f"got {value!r}")
         out[key] = value
@@ -243,9 +247,6 @@ def build_agent(name: str, game: BimatrixGame, player: int, config: MatchConfig,
     make, defaults = _KINDS[name]
     kwargs = _checked_params(name, defaults, params)
     return make(game, player, config, agent_rng(config.seed, player), **kwargs)
-
-
-BOUNDED_MEMORY = ("bully", "ftft", "egal", "maximin")
 
 
 def bounded_memory_policy(name: str, game: BimatrixGame, config: MatchConfig):

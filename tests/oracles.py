@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from laff import decode, encode, security_value
+from laff import security_value
 from laff.games import _TOL
 from laff.mdp import InducedMdp, signal_outcome_probs
 
@@ -92,18 +92,36 @@ def _dev_profit(game, X):
     return best
 
 
+def encode(state, n1: int, n2: int) -> int:
+    """The engine code of a state given as digit tuples (a1, a2, y1, y2),
+    oldest first, worked out digit by digit: the reference for
+    `laff.engine.StateLayout`."""
+    code = 0
+    for digits, base in zip(state, (n1, n2, 2, 2)):
+        for d in digits:
+            code = code * base + d
+    return code
+
+
+def decode(code: int, n1: int, n2: int, K: int) -> tuple:
+    """The digit tuples (a1, a2, y1, y2) of a memory-K state code."""
+    parts = []
+    for base, length in ((2, K + 1), (2, K + 1), (n2, K), (n1, K)):
+        digits = []
+        for _ in range(length):
+            code, d = divmod(code, base)
+            digits.append(d)
+        parts.append(tuple(reversed(digits)))
+    y2, y1, a2, a1 = parts
+    return a1, a2, y1, y2
+
+
 def enumerate_states(game, K: int):
     """All memory-K states as digit tuples (a1, a2, y1, y2), in tuple order."""
-    acts1 = range(game.n1)
-    acts2 = range(game.n2)
-    bits = (0, 1)
-    states = []
-    for a1h in itertools.product(acts1, repeat=K):
-        for a2h in itertools.product(acts2, repeat=K):
-            for y1h in itertools.product(bits, repeat=K + 1):
-                for y2h in itertools.product(bits, repeat=K + 1):
-                    states.append((a1h, a2h, y1h, y2h))
-    return states
+    return list(itertools.product(itertools.product(range(game.n1), repeat=K),
+                                  itertools.product(range(game.n2), repeat=K),
+                                  itertools.product((0, 1), repeat=K + 1),
+                                  itertools.product((0, 1), repeat=K + 1)))
 
 
 def induce_mdp_full(game, opp_policy, w1: float, w2: float, K: int) -> InducedMdp:

@@ -10,14 +10,14 @@ import time
 import numpy as np
 
 from laff import (EnforceParams, GAME_NAMES, EVALUATION_GAMES, MatchConfig,
-                  builtin_game, bully_solution, decode, enforceable_ebs,
+                  builtin_game, bully_solution, enforceable_ebs,
                   exploiter_regret, induce_mdp, optimal_average_reward,
                   play_match, pure_nash, replicator_step, replicator_run,
                   round_robin, security_value)
 from laff.cli import main as cli_main
 from laff.evaluation import benchmark_for, role_min_rewards
 from laff.opponents import bounded_memory_policy
-from oracles import (bargaining_grid, enumerate_deterministic_gains,
+from oracles import (bargaining_grid, decode, enumerate_deterministic_gains,
                      second_half_slope)
 
 from test_evaluation import ALGS, M1, M2

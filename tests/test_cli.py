@@ -514,14 +514,41 @@ def test_tournament_rejects_bad_entrant_before_any_match(tmp_path, capsys,
     ["solve", "--game", "chicken"],
     ["match", "--game", "chicken", "--p1", "laff", "--p2", "bully", "--T", "20"],
     ["benchmark", "--game", "chicken", "--opponent", "bully", "--T", "20"],
-], ids=["solve", "match", "benchmark"])
-def test_non_finite_eps_is_rejected(capsys, argv, eps):
+    ["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
+     "adversarial", "--T", "10", "--seeds", "1"],
+], ids=["solve", "match", "benchmark", "regret"])
+def test_non_finite_eps_is_rejected(tmp_path, capsys, argv, eps):
     # nan used to fail deep in punishment_length, and inf to run or to print
     # "eps": Infinity, which is not JSON
+    out_dir = tmp_path / "out"
+    if argv[0] == "regret":
+        argv = argv + ["--out", str(out_dir)]
     code, out, err = run_cli(capsys, *argv, "--eps", eps)
     assert code == 2
     assert out == ""
     assert err == f"error: enforceability slack eps must be finite and > 0, got {eps}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["benchmark", "--opponent", "qlearn"],
+     "'qlearn' is not a bounded-memory opponent kind"),
+    (["regret", "--p2", "qlearn", "--opp-class", "bounded_memory"],
+     "'qlearn' is not a bounded-memory opponent kind"),
+    (["regret", "--p2", "martian", "--opp-class", "adversarial"],
+     "unknown agent 'martian'; choose from ('laff', 'bully', 'ftft', 'qlearn', "
+     "'fp', 'manipulator', 'egal', 'maximin') or fixed:<a>"),
+], ids=["benchmark_not_markov", "regret_not_markov", "regret_unknown"])
+def test_bad_opponent_is_rejected_before_any_output(tmp_path, capsys, argv, message):
+    # regret used to create its --out directory before it checked --p2
+    out_dir = tmp_path / "out"
+    if argv[0] == "regret":
+        argv = argv + ["--T", "10", "--seeds", "1", "--out", str(out_dir)]
+    code, out, err = run_cli(capsys, argv[0], "--game", "chicken", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_readme_command_lines_parse():

@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laff import (BimatrixGame, MatchConfig, build_agent, builtin_game, decode,
-                  encode, play_match, run_match, state_space_size)
+from laff import (BimatrixGame, MatchConfig, build_agent, builtin_game, play_match,
+                  run_match)
 from laff.engine import Agent, FixedActionAgent, StateLayout, engine_rng
+from oracles import decode, encode, enumerate_states
 
 SIZES = st.integers(1, 3)
-
-
-def _all_states(n1, n2, K):
-    """Every memory-K state as digit tuples (a1, a2, y1, y2), in tuple order."""
-    return list(itertools.product(itertools.product(range(n1), repeat=K),
-                                  itertools.product(range(n2), repeat=K),
-                                  itertools.product((0, 1), repeat=K + 1),
-                                  itertools.product((0, 1), repeat=K + 1)))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
@@ -24,8 +17,8 @@ def test_state_codes_number_the_states_in_tuple_order(K):
     # codes are 0 .. S-1 in the order of the digit tuples, and decode inverts
     for n1, n2 in itertools.product((1, 2, 3), (1, 2, 3)):
         g = BimatrixGame("sizes", np.zeros((n1, n2)), np.zeros((n1, n2)))
-        states = _all_states(n1, n2, K)
-        assert len(states) == state_space_size(g, K)
+        states = enumerate_states(g, K)
+        assert len(states) == StateLayout(n1, n2, K).n_states
         assert [encode(s, n1, n2) for s in states] == list(range(len(states)))
         assert [decode(c, n1, n2, K) for c in range(len(states))] == states
 
@@ -33,7 +26,8 @@ def test_state_codes_number_the_states_in_tuple_order(K):
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_layout_successor_shifts_each_digit_group(K):
     layout = StateLayout(3, 2, K)
-    for code, (a1h, a2h, y1h, y2h) in enumerate(_all_states(3, 2, K)):
+    g = BimatrixGame("rect", np.zeros((3, 2)), np.zeros((3, 2)))
+    for code, (a1h, a2h, y1h, y2h) in enumerate(enumerate_states(g, K)):
         a1, a2, b1, b2 = code % 3, code // 3 % 2, code // 6 % 2, code // 12 % 2
         shifted = (a1h[1:] + (a1,), a2h[1:] + (a2,), y1h[1:] + (b1,), y2h[1:] + (b2,))
         assert layout.successor(code, a1, a2, b1, b2) == encode(shifted, 3, 2)
@@ -56,9 +50,10 @@ def test_draw_signals():
 
 
 def test_state_space_size():
-    g = builtin_game("chicken")
-    assert state_space_size(g, 1) == 64
-    assert state_space_size(g, 2) == 16 * 64
+    # (n1*n2)^K * 2^(2K+2) codes
+    assert StateLayout(2, 2, 1).n_states == 64
+    assert StateLayout(2, 2, 2).n_states == 16 * 64
+    assert StateLayout(3, 2, 2).n_states == 36 * 64
 
 
 def test_fixed_vs_fixed_stationary():
@@ -122,7 +117,7 @@ def test_history_window():
     cfg = MatchConfig(T=30, K=2, seed=5)
     tr = run_match(g, spy, FixedActionAgent(1, 2, player=2), cfg)
     K = cfg.K
-    for t in range(K, len(tr)):            # state seen at step t+1 (0-based t)
+    for t in range(K, cfg.T):              # state seen at step t+1 (0-based t)
         a1, a2, y1, y2 = decode(spy.states[t], g.n1, g.n2, K)
         assert a1 == tuple(tr.a1[t - K:t])
         assert a2 == tuple(tr.a2[t - K:t])

@@ -8,14 +8,13 @@ import pytest
 
 import laff.games
 from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
-                  builtin_game, decode, encode, rq_bound, security_value)
+                  builtin_game, rq_bound, security_value)
 from laff.evaluation import _game_job, round_robin
 from laff.games import load_game
-from laff.engine import (Agent, FixedActionAgent, agent_rng, run_match,
-                         state_space_size)
+from laff.engine import Agent, FixedActionAgent, StateLayout, agent_rng, run_match
 from laff.experts import (FollowerExpert, LeaderCore, MaximinExpert, TabularQ,
                           follower_trip, maximin_trip)
-from oracles import leader_distribution
+from oracles import decode, encode, leader_distribution
 
 EP = EnforceParams(1, 0.05)
 
@@ -28,7 +27,7 @@ def _subepoch(T):
 def _follower_tripped(game, kit, trace, cfg):
     """Whether `follower_trip` fires at some subepoch boundary of a match
     that one follower played from its first step."""
-    S, sub = state_space_size(game, cfg.K), _subepoch(cfg.T)
+    S, sub = StateLayout(game.n1, game.n2, cfg.K).n_states, _subepoch(cfg.T)
     cum = np.cumsum(trace.r1)
     return any(follower_trip(kit, tau, cum[tau - 1], cfg.T, S)
                for tau in range(sub, cfg.T + 1, sub))
@@ -153,7 +152,7 @@ def _rect3x2():
 def test_leader_policy_matches_the_tuple_reference(game, K):
     # every state code, both seats, both maps; on the 3x2 game the seats'
     # radixes differ, so a seat or radix mix-up shows
-    codes = range(state_space_size(game, K))
+    codes = range(StateLayout(game.n1, game.n2, K).n_states)
     states = [decode(code, game.n1, game.n2, K) for code in codes]
     punishing = 0
     for player in (1, 2):

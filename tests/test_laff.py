@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from laff import (BimatrixGame, EnforceParams, GAME_NAMES, Laff, MatchConfig,
-                  build_agent, builtin_game, bully_solution, encode,
-                  enforceable_ebs, play_match, run_match, security_value)
+                  build_agent, builtin_game, bully_solution, enforceable_ebs,
+                  play_match, run_match, security_value)
 from laff.engine import agent_rng
 from laff.experts import FollowerExpert, LeaderCore, MaximinExpert, maximin_trip
+from oracles import encode
 
 
 def _mk(game, T=10000, seed=0):

@@ -3,13 +3,13 @@ import pytest
 
 import laff.mdp
 from laff import (GAME_NAMES, BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
-                  builtin_game, decode, encode, induce_mdp, optimal_average_reward,
+                  builtin_game, induce_mdp, optimal_average_reward,
                   security_value)
 from laff.experts import LeaderCore
 from laff.mdp import InducedMdp
 from laff.opponents import bounded_memory_policy
-from oracles import (compliant_policy, enumerate_deterministic_gains, enumerate_states,
-                     induce_mdp_full, policy_average_reward)
+from oracles import (compliant_policy, decode, encode, enumerate_deterministic_gains,
+                     enumerate_states, induce_mdp_full, policy_average_reward)
 
 RECT = BimatrixGame("rect3x2",
                     [[0.512, 0.95], [0.144, 0.949], [0.312, 0.423]],
@@ -202,3 +202,17 @@ def test_value_iteration_sweep_cap_raises(monkeypatch):
     with pytest.raises(RuntimeError, match=r"did not reach span 1e-08 within "
                                            r"3 sweeps"):
         optimal_average_reward(mdp)
+
+
+@pytest.mark.parametrize("bad", [[1 / 3] * 3, [0.6, 0.6], [1.5, -0.5]],
+                         ids=["wrong_shape", "sum_not_one", "negative"])
+def test_policy_that_is_not_a_distribution_names_the_state_code(bad):
+    uniform = np.full(2, 0.5)
+    code = induce_mdp(RECT, lambda s: uniform, w1=0.5, w2=0.3, K=1).states[-1]
+
+    def policy(s):
+        return np.array(bad) if s == code else uniform
+
+    with pytest.raises(ValueError) as err:
+        induce_mdp(RECT, policy, w1=0.5, w2=0.3, K=1)
+    assert str(err.value) == f"opponent policy is not a distribution at state code {code}"

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from laff import (EnforceParams, MatchConfig, builtin_game, encode,
-                  enforceable_ebs, play_match, run_match)
+from laff import (EnforceParams, MatchConfig, builtin_game, enforceable_ebs,
+                  play_match, run_match)
 from laff.engine import FixedActionAgent
-from laff.opponents import (AGENT_NAMES, EpsGreedyQAgent,
+from laff.opponents import (AGENT_NAMES, BOUNDED_MEMORY, EpsGreedyQAgent,
                             FictitiousPlayAgent, bounded_memory_policy,
                             build_agent)
-from oracles import enumerate_states
+from oracles import encode, enumerate_states
 
 CFG = MatchConfig(T=1000, seed=0)
 
@@ -158,6 +158,14 @@ def test_bounded_memory_policies_are_distributions():
             assert abs(d.sum() - 1.0) < 1e-9 and (d >= -1e-12).all()
 
 
+def test_bounded_memory_kinds_are_the_agents_with_a_markov_policy():
+    assert BOUNDED_MEMORY == ("bully", "ftft", "egal", "maximin")
+    g = builtin_game("chicken")
+    for name in AGENT_NAMES:
+        markov = hasattr(build_agent(name, g, 2, CFG), "policy_distribution")
+        assert markov == (name in BOUNDED_MEMORY), name
+
+
 def test_leader_weight_constancy():
     g = builtin_game("chicken")
     cfg = MatchConfig(T=100, seed=0)
@@ -179,6 +187,10 @@ def test_leader_weight_constancy():
     ("qlearn", {"p": 0.4}, "agent 'qlearn' has no parameter 'p' (accepted: none)"),
     ("bully", [0.4], "parameters of agent 'bully' must be a JSON object"),
     ("fixed:x", None, "agent 'fixed:x' needs an integer action, as in fixed:0"),
+    # JSON true/false arrive as bools, which Python would take for 1 and 0
+    ("ftft", {"p": True}, "parameter 'p' of agent 'ftft' must lie in [0, 1], got True"),
+    ("fixed:0", {"weight": False},
+     "parameter 'weight' of agent 'fixed:0' must lie in [0, 1], got False"),
 ])
 def test_build_agent_rejects_bad_params(name, params, message):
     g = builtin_game("chicken")
