@@ -1,16 +1,14 @@
 """Command-line entry point: solve | benchmark | match | regret | tournament | replicator.
 
 All floats in CSV/JSON outputs are serialized with 10 significant digits and
-every run is a pure function of its seed, so repeating a command line
-reproduces its outputs byte for byte.  LAFF_SEED serves as the seed fallback
-when --seed is not given.
+every run is a pure function of its seed (--seed, 0 by default), so
+repeating a command line reproduces its outputs byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -42,13 +40,6 @@ def write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LAFF_SEED")
-    return int(env) if env else 0
-
-
 def _check_counts(args, **minimums):
     """Reject a count flag below its minimum, before any work or output."""
     for name, low in minimums.items():
@@ -58,7 +49,7 @@ def _check_counts(args, **minimums):
 
 
 def _config(args, T: int = 1) -> MatchConfig:
-    return MatchConfig(T=T, K=args.K, eps=args.eps, seed=_seed(args))
+    return MatchConfig(T=T, K=args.K, eps=args.eps, seed=args.seed)
 
 
 def _add_common(p, with_T=True, with_game=True):
@@ -67,7 +58,7 @@ def _add_common(p, with_T=True, with_game=True):
                        help=f"built-in name ({', '.join(GAME_NAMES)}) or JSON file")
     p.add_argument("--K", type=int, default=1)
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     if with_T:
         p.add_argument("--T", type=int, default=20000)
 
@@ -105,7 +96,7 @@ def cmd_solve(args) -> int:
 
 def cmd_benchmark(args) -> int:
     game = load_game(args.game)
-    config = _config(args, T=args.T)
+    config = _config(args)
     policy, w2 = bounded_memory_policy(args.opponent, game, config)
     kit = LeaderKit.build(game, 1, EnforceParams(args.K, args.eps))
     mu_star = benchmark_for(game, "bounded_memory", config,
@@ -207,7 +198,7 @@ def cmd_replicator(args) -> int:
     _check_counts(args, generations=0, runs=1)
     result = TournamentResult.read(args.input)
     names = result.names
-    shares = replicator_run(result, args.generations, args.runs, seed=_seed(args))
+    shares = replicator_run(result, args.generations, args.runs, seed=args.seed)
     mean = shares.mean(axis=0)
     std = shares.std(axis=0)
     header = ["generation"] + [f"{n}_mean" for n in names] + \
@@ -235,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("benchmark",
                         help="benchmark values vs a bounded-memory opponent")
-    _add_common(pb)
+    _add_common(pb, with_T=False)
     pb.add_argument("--opponent", required=True,
                     help=f"one of {BOUNDED_MEMORY} or fixed:<a>")
     pb.set_defaults(fn=cmd_benchmark)
@@ -275,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--input", required=True, help="pair_game_trial.csv path")
     pp.add_argument("--generations", type=int, default=500)
     pp.add_argument("--runs", type=int, default=100)
-    pp.add_argument("--seed", type=int, default=None)
+    pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--out", default="out/population.csv")
     pp.add_argument("--svg", action="store_true")
     pp.set_defaults(fn=cmd_replicator)

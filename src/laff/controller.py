@@ -20,8 +20,8 @@ import math
 
 from .bargaining import EnforceParams, slack_b, slack_b_enforced, xi
 from .engine import Agent, MatchConfig, StateLayout
-from .experts import (DELTA, FollowerExpert, LeaderCore, LeaderKit,
-                      MaximinExpert, follower_trip, maximin_trip)
+from .experts import (DELTA, LeaderCore, LeaderKit, MaximinPolicy, TabularQ,
+                      follower_rate, follower_trip, maximin_trip)
 from .games import BimatrixGame
 
 
@@ -53,9 +53,10 @@ class Laff(Agent):
 
     def _build_expert(self, j: int):
         if j in (1, 3, 5) and not self.follower_tripped:
-            return FollowerExpert(self.kit, self.q_table, self.q_counts)
+            return TabularQ(self.kit.n_own, follower_rate, self.kit.ebs_weight,
+                            self.q_table, self.q_counts)
         if j == 6:
-            return MaximinExpert(self.kit, self.rng)
+            return MaximinPolicy(self.kit.maximin, self.rng, self.kit.ebs_weight)
         return LeaderCore(self.kit, "bully" if j == 2 else "ebs", self.rng)
 
     def report_weight(self):
@@ -85,12 +86,12 @@ class Laff(Agent):
         if self.tau > cfg.K:
             self.opp_r_tau += r_opp
         if self.tau % self.subepoch == 0:
-            if isinstance(active, FollowerExpert):
+            if isinstance(active, TabularQ):
                 # followers act only while no follower has tripped
                 tripped = self.follower_tripped = follower_trip(
                     self.kit, self.tau, self.r_tau, cfg.T, self.S)
             else:
-                tripped = (isinstance(active, MaximinExpert) and self.tau > cfg.K
+                tripped = (isinstance(active, MaximinPolicy) and self.tau > cfg.K
                            and maximin_trip(self.kit, self.tau - cfg.K,
                                             self.opp_r_tau, cfg.T))
             if tripped:

@@ -139,7 +139,11 @@ class TournamentResult:
     def read(cls, path) -> "TournamentResult":
         """Parse a pair_game_trial.csv; every cell must have exactly one row."""
         cells = {}
-        lines = Path(path).read_text().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines() or [""]
+        header = ",".join(cls.HEADER)
+        if lines[0] != header:
+            raise ValueError(f"{path}:1: expected the header {header}, "
+                             f"got {lines[0]!r}")
         for n, line in enumerate(lines[1:], start=2):
             try:
                 a1, a2, g, k, m1, m2 = line.split(",")
@@ -147,6 +151,9 @@ class TournamentResult:
             except ValueError:
                 raise ValueError(f"{path}:{n}: expected {','.join(cls.HEADER)} "
                                  f"with an integer trial, got {line!r}") from None
+            if not (a1 and a2 and g):
+                raise ValueError(f"{path}:{n}: alg1, alg2 and game must not be "
+                                 f"empty, got {line!r}")
             if k < 0 or not (0 <= m1 <= 1 and 0 <= m2 <= 1):
                 raise ValueError(f"{path}:{n}: need a trial >= 0 and m1, m2 in "
                                  f"[0, 1], got {line!r}")

@@ -1,8 +1,9 @@
 """LAFF's sub-algorithms: leader enforcement, optimistic-Q follower, maximin.
 
-The experts are plain policies.  The two exploitation tests, `follower_trip`
-and `maximin_trip`, are pure predicates that the controller applies to its
-own running sums.
+The experts are plain agents, and the zoo's leader, Q-learning and maximin
+opponents are subclasses of the same three classes.  The two exploitation
+tests, `follower_trip` and `maximin_trip`, are pure predicates that the
+controller applies to its own running sums.
 
 Leaders hold a bargaining solution, map the public signal bit to one of its
 two cells, and punish recent opponent deviations with the punishment
@@ -239,25 +240,30 @@ class LeaderCore(Agent):
         return point.copy()
 
 
-class TabularQ:
+class TabularQ(Agent):
     """Tabular Q-learning over state codes, optimistic at 1/(1 - GAMMA).
 
     A step's update waits for the state that follows it: `act` settles the
     pending step at the caller's learning rate ``schedule(n, t)``, for the
     step's visit count n (this visit included) and time t, and then defers
-    the new step.
+    the new step, whose reward `observe` records.  Greedy as is, it is
+    LAFF's follower; `opponents.EpsGreedyQAgent` adds exploration.
     """
 
     GAMMA = 0.95
     Q0 = 1.0 / (1.0 - GAMMA)
 
-    def __init__(self, n_actions: int, schedule,
+    def __init__(self, n_actions: int, schedule, weight: float = 0.0,
                  table: Optional[dict] = None, counts: Optional[dict] = None):
         self.n_actions = n_actions
         self.schedule = schedule
+        self.weight = weight
         self.table = table if table is not None else {}
         self.counts = counts if counts is not None else {}
         self._pending = None  # [state, action, reward, t] of the unsettled step
+
+    def report_weight(self) -> float:
+        return self.weight
 
     def row(self, state):
         row = self.table.get(state)
@@ -283,47 +289,34 @@ class TabularQ:
         self._pending = [state, action, 0.0, t]
         return action
 
-    def reward(self, r: float) -> None:
+    def observe(self, t, opp_action, r_own, r_opp):
         """Record the reward of the pending step."""
         if self._pending is not None:
-            self._pending[2] = r
+            self._pending[2] = r_own
 
 
-class FollowerExpert(Agent):
-    """Greedy tabular Q-learning from an optimistic start, on shared tables.
-
-    The controller runs its exploitation test, `follower_trip`.
-    """
-
-    H0 = 10
-
-    def __init__(self, kit: LeaderKit, table: dict, counts: dict):
-        self.kit = kit
-        self.q = TabularQ(kit.n_own, self.learning_rate, table=table, counts=counts)
-
-    @classmethod
-    def learning_rate(cls, n: int, t: int) -> float:
-        return (cls.H0 + 1.0) / (cls.H0 + n)
-
-    def report_weight(self):
-        return self.kit.ebs_weight
-
-    def act(self, state, t):
-        return self.q.act(state, t)
-
-    def observe(self, t, opp_action, r_own, r_opp):
-        self.q.reward(r_own)
+# Visit-count offset of the follower's learning rate.
+H0 = 10
 
 
-class MaximinExpert(Agent):
-    """Safety play; the controller runs its exploitation test, `maximin_trip`."""
+def follower_rate(n: int, t: int) -> float:
+    """The follower's learning rate at the n-th visit of a state-action pair."""
+    return (H0 + 1.0) / (H0 + n)
 
-    def __init__(self, kit: LeaderKit, rng):
-        self.kit = kit
+
+class MaximinPolicy(Agent):
+    """Plays a fixed mixed strategy, in LAFF and the zoo the maximin one."""
+
+    def __init__(self, strategy: np.ndarray, rng, weight: float = 0.0):
+        self.strategy = strategy
         self.rng = rng
+        self.weight = weight
 
-    def report_weight(self):
-        return self.kit.ebs_weight
+    def report_weight(self) -> float:
+        return self.weight
 
     def act(self, state, t):
-        return _sample(self.kit.maximin, self.rng)
+        return _sample(self.strategy, self.rng)
+
+    def policy_distribution(self, state):
+        return self.strategy.copy()

@@ -6,7 +6,9 @@ game and honors the engine's act/observe interface.  Bounded-memory kinds
 ``policy_distribution``, so benchmark values can be computed exactly.
 `build_agent` is the one registry of kinds and their parameters; the
 bounded-memory kinds are read off it, and `bounded_memory_policy` reads the
-policy off the agent it builds.
+policy off the agent it builds.  The leader, Q-learning and maximin kinds
+are seat-building subclasses of LAFF's own experts (`LeaderCore`,
+`TabularQ`, `MaximinPolicy`), and the manipulator's arms are agents too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .bargaining import EnforceParams
 from .controller import Laff
 from .engine import Agent, FixedActionAgent, MatchConfig, agent_rng
-from .experts import LeaderCore, LeaderKit, TabularQ, _sample
+from .experts import LeaderCore, LeaderKit, MaximinPolicy, TabularQ
 from .games import BimatrixGame, security_value
 
 
@@ -32,21 +34,14 @@ class LeaderOpponent(LeaderCore):
         super().__init__(kit, which, rng, punish_prob=p)
 
 
-class MaximinAgent(Agent):
+class MaximinAgent(MaximinPolicy):
     """Plays the own maximin strategy unconditionally."""
 
     def __init__(self, game, player, config, rng):
-        self.strategy = security_value(game, player)[1]
-        self.rng = rng
-
-    def act(self, state, t):
-        return _sample(self.strategy, self.rng)
-
-    def policy_distribution(self, state):
-        return self.strategy.copy()
+        super().__init__(security_value(game, player)[1], rng)
 
 
-class EpsGreedyQAgent(Agent):
+class EpsGreedyQAgent(TabularQ):
     """Epsilon-greedy tabular Q over memory-K states.
 
     Optimistic start 1/(1-gamma) with gamma = 0.95; greedy with probability
@@ -54,9 +49,9 @@ class EpsGreedyQAgent(Agent):
     """
 
     def __init__(self, game: BimatrixGame, player: int, config, rng):
+        super().__init__(game.n1 if player == 1 else game.n2,
+                         lambda visits, t: EpsGreedyQAgent.learning_rate(t))
         self.rng = rng
-        n = game.n1 if player == 1 else game.n2
-        self.q = TabularQ(n, lambda visits, t: EpsGreedyQAgent.learning_rate(t))
 
     @staticmethod
     def explore_prob(t: int) -> float:
@@ -69,11 +64,8 @@ class EpsGreedyQAgent(Agent):
     def act(self, state, t):
         action = None
         if self.rng.random() < self.explore_prob(t):
-            action = int(self.rng.integers(self.q.n_actions))
-        return self.q.act(state, t, action)
-
-    def observe(self, t, opp_action, r_own, r_opp):
-        self.q.reward(r_own)
+            action = int(self.rng.integers(self.n_actions))
+        return TabularQ.act(self, state, t, action)
 
 
 class FictitiousPlayAgent(Agent):
@@ -102,6 +94,7 @@ class FictitiousPlayAgent(Agent):
 class ManipulatorAgent(Agent):
     """Leads with its selfish solution, falls back to RL, locks the winner.
 
+    Its two arms are agents, a bully `LeaderCore` and an `EpsGreedyQAgent`.
     Phase 1 (first T/20 steps): plays its bully leader.  Afterwards, if the
     overall average reward sits below the bully value minus eps', each step
     switches to the RL arm with probability p_switch.  3T/10 steps after
@@ -114,13 +107,14 @@ class ManipulatorAgent(Agent):
     """
 
     def __init__(self, game: BimatrixGame, player: int, config, rng,
-                 eps_prime: float = 0.025, p_switch: float = 0.00005):
+                 eps_prime: float, p_switch: float):
         self.rng = rng
         self.eps_prime = float(eps_prime)
         self.p_switch = float(p_switch)
         self.kit = LeaderKit.build(game, player, EnforceParams(config.K, config.eps))
-        self.leader = LeaderCore(self.kit, "bully", rng)
-        self.rl = EpsGreedyQAgent(game, player, config, rng)
+        self.arms = {"leader": LeaderCore(self.kit, "bully", rng),
+                     "rl": EpsGreedyQAgent(game, player, config, rng)}
+        self.maximin = MaximinPolicy(self.kit.maximin, rng)
         self.window = max(1, config.T // 20)
         self.probe = max(1, 3 * config.T // 10)
         self.phase = "leader"          # leader | rl | locked
@@ -142,15 +136,13 @@ class ManipulatorAgent(Agent):
         return 0.5 * np.abs(last - prev).sum() > 0.1
 
     def report_weight(self):
-        return self.leader.report_weight() if self.arm == "leader" else 0.0
+        return self.arms[self.arm].report_weight()
 
     def act(self, state, t):
         if self.override:
             self.override_steps += 1
-            return _sample(self.kit.maximin, self.rng)
-        if self.arm == "leader":
-            return self.leader.act(state, t)
-        return self.rl.act(state, t)
+            return self.maximin.act(state, t)
+        return self.arms[self.arm].act(state, t)
 
     def observe(self, t, opp_action, r_own, r_opp):
         self.cum += r_own
@@ -158,8 +150,7 @@ class ManipulatorAgent(Agent):
         # the arm only changes below, so it is the one that acted this step
         self.arm_cum[self.arm] += r_own
         self.arm_steps[self.arm] += 1
-        if self.arm == "rl":
-            self.rl.observe(t, opp_action, r_own, r_opp)
+        self.arms[self.arm].observe(t, opp_action, r_own, r_opp)
 
         avg = self.cum / t  # the engine observes every step, so t counts them
         self.override = avg < self.kit.mu_s_own - self.eps_prime
@@ -179,7 +170,7 @@ class ManipulatorAgent(Agent):
 
     def _lock_best(self):
         avgs = {a: (self.arm_cum[a] / self.arm_steps[a]) if self.arm_steps[a] else -1.0
-                for a in ("leader", "rl")}
+                for a in self.arms}
         self.arm = "leader" if avgs["leader"] >= avgs["rl"] else "rl"
         self.phase = "locked"
 
@@ -233,8 +224,11 @@ def build_agent(name: str, game: BimatrixGame, player: int, config: MatchConfig,
                 params: Optional[dict] = None) -> Agent:
     """Construct an agent by name for one seat; 'fixed:<a>' plays action a."""
     if name.startswith("fixed:"):
+        text = name[len("fixed:"):]
         try:
-            action = int(name[len("fixed:"):])
+            action = int(text)
+            if str(action) != text:  # one spelling, so one name per agent
+                raise ValueError
         except ValueError:
             raise ValueError(f"agent '{name}' needs an integer action, "
                              f"as in fixed:0") from None

@@ -177,6 +177,14 @@ def test_removed_tuning_flags_are_usage_errors(capsys, flag):
     assert out == ""
 
 
+def test_benchmark_horizon_flag_is_gone(capsys):
+    # benchmark plays no match, so --T used to be accepted and ignored
+    code, out, _ = run_cli(capsys, "benchmark", "--game", "chicken",
+                           "--opponent", "egal", "--T", "5")
+    assert code == 2
+    assert out == ""
+
+
 def test_regret_player_flag_is_gone(tmp_path, capsys):
     # regret scores player 1 against player 1's benchmark; --player 2 used
     # to score player 2's rewards against that same benchmark
@@ -200,26 +208,22 @@ def test_runtime_error_is_one_line(capsys, monkeypatch):
     assert err == "error: multichain gain LP failed: infeasible\n"
 
 
-def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
-    outs = []
-    for mode in ("env", "flag"):
-        trace = tmp_path / f"{mode}.csv"
+def test_seed_flag_defaults_to_zero(tmp_path, capsys):
+    outs = {}
+    for name, flags in (("default", []), ("zero", ["--seed", "0"]),
+                        ("flag", ["--seed", "123"])):
+        trace = tmp_path / f"{name}.csv"
         argv = ["match", "--game", "chicken", "--p1", "qlearn",
-                "--p2", "qlearn", "--T", "500", "--trace", str(trace)]
-        if mode == "env":
-            monkeypatch.setenv("LAFF_SEED", "123")
-        else:
-            monkeypatch.delenv("LAFF_SEED", raising=False)
-            argv += ["--seed", "123"]
+                "--p2", "qlearn", "--T", "500", "--trace", str(trace), *flags]
         assert main(argv) == 0
         capsys.readouterr()
-        outs.append(trace.read_bytes())
-    assert outs[0] == outs[1]
+        outs[name] = trace.read_bytes()
+    assert outs["default"] == outs["zero"] != outs["flag"]
 
 
 def test_benchmark_subcommand(capsys):
     code, out, _ = run_cli(capsys, "benchmark", "--game", "chicken",
-                           "--opponent", "ftft", "--T", "20000")
+                           "--opponent", "ftft")
     assert code == 0
     doc = json.loads(out)
     assert doc["mu_star"] == pytest.approx(0.625, abs=1e-6)
@@ -385,12 +389,24 @@ def _pair_csv_lines(tmp_path, capsys):
                      "'fixed:0,fixed:0,chicken,0,1.5,0.5'"),
     ("duplicate_row", "{csv}:3: a second row for fixed:0 vs fixed:0 on chicken, "
                       "trial 0"),
+    # line 1 used to be skipped unread: without it the first data row was
+    # lost, and any other header was accepted
+    ("no_header", "{csv}:1: expected the header alg1,alg2,game,trial,m1,m2, "
+                  "got '{row}'"),
+    ("wrong_header", "{csv}:1: expected the header alg1,alg2,game,trial,m1,m2, "
+                     "got 'x,y,z,w,u,v'"),
+    ("empty_alg", "{csv}:2: alg1, alg2 and game must not be empty, got "
+                  "',fixed:0,chicken,0,0.5,0.5'"),
+    ("empty_game", "{csv}:2: alg1, alg2 and game must not be empty, got "
+                   "'fixed:0,fixed:0,,0,0.5,0.5'"),
 ], ids=["negative_trial", "missing_row", "nan_reward", "huge_trial", "bad_trial",
-        "out_of_range", "duplicate_row"])
+        "out_of_range", "duplicate_row", "no_header", "wrong_header", "empty_alg",
+        "empty_game"])
 def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
     lines = _pair_csv_lines(tmp_path, capsys)
     assert lines[1].startswith("fixed:0,fixed:0,chicken,0,")
-    first = lines[1].split(",")
+    row = lines[1]
+    first = row.split(",")
     if damage == "negative_trial":
         lines[1] = ",".join(first[:3] + ["-1"] + first[4:])
     elif damage == "missing_row":
@@ -405,6 +421,14 @@ def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
     elif damage == "huge_trial":
         # would need terabytes if the cell array were allocated first
         lines[1] = ",".join(first[:3] + [str(10 ** 12)] + first[4:])
+    elif damage == "no_header":
+        del lines[0]
+    elif damage == "wrong_header":
+        lines[0] = "x,y,z,w,u,v"
+    elif damage == "empty_alg":
+        lines[1] = ",fixed:0,chicken,0,0.5,0.5"
+    elif damage == "empty_game":
+        lines[1] = "fixed:0,fixed:0,,0,0.5,0.5"
     else:
         lines[1] = "fixed:0,fixed:0,chicken,x,0.5,0.5"
     csv = tmp_path / "broken.csv"
@@ -415,7 +439,7 @@ def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
                              "--out", str(pop))
     assert code == 2
     assert out == ""
-    assert err == "error: " + message.format(csv=csv) + "\n"
+    assert err == "error: " + message.format(csv=csv, row=row) + "\n"
     assert not pop.exists()
 
 
@@ -513,7 +537,7 @@ def test_tournament_rejects_bad_entrant_before_any_match(tmp_path, capsys,
 @pytest.mark.parametrize("argv", [
     ["solve", "--game", "chicken"],
     ["match", "--game", "chicken", "--p1", "laff", "--p2", "bully", "--T", "20"],
-    ["benchmark", "--game", "chicken", "--opponent", "bully", "--T", "20"],
+    ["benchmark", "--game", "chicken", "--opponent", "bully"],
     ["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
      "adversarial", "--T", "10", "--seeds", "1"],
 ], ids=["solve", "match", "benchmark", "regret"])

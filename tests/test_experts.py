@@ -12,11 +12,16 @@ from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
 from laff.evaluation import _game_job, round_robin
 from laff.games import load_game
 from laff.engine import Agent, FixedActionAgent, StateLayout, agent_rng, run_match
-from laff.experts import (FollowerExpert, LeaderCore, MaximinExpert, TabularQ,
+from laff.experts import (LeaderCore, MaximinPolicy, TabularQ, follower_rate,
                           follower_trip, maximin_trip)
 from oracles import decode, encode, leader_distribution
 
 EP = EnforceParams(1, 0.05)
+
+
+def _follower(kit, table, counts):
+    """LAFF's follower expert, as the controller builds it for a slot."""
+    return TabularQ(kit.n_own, follower_rate, kit.ebs_weight, table, counts)
 
 
 def _subepoch(T):
@@ -176,7 +181,7 @@ def test_follower_trips_against_capped_opponent():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        f = FollowerExpert(kit, {}, {})
+        f = _follower(kit, {}, {})
         tr = run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
         assert _follower_tripped(g, kit, tr, cfg), seed
 
@@ -192,7 +197,7 @@ def test_follower_survives_leader_copy():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        f = FollowerExpert(kit, {}, {})
+        f = _follower(kit, {}, {})
         tr = run_match(g, f, build_agent("egal", g, 2, cfg), cfg)
         trips += _follower_tripped(g, kit, tr, cfg)
     assert trips <= 1, f"{trips}/10 seeds tripped"
@@ -204,13 +209,13 @@ def test_follower_learns_best_response():
     cfg = MatchConfig(T=T, seed=2)
     kit = LeaderKit.build(g, 1, EP)
     counts = {}
-    f = FollowerExpert(kit, {}, counts)
+    f = _follower(kit, {}, counts)
     tr = run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
     # the greedy policy on recently visited states settles on the row
     # paying 0.25 against column 1
     dominant = {s for s, c in counts.items() if sum(c) > 300}
     assert dominant
-    assert all(f.q.table[s].index(max(f.q.table[s])) == 0 for s in dominant)
+    assert all(f.table[s].index(max(f.table[s])) == 0 for s in dominant)
     assert tr.a1[-500:].mean() < 0.15
     # the capped opponent trips the test, yet the expert keeps learning:
     # acting on the trip is the controller's job
@@ -224,7 +229,7 @@ def test_maximin_trips_when_exploited():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        m = MaximinExpert(kit, agent_rng(seed, 1))
+        m = MaximinPolicy(kit.maximin, agent_rng(seed, 1), kit.ebs_weight)
         tr = run_match(g, m, FixedActionAgent(1, 2, player=2), cfg)
         assert _maximin_tripped(kit, tr, cfg), seed
 
@@ -246,7 +251,7 @@ def test_maximin_tolerates_security_level_opponent():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        m = MaximinExpert(kit, agent_rng(seed, 1))
+        m = MaximinPolicy(kit.maximin, agent_rng(seed, 1), kit.ebs_weight)
         tr = run_match(g, m, HalfHalf(agent_rng(seed, 2)), cfg)
         assert not _maximin_tripped(kit, tr, cfg), seed
 
@@ -258,7 +263,7 @@ def test_tabular_q_basics():
     # the optimistic start ties, and a tie goes to the lowest index
     assert TabularQ(2, None).act(s, 1) == 0
     assert q.act(s, 1, action=1) == 1
-    q.reward(1.0)
+    q.observe(1, 0, 1.0, 0.0)
     # the step is settled, with its visit count and time, once s follows it
     q.act(s, 2)
     assert rates == [(1, 1)] and q.counts[s] == [0, 1]
@@ -272,11 +277,11 @@ def test_new_follower_leaves_shared_tables_alone_on_first_act():
     cfg = MatchConfig(T=300, seed=4)
     kit = LeaderKit.build(g, 1, EP)
     shared_table, shared_counts = {}, {}
-    f = FollowerExpert(kit, shared_table, shared_counts)
+    f = _follower(kit, shared_table, shared_counts)
     run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
     table = {s: list(row) for s, row in shared_table.items()}
     counts = {s: list(row) for s, row in shared_counts.items()}
-    f2 = FollowerExpert(kit, shared_table, shared_counts)
+    f2 = _follower(kit, shared_table, shared_counts)
     f2.act(next(iter(table)), 1)
     assert shared_table == table and shared_counts == counts
 
@@ -286,7 +291,7 @@ def test_q_estimates_decay_without_reward():
     cfg = MatchConfig(T=5000, seed=0)
     kit = LeaderKit.build(g, 1, EnforceParams(1, 0.05))
     table = {}
-    f = FollowerExpert(kit, table, {})
+    f = _follower(kit, table, {})
     run_match(g, f, FixedActionAgent(0, 2, player=2), cfg)
     assert max(max(row) for row in table.values()) < 10.0
 

@@ -5,7 +5,7 @@ from laff import (BimatrixGame, EnforceParams, GAME_NAMES, Laff, MatchConfig,
                   build_agent, builtin_game, bully_solution, enforceable_ebs,
                   play_match, run_match, security_value)
 from laff.engine import agent_rng
-from laff.experts import FollowerExpert, LeaderCore, MaximinExpert, maximin_trip
+from laff.experts import LeaderCore, MaximinPolicy, TabularQ, maximin_trip
 from oracles import encode
 
 
@@ -69,7 +69,7 @@ def test_tripped_expert_hands_seat_to_egalitarian_leader():
     # starved of reward, the first follower trips at its first subepoch
     # boundary; the controller swaps the leader in before the next step
     _feed(laff, [0.0] * (sub - 1))
-    assert isinstance(laff.active, FollowerExpert)
+    assert isinstance(laff.active, TabularQ)
     _feed(laff, [0.0], start=sub)
     assert laff.follower_tripped
     assert seat_is_egalitarian_leader() and laff.expert_index == 1
@@ -82,9 +82,9 @@ def test_tripped_expert_hands_seat_to_egalitarian_leader():
     # down to maximin at 13H; an opponent harvesting 1.0 trips it
     _feed(laff, [0.0] * (9 * H), start=4 * H + 1)
     assert laff.switch_times[-1] == 13 * H
-    assert laff.expert_index == 6 and isinstance(laff.active, MaximinExpert)
+    assert laff.expert_index == 6 and isinstance(laff.active, MaximinPolicy)
     t = 13 * H
-    while isinstance(laff.active, MaximinExpert) and t < 15 * H:
+    while isinstance(laff.active, MaximinPolicy) and t < 15 * H:
         t += 1
         _feed(laff, [1.0], start=t)
     assert seat_is_egalitarian_leader() and laff.expert_index == 6
@@ -115,7 +115,7 @@ def test_maximin_tripwire_skips_the_opponents_first_K_rewards():
     expected = first_trip(np.cumsum(r_opp[K:]), K)
     assert first_trip(np.cumsum(r_opp), 0) < expected  # the sums differ here
     for tau in range(1, expected + 1):
-        assert isinstance(laff.active, MaximinExpert), tau
+        assert isinstance(laff.active, MaximinPolicy), tau
         laff.act(s, t + tau)
         laff.observe(t + tau, 0, 0.0, r_opp[tau - 1])
     assert isinstance(laff.active, LeaderCore)

@@ -191,6 +191,10 @@ def test_leader_weight_constancy():
     ("ftft", {"p": True}, "parameter 'p' of agent 'ftft' must lie in [0, 1], got True"),
     ("fixed:0", {"weight": False},
      "parameter 'weight' of agent 'fixed:0' must lie in [0, 1], got False"),
+    # int() accepts other spellings of an action, which would give one agent
+    # several names in a tournament
+    *[(f"fixed:{a}", None, f"agent 'fixed:{a}' needs an integer action, as in fixed:0")
+      for a in (" 1", "+1", "01", "1_0", "1 ", "")],
 ])
 def test_build_agent_rejects_bad_params(name, params, message):
     g = builtin_game("chicken")

@@ -13,7 +13,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
 
-from laff import MatchConfig, builtin_game  # noqa: E402
+from laff import MatchConfig, builtin_game, play_match  # noqa: E402
+from laff.experts import MaximinPolicy, TabularQ  # noqa: E402
 from laff.opponents import AGENT_NAMES, build_agent  # noqa: E402
 
 
@@ -33,3 +34,27 @@ def test_agent_classes_resolve_and_are_built():
         for meth in tracer.AGENT_METHODS:
             assert callable(getattr(cls, meth, None)), f"{cls.__name__}.{meth}"
         assert cls in built, f"build_agent never returns {cls.__name__}"
+
+
+def test_laffs_own_experts_stay_out_of_the_opponent_metrics():
+    # LAFF's follower and maximin experts are the base classes of the zoo's
+    # qlearn and maximin agents; the tracer wraps the subclasses only
+    bases = (TabularQ, MaximinPolicy)
+    own = {(cls, m): getattr(cls, m) for cls in bases for m in tracer.AGENT_METHODS}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for (cls, meth), fn in own.items():
+            assert getattr(cls, meth) is fn, f"{cls.__name__}.{meth}"
+        t.reset()
+        trace = play_match(builtin_game("chicken"), "laff", "fixed:1",
+                           MatchConfig(T=2000, seed=0))
+        calls = t.counts()["agent_calls"]
+    finally:
+        t.uninstall()
+    # the match ran LAFF's first follower slot and its maximin slot
+    assert {1, 6} <= set(trace.expert1.tolist())
+    assert calls["Laff.act"] == 2000
+    for cls in ("EpsGreedyQAgent", "MaximinAgent"):
+        for meth in tracer.AGENT_METHODS:
+            assert calls[f"{cls}.{meth}"] == 0, f"{cls}.{meth}"
