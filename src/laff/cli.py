@@ -52,13 +52,14 @@ def _config(args, T: int = 1) -> MatchConfig:
     return MatchConfig(T=T, K=args.K, eps=args.eps, seed=args.seed)
 
 
-def _add_common(p, with_T=True, with_game=True):
+def _add_common(p, with_T=True, with_game=True, with_seed=True):
     if with_game:
         p.add_argument("--game", required=True,
                        help=f"built-in name ({', '.join(GAME_NAMES)}) or JSON file")
     p.add_argument("--K", type=int, default=1)
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    if with_seed:
+        p.add_argument("--seed", type=int, default=0)
     if with_T:
         p.add_argument("--T", type=int, default=20000)
 
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="security values, EBS and bully solutions")
-    _add_common(ps, with_T=False)
+    _add_common(ps, with_T=False, with_seed=False)  # solving draws nothing
     ps.set_defaults(fn=cmd_solve)
 
     pb = sub.add_parser("benchmark",

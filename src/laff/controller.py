@@ -49,7 +49,7 @@ class Laff(Agent):
         self.r_tau = 0.0
         self.opp_r_tau = 0.0
         self.switch_times: list = []
-        self.active = self._build_expert(self.expert_index)
+        self._activate(self._build_expert(self.expert_index))
 
     def _build_expert(self, j: int):
         if j in (1, 3, 5) and not self.follower_tripped:
@@ -59,11 +59,14 @@ class Laff(Agent):
             return MaximinPolicy(self.kit.maximin, self.rng, self.kit.ebs_weight)
         return LeaderCore(self.kit, "bully" if j == 2 else "ebs", self.rng)
 
-    def report_weight(self):
-        return self.active.report_weight()
+    def _activate(self, expert: Agent):
+        """Hand the seat to ``expert``, whose weight is fixed while it acts."""
+        self.active = expert
+        self._act = expert.act
+        self.weight = expert.report_weight()
 
     def act(self, state, t):
-        return self.active.act(state, t)
+        return self._act(state, t)
 
     def _slack(self) -> float:
         cfg = self.config
@@ -81,26 +84,26 @@ class Laff(Agent):
     def observe(self, t, opp_action, r_own, r_opp):
         cfg, active = self.config, self.active
         active.observe(t, opp_action, r_own, r_opp)
-        self.tau += 1
+        tau = self.tau = self.tau + 1
         self.r_tau += r_own
-        if self.tau > cfg.K:
+        if tau > cfg.K:
             self.opp_r_tau += r_opp
-        if self.tau % self.subepoch == 0:
+        if tau % self.subepoch == 0:
             if isinstance(active, TabularQ):
                 # followers act only while no follower has tripped
                 tripped = self.follower_tripped = follower_trip(
-                    self.kit, self.tau, self.r_tau, cfg.T, self.S)
+                    self.kit, tau, self.r_tau, cfg.T, self.S)
             else:
-                tripped = (isinstance(active, MaximinPolicy) and self.tau > cfg.K
-                           and maximin_trip(self.kit, self.tau - cfg.K,
+                tripped = (isinstance(active, MaximinPolicy) and tau > cfg.K
+                           and maximin_trip(self.kit, tau - cfg.K,
                                             self.opp_r_tau, cfg.T))
             if tripped:
-                self.active = LeaderCore(self.kit, "ebs", self.rng)
-        if self.expert_index < self.N_EXPERTS and self.tau % self.H == 0:
-            if self.r_tau / self.tau < self.targets[self.expert_index - 1] - self._slack():
+                self._activate(LeaderCore(self.kit, "ebs", self.rng))
+        if tau % self.H == 0 and self.expert_index < self.N_EXPERTS:
+            if self.r_tau / tau < self.targets[self.expert_index - 1] - self._slack():
                 self.expert_index += 1
                 self.switch_times.append(t)
                 self.tau = 0
                 self.r_tau = 0.0
                 self.opp_r_tau = 0.0
-                self.active = self._build_expert(self.expert_index)
+                self._activate(self._build_expert(self.expert_index))

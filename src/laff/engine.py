@@ -10,7 +10,9 @@ order is the lexicographic order of the tuples (a1, a2, y1, y2).
 `StateLayout` is the one place that knows where each digit group sits.  One
 uniform draw x_t per step feeds both players' signal bits, y_i = 1[x_t < w_i],
 so equal weights give a shared coin.  All randomness in a match derives from
-the seed: the engine stream and one substream per agent.
+the seed: the engine stream and one substream per agent.  An agent's stream
+(`AgentStream`) is read in blocks and yields the numbers numpy's
+``Generator`` would yield to the same calls; `integers` rewinds it first.
 """
 
 from __future__ import annotations
@@ -83,9 +85,42 @@ def engine_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
-def agent_rng(seed: int, player: int) -> np.random.Generator:
+class AgentStream:
+    """An agent's numpy ``Generator``, read in blocks: the same numbers, fewer calls.
+
+    `random()` serves doubles from a block of ``block`` drawn at once, the
+    first on the first draw; they are the doubles that as many scalar calls
+    would give.  `integers` first rewinds the generator to its state before
+    the block and redraws the doubles used, which also restores the 32-bit
+    half it may hold from an earlier `integers`.
+    """
+
+    __slots__ = ("gen", "block", "_doubles", "_saved")
+
+    def __init__(self, gen: np.random.Generator, block: int = 256):
+        self.gen, self.block = gen, block
+        self._doubles, self._saved = iter(()), None
+
+    def random(self) -> float:
+        try:
+            return next(self._doubles)
+        except StopIteration:
+            self._saved = self.gen.bit_generator.state
+            self._doubles = iter(self.gen.random(self.block).tolist())
+            return next(self._doubles)
+
+    def integers(self, high: int):
+        if self._saved is not None:
+            self.gen.bit_generator.state = self._saved
+            self.gen.random(self.block - self._doubles.__length_hint__())
+            self._doubles, self._saved = iter(()), None
+        return self.gen.integers(high)
+
+
+def agent_rng(seed: int, player: int) -> AgentStream:
     """Per-agent substream, independent of the engine draw order."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(player,)))
+    return AgentStream(np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(player,))))
 
 
 class Agent:
@@ -97,8 +132,10 @@ class Agent:
     action and the two rewards, its own first.
     """
 
+    weight = 0.0  # the signal weight, fixed unless report_weight is overridden
+
     def report_weight(self) -> float:
-        return 0.0
+        return self.weight
 
     def act(self, state: int, t: int) -> int:
         """The action at step t in the state coded ``state``, whose digits,
@@ -241,11 +278,8 @@ class FixedActionAgent(Agent):
             raise ValueError(f"fixed:{action} is not an action of player {player}; "
                              f"choose 0..{n_actions - 1}")
         self.action = int(action)
-        self._w = float(weight)
+        self.weight = float(weight)
         self._point = np.eye(n_actions)[self.action]
-
-    def report_weight(self):
-        return self._w
 
     def act(self, state, t):
         return self.action

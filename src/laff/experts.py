@@ -16,7 +16,7 @@ the reported weight is that cell's mixture weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -120,6 +120,8 @@ class LeaderKit:
     bully: PairSolution
     ebs_map: Optional[SolutionMap]
     bully_map: Optional[SolutionMap]
+    # plays(which)'s tables, each made on the first call
+    _plays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __setstate__(self, state):
         for arr in (state["maximin"], state["punish"]):
@@ -163,6 +165,28 @@ class LeaderKit:
     def solution_map(self, which: str) -> Optional[SolutionMap]:
         return self.ebs_map if which == "ebs" else self.bully_map
 
+    def plays(self, which: str) -> list:
+        """The ``which`` leader's target action at every state code, or ``~a``
+        where the opponent left the expected cell in the last Kp steps; each
+        step's own signal bit picks its cell.  Made on the first call."""
+        table = self._plays.get(which)
+        if table is None:
+            m, own = self.solution_map(which), self.player - 1
+            target, expected = (np.array([m.cell0[i], m.cell1[i]]) for i in (own, 1 - own))
+            n = (self.n_own, self.n_opp) if own == 0 else (self.n_opp, self.n_own)
+            layout = StateLayout(*n, self.K)
+            codes = np.arange(layout.n_states)
+            # the own signal bits and the opponent's actions, newest lowest
+            bits = codes // layout.signals_unit(self.player)
+            opp_actions = codes // layout.actions_unit(2 - own)
+            play, deviated = target[bits & 1], np.zeros(codes.size, dtype=bool)
+            for _ in range(m.Kp):
+                bits >>= 1
+                opp_actions, last = np.divmod(opp_actions, self.n_opp)
+                deviated |= last != expected[bits & 1]
+            table = self._plays[which] = np.where(deviated, ~play, play).tolist()
+        return table
+
 
 class LeaderCore(Agent):
     """Stationary enforcement of one solution map (the leader behavior).
@@ -174,9 +198,10 @@ class LeaderCore(Agent):
     activation the target action is played unconditionally, so an opponent
     is never punished for play that predates the enforcement.  Afterwards,
     any opponent deviation within the last Kp steps triggers the punishment
-    strategy (with probability ``punish_prob``, 1 by default).  With no
-    enforceable solution the core degrades to the maximin strategy.  It is
-    LAFF's leader expert as is; `opponents.LeaderOpponent` builds its own kit.
+    strategy (with probability ``punish_prob``, 1 by default), as the kit's
+    play table says.  With no enforceable solution a `MaximinPolicy` plays.
+    It is LAFF's leader expert as is; `opponents.LeaderOpponent` builds its
+    own kit.
     """
 
     def __init__(self, kit: LeaderKit, which: str, rng, punish_prob: float = 1.0):
@@ -186,66 +211,43 @@ class LeaderCore(Agent):
         self.punish_prob = float(punish_prob)
         self.steps_active = 0
         self.punish_steps = 0
-        # in a state code, the seat's own signal bits are the low bits of
-        # state // bit_unit and the opponent's actions the low base-n_opp
-        # digits of state // opp_unit, the newest lowest
-        n = (kit.n_own, kit.n_opp) if kit.player == 1 else (kit.n_opp, kit.n_own)
-        layout = StateLayout(*n, kit.K)
-        self._bit_unit = layout.signals_unit(kit.player)
-        self._opp_unit = layout.actions_unit(3 - kit.player)
-        if self.map is not None:
-            # indexed by the own signal bit: the own half of that bit's cell
-            # (the target) and the opponent's half (its expected action)
-            own, opp = (0, 1) if kit.player == 1 else (1, 0)
-            cells = (self.map.cell0, self.map.cell1)
-            self.target = tuple(cell[own] for cell in cells)
-            self.expected = tuple(cell[opp] for cell in cells)
+        if self.map is None:
+            self.maximin = MaximinPolicy(kit.maximin, rng)
+        else:
+            self.weight = self.map.weight
+            self.plays = kit.plays(which)
             self._points = np.eye(kit.n_own)
 
-    def report_weight(self) -> float:
-        return self.map.weight if self.map is not None else 0.0
-
-    def _deviated(self, state: int) -> bool:
-        """Whether the opponent left the expected cell in the last Kp steps,
-        each step judged by the own signal bit of that step (Kp <= K)."""
-        bits = state // self._bit_unit
-        opp_actions = state // self._opp_unit
-        n_opp = self.kit.n_opp
-        for _ in range(self.map.Kp):
-            bits >>= 1
-            opp_actions, last = divmod(opp_actions, n_opp)
-            if last != self.expected[bits & 1]:
-                return True
-        return False
-
     def act(self, state: int, t: int) -> int:
-        if self.map is None:
-            self.steps_active += 1
-            return _sample(self.kit.maximin, self.rng)
-        action = self.target[state // self._bit_unit & 1]
-        if self.steps_active >= self.map.Kp and self._deviated(state):
-            if self.punish_prob >= 1.0 or self.rng.random() < self.punish_prob:
-                action = _sample(self.kit.punish, self.rng)
-                self.punish_steps += 1
         self.steps_active += 1
+        if self.map is None:
+            return self.maximin.act(state, t)
+        action = self.plays[state]
+        if action < 0:  # the opponent deviated
+            action = ~action
+            if self.steps_active > self.map.Kp and (
+                    self.punish_prob >= 1.0 or self.rng.random() < self.punish_prob):
+                self.punish_steps += 1
+                return _sample(self.kit.punish, self.rng)
         return action
 
     def policy_distribution(self, state: int) -> np.ndarray:
         """Stationary action law at a state (the post-amnesty Markov policy)."""
         if self.map is None:
-            return self.kit.maximin.copy()
-        point = self._points[self.target[state // self._bit_unit & 1]]
-        if self._deviated(state):
+            return self.maximin.policy_distribution(state)
+        action = self.plays[state]
+        if action < 0:
+            point = self._points[~action]
             return self.punish_prob * self.kit.punish + (1 - self.punish_prob) * point
-        return point.copy()
+        return self._points[action].copy()
 
 
 class TabularQ(Agent):
     """Tabular Q-learning over state codes, optimistic at 1/(1 - GAMMA).
 
     A step's update waits for the state that follows it: `act` settles the
-    pending step at the caller's learning rate ``schedule(n, t)``, for the
-    step's visit count n (this visit included) and time t, and then defers
+    pending step at the caller's learning rate ``schedule(t, n)``, for the
+    step's time t and visit count n (this visit included), and then defers
     the new step, whose reward `observe` records.  Greedy as is, it is
     LAFF's follower; `opponents.EpsGreedyQAgent` adds exploration.
     """
@@ -262,9 +264,6 @@ class TabularQ(Agent):
         self.counts = counts if counts is not None else {}
         self._pending = None  # [state, action, reward, t] of the unsettled step
 
-    def report_weight(self) -> float:
-        return self.weight
-
     def row(self, state):
         row = self.table.get(state)
         if row is None:
@@ -274,18 +273,24 @@ class TabularQ(Agent):
 
     def act(self, state, t: int, action: Optional[int] = None) -> int:
         """Settle the pending step, then take ``action`` (greedy if None)."""
-        row = self.row(state)
-        if self._pending is not None:
-            ps, pa, pr, pt = self._pending
+        table = self.table
+        row = table.get(state)
+        if row is None:
+            row = self.row(state)
+        best = max(row)
+        pending = self._pending
+        if pending is not None:
+            ps, pa, pr, pt = pending
             counts = self.counts.get(ps)
             if counts is None:
                 counts = self.counts[ps] = [0] * self.n_actions
-            counts[pa] += 1
-            lr = self.schedule(counts[pa], pt)
-            prev = self.table[ps]  # made when the pending step acted
-            prev[pa] += lr * (pr + self.GAMMA * max(row) - prev[pa])
+            n = counts[pa] = counts[pa] + 1
+            prev = table[ps]  # made when the pending step acted
+            prev[pa] += self.schedule(pt, n) * (pr + self.GAMMA * best - prev[pa])
+            if prev is row:
+                best = max(row)
         if action is None:
-            action = row.index(max(row))  # ties go to the lowest index
+            action = row.index(best)  # ties go to the lowest index
         self._pending = [state, action, 0.0, t]
         return action
 
@@ -299,7 +304,7 @@ class TabularQ(Agent):
 H0 = 10
 
 
-def follower_rate(n: int, t: int) -> float:
+def follower_rate(t: int, n: int) -> float:
     """The follower's learning rate at the n-th visit of a state-action pair."""
     return (H0 + 1.0) / (H0 + n)
 
@@ -311,9 +316,6 @@ class MaximinPolicy(Agent):
         self.strategy = strategy
         self.rng = rng
         self.weight = weight
-
-    def report_weight(self) -> float:
-        return self.weight
 
     def act(self, state, t):
         return _sample(self.strategy, self.rng)

@@ -49,21 +49,21 @@ class EpsGreedyQAgent(TabularQ):
     """
 
     def __init__(self, game: BimatrixGame, player: int, config, rng):
-        super().__init__(game.n1 if player == 1 else game.n2,
-                         lambda visits, t: EpsGreedyQAgent.learning_rate(t))
+        super().__init__(game.n1 if player == 1 else game.n2, self.learning_rate)
         self.rng = rng
+        self._random = rng.random
 
     @staticmethod
     def explore_prob(t: int) -> float:
         return 1.0 / (10.0 + t / 10.0)
 
     @staticmethod
-    def learning_rate(t: int) -> float:
+    def learning_rate(t: int, visits: int = 0) -> float:  # visits unused
         return 5.0 / (10.0 + t / 100.0)
 
     def act(self, state, t):
         action = None
-        if self.rng.random() < self.explore_prob(t):
+        if self._random() < self.explore_prob(t):
             action = int(self.rng.integers(self.n_actions))
         return TabularQ.act(self, state, t, action)
 

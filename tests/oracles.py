@@ -6,6 +6,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from laff import security_value
+from laff.engine import StateLayout
 from laff.games import _TOL
 from laff.mdp import InducedMdp, signal_outcome_probs
 
@@ -271,6 +272,24 @@ def leader_distribution(core, state) -> np.ndarray:
            for k in range(1, m.Kp + 1)):
         return core.punish_prob * kit.punish + (1 - core.punish_prob) * point
     return point
+
+
+def leader_deviated(kit, which, state) -> bool:
+    """Whether the opponent left the expected cell of the ``which`` leader in
+    the last Kp steps, each step judged by the seat's own signal bit of that
+    step: `LeaderCore`'s per-step digit loop before `LeaderKit.plays`."""
+    m = kit.solution_map(which)
+    n = (kit.n_own, kit.n_opp) if kit.player == 1 else (kit.n_opp, kit.n_own)
+    layout = StateLayout(*n, kit.K)
+    expected = (m.cell0[2 - kit.player], m.cell1[2 - kit.player])
+    bits = state // layout.signals_unit(kit.player)
+    opp_actions = state // layout.actions_unit(3 - kit.player)
+    for _ in range(m.Kp):
+        bits >>= 1
+        opp_actions, last = divmod(opp_actions, kit.n_opp)
+        if last != expected[bits & 1]:
+            return True
+    return False
 
 
 def second_half_slope(curve) -> float:

@@ -57,6 +57,14 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_solve_takes_no_seed(capsys):
+    # solving draws nothing, so a seed would change nothing; argparse rejects it
+    code, out, err = run_cli(capsys, "solve", "--game", "chicken", "--seed", "5")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed 5" in err
+
+
 def test_missing_flag_usage_error(capsys):
     code = main(["match", "--game", "chicken", "--p1", "laff"])
     assert code != 0

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from laff import (BimatrixGame, MatchConfig, build_agent, builtin_game, play_match,
                   run_match)
-from laff.engine import Agent, FixedActionAgent, StateLayout, engine_rng
+from laff.engine import (Agent, AgentStream, FixedActionAgent, StateLayout,
+                         agent_rng, engine_rng)
 from oracles import decode, encode, enumerate_states
 
 SIZES = st.integers(1, 3)
@@ -159,6 +160,31 @@ def test_each_step_code_encodes_the_shifted_history(K, seed, w1, w2):
         shifted = (a1[t:t + K], a2[t:t + K], y1[t:t + K + 1], y2[t:t + K + 1])
         code = encode(shifted, g.n1, g.n2)
         assert spies[0].states[t] == spies[1].states[t] == code
+
+
+# runs of one call: 0 is random(), n > 0 is integers(n)
+DRAW_RUNS = st.lists(st.tuples(st.sampled_from([0, 1, 2, 3, 5]), st.integers(1, 300)),
+                     max_size=12)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([1, 2, 3, None]), DRAW_RUNS)
+def test_agent_stream_yields_what_the_generator_yields(seed, block, runs):
+    gen = np.random.default_rng(seed)
+    stream = AgentStream(gen) if block is None else AgentStream(gen, block)
+    raw = np.random.default_rng(seed)
+    for n, count in runs:
+        for _ in range(count):
+            got = stream.integers(n) if n else stream.random()
+            want = raw.integers(n) if n else raw.random()
+            assert got == want and type(got) is type(want)
+
+
+def test_agent_stream_draws_nothing_before_its_first_draw():
+    stream = agent_rng(3, 1)
+    fresh = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(1,)))
+    assert stream.gen.bit_generator.state == fresh.bit_generator.state
+    assert stream.random() == fresh.random()
 
 
 def test_seat_two_observes_its_own_outcome():

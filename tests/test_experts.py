@@ -10,11 +10,11 @@ import laff.games
 from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
                   builtin_game, rq_bound, security_value)
 from laff.evaluation import _game_job, round_robin
-from laff.games import load_game
+from laff.games import GAME_NAMES, load_game
 from laff.engine import Agent, FixedActionAgent, StateLayout, agent_rng, run_match
 from laff.experts import (LeaderCore, MaximinPolicy, TabularQ, follower_rate,
                           follower_trip, maximin_trip)
-from oracles import decode, encode, leader_distribution
+from oracles import decode, encode, leader_deviated, leader_distribution
 
 EP = EnforceParams(1, 0.05)
 
@@ -140,9 +140,14 @@ def test_leader_fallback_plays_maximin():
     assert kit.ebs_map is None
     core = LeaderCore(kit, "ebs", agent_rng(0, 1))
     s = encode(((0,), (0,), (0, 0), (0, 0)), 2, 2)
-    seen = {core.act(s, t) for t in range(50)}
+    seen = [core.act(s, t) for t in range(50)]
     support = {i for i, p in enumerate(kit.maximin) if p > 1e-9}
-    assert seen <= support
+    assert set(seen) <= support
+    # the maximin policy's draws, one per step, from the same stream
+    policy = MaximinPolicy(kit.maximin, agent_rng(0, 1))
+    assert seen == [policy.act(s, t) for t in range(50)]
+    assert core.report_weight() == 0.0
+    assert np.array_equal(core.policy_distribution(s), kit.maximin)
 
 
 def _rect3x2():
@@ -171,6 +176,47 @@ def test_leader_policy_matches_the_tuple_reference(game, K):
             assert not bad.size, (player, which, states[bad[0]])
     # chicken's solutions need no punishment, the 3x2 game's seat 1 does
     assert game.name == "chicken" or punishing >= 2
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_leader_play_table_equals_the_digit_loop(K):
+    # every state code of the 16 built-ins and a 3x2 game, both seats, both maps
+    deviating = 0
+    for game in [builtin_game(name) for name in GAME_NAMES] + [_rect3x2()]:
+        layout = StateLayout(game.n1, game.n2, K)
+        codes = range(layout.n_states)
+        for player in (1, 2):
+            kit = LeaderKit.build(game, player, EnforceParams(K, 0.05))
+            unit = layout.signals_unit(player)
+            for which in ("ebs", "bully"):
+                m = kit.solution_map(which)
+                if m is None:
+                    continue
+                target = (m.cell0[player - 1], m.cell1[player - 1])
+                want = [target[code // unit & 1] for code in codes]
+                want = [~a if leader_deviated(kit, which, code) else a
+                        for code, a in zip(codes, want)]
+                assert kit.plays(which) == want, (game.name, player, which)
+                deviating += sum(a < 0 for a in want)
+                # after the amnesty, act and policy_distribution follow the table
+                core = LeaderCore(kit, which, agent_rng(0, player), punish_prob=0.5)
+                core.steps_active = m.Kp
+                point = np.eye(kit.n_own)
+                for code, a in zip(codes, want):
+                    punished = core.punish_steps
+                    action = core.act(code, m.Kp + 1)
+                    dist = core.policy_distribution(code)
+                    if a >= 0:
+                        assert action == a and core.punish_steps == punished
+                        assert np.array_equal(dist, point[a])
+                    else:
+                        if core.punish_steps == punished:
+                            assert action == ~a
+                        else:
+                            assert core.punish_steps == punished + 1
+                            assert kit.punish[action] > 0
+                        assert np.array_equal(dist, 0.5 * kit.punish + 0.5 * point[~a])
+    assert deviating > 0
 
 
 def test_follower_trips_against_capped_opponent():
