@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,13 @@ import numpy as np
 from .bargaining import EnforceParams, enforceable_ebs, bully_solution, \
     punishment_length
 from .engine import MatchConfig
-from .evaluation import (TournamentResult, benchmark_for, play_match, pure_nash,
-                         regret_curve, replicator_run, round_robin)
+from .evaluation import (TournamentResult, benchmark_for, check_entrants,
+                         play_match, pure_nash, regret_curve, replicator_run,
+                         round_robin)
 from .experts import LeaderKit
 from .games import EVALUATION_GAMES, GAME_NAMES, load_game, security_value
-from .opponents import AGENT_NAMES, BOUNDED_MEMORY, bounded_memory_policy
+from .opponents import (AGENT_NAMES, BOUNDED_MEMORY, bounded_memory_policy,
+                        build_agent)
 from .svg import svg_line_plot
 
 
@@ -33,11 +36,20 @@ def _fmt(x) -> str:
     return format(float(x), ".10g")
 
 
-def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_csv(path, header, columns):
+    """Write one row per index of the equal-length ``columns``, each cell as
+    `_fmt` gives it; numpy columns fill one printf template per row."""
+    codes, cells = [], []
+    for col in columns:
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+        if kind in "biuf":  # "%d" of a bool is 1 or 0, as `_fmt` gives it
+            codes.append("%.10g" if kind == "f" else "%d")
+            cells.append(col.tolist())
+        else:
+            codes.append("%s")
+            cells.append(list(map(_fmt, col)))
+    rows = map(",".join(codes).__mod__, zip(*cells, strict=True))
+    Path(path).write_text("\n".join([",".join(header), *rows]) + "\n")
 
 
 def _check_counts(args, **minimums):
@@ -126,9 +138,7 @@ def cmd_match(args) -> int:
     m1, m2 = trace.mean_rewards()
     if args.trace:
         cols = trace.columns()
-        header = [name for name, _ in cols]
-        rows = zip(*[col for _, col in cols])
-        write_csv(args.trace, header, rows)
+        write_csv(args.trace, cols, cols.values())
     print(json.dumps({"game": game.name, "p1": args.p1, "p2": args.p2,
                       "T": args.T, "seed": config.seed,
                       "mean_r1": float(_fmt(m1)), "mean_r2": float(_fmt(m2))},
@@ -141,12 +151,21 @@ def cmd_regret(args) -> int:
     game = load_game(args.game)
     base = _config(args, T=args.T)
 
+    # both entrants are checked before the benchmark and any output
+    build_agent(args.p1, game, 1, base)
+    build_agent(args.p2, game, 2, base)
     if args.opp_class == "bounded_memory":
         policy, w2 = bounded_memory_policy(args.p2, game, base)
         bench = benchmark_for(game, "bounded_memory", base,
                               opp_policy=policy, w2=w2)
     else:
         bench = benchmark_for(game, args.opp_class, base)
+
+    # LAFF's runs keep the older name, which perfbench and criterion 9 read
+    stem = (f"regret_{game.name}_{args.p2}" if args.p1 == "laff"
+            else f"regret_{game.name}_{args.p1}_vs_{args.p2}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     ts = np.arange(1, args.T + 1)
     curves = []
@@ -155,18 +174,11 @@ def cmd_regret(args) -> int:
                                  .generate_state(1)[0]))
         trace = play_match(game, args.p1, args.p2, cfg)
         curves.append(regret_curve(trace.r1, bench) / ts)
-    avg = np.mean(curves, axis=0)
-    rows = [(int(t), avg[t - 1]) for t in ts[::args.stride]]
-    # LAFF's runs keep the older name, which perfbench and criterion 9 read
-    stem = (f"regret_{game.name}_{args.p2}" if args.p1 == "laff"
-            else f"regret_{game.name}_{args.p1}_vs_{args.p2}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ts, avg = ts[::args.stride], np.mean(curves, axis=0)[::args.stride]
     out_csv = out_dir / f"{stem}.csv"
-    write_csv(out_csv, ["t", "avg_regret"], rows)
+    write_csv(out_csv, ["t", "avg_regret"], [ts, avg])
     if args.svg:
-        svg_line_plot(out_dir / f"{stem}.svg",
-                      ts[::args.stride], {"avg_regret": avg[::args.stride]},
+        svg_line_plot(out_dir / f"{stem}.svg", ts, {"avg_regret": avg},
                       title=f"{game.name}: {args.p1} vs {args.p2}")
     print(f"wrote {out_csv} (benchmark {_fmt(bench)})")
     return 0
@@ -177,17 +189,16 @@ def cmd_tournament(args) -> int:
     names = args.algorithms.split(",")
     games = [load_game(g) for g in args.games.split(",")]
     config = _config(args, T=args.T)
-    result = round_robin(names, games, args.trials, config, jobs=args.jobs)
+    check_entrants(names, games, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    result = round_robin(names, games, args.trials, config, jobs=args.jobs)
 
     m1, m2 = result.means()
-    rows = [(names[i], names[j], m1[i, j], m2[i, j])
-            for i in range(len(names)) for j in range(len(names))]
-    write_csv(out_dir / "learning_game.csv", ["alg1", "alg2", "m1", "m2"], rows)
-
+    write_csv(out_dir / "learning_game.csv", ["alg1", "alg2", "m1", "m2"],
+              [*zip(*product(names, names)), m1.ravel(), m2.ravel()])
     write_csv(out_dir / "pair_game_trial.csv", TournamentResult.HEADER,
-              result.rows())
+              result.columns())
 
     eqs = pure_nash(m1, m2)
     print(json.dumps({"pure_nash": [[names[i], names[j]] for i, j in eqs]},
@@ -204,12 +215,12 @@ def cmd_replicator(args) -> int:
     std = shares.std(axis=0)
     header = ["generation"] + [f"{n}_mean" for n in names] + \
         [f"{n}_std" for n in names]
-    rows_out = [(g, *mean[g], *std[g]) for g in range(args.generations + 1)]
+    generation = np.arange(args.generations + 1)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, header, rows_out)
+    write_csv(out, header, [generation, *mean.T, *std.T])
     if args.svg:
-        svg_line_plot(out.with_suffix(".svg"), np.arange(args.generations + 1),
+        svg_line_plot(out.with_suffix(".svg"), generation,
                       {n: mean[:, i] for i, n in enumerate(names)},
                       title="population shares")
     print(f"wrote {out}")
@@ -282,7 +293,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (KeyError, ValueError, FileNotFoundError, RuntimeError) as e:
+    except (KeyError, ValueError, OSError, RuntimeError) as e:
         # str() of a KeyError is the repr of its message, quotes and all
         msg = e.args[0] if isinstance(e, KeyError) else e
         print(f"error: {msg}", file=sys.stderr)

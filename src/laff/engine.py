@@ -166,15 +166,10 @@ class MatchTrace:
     def mean_rewards(self):
         return float(self.r1.mean()), float(self.r2.mean())
 
-    def columns(self):
-        cols = [("t", self.t), ("a1", self.a1), ("a2", self.a2),
-                ("y1", self.y1), ("y2", self.y2), ("x", self.x),
-                ("r1", self.r1), ("r2", self.r2)]
-        if self.expert1 is not None:
-            cols.append(("expert1", self.expert1))
-        if self.expert2 is not None:
-            cols.append(("expert2", self.expert2))
-        return cols
+    def columns(self) -> dict:
+        """The trace CSV's columns by name, in field order, without the
+        expert columns of agents that have none."""
+        return {name: col for name, col in vars(self).items() if col is not None}
 
 
 def _weight_error(w1: float, w2: float, t: int) -> RuntimeError:

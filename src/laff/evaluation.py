@@ -79,14 +79,9 @@ def pure_nash(m1: np.ndarray, m2: np.ndarray):
     m2 = np.asarray(m2, dtype=float)
     if m1.shape != m2.shape:
         raise ValueError("payoff matrices must share a shape")
-    col_max = m1.max(axis=0)
-    row_max = m2.max(axis=1)
-    out = []
-    for i in range(m1.shape[0]):
-        for j in range(m1.shape[1]):
-            if m1[i, j] >= col_max[j] - _TIE_TOL and m2[i, j] >= row_max[i] - _TIE_TOL:
-                out.append((i, j))
-    return out
+    tops = ((m1 >= m1.max(axis=0) - _TIE_TOL)
+            & (m2 >= m2.max(axis=1, keepdims=True) - _TIE_TOL))
+    return [(int(i), int(j)) for i, j in np.argwhere(tops)]
 
 
 def role_min_rewards(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -129,11 +124,11 @@ class TournamentResult:
         m = np.nanmean(self.data, axis=(2, 3))
         return m[:, :, 0], m[:, :, 1]
 
-    def rows(self) -> list:
-        """The rows of pair_game_trial.csv, one per (alg1, alg2, game, trial)."""
-        return [(a1, a2, game, k, *self.data[i, j, g, k])
-                for i, a1 in enumerate(self.names) for j, a2 in enumerate(self.names)
-                for g, game in enumerate(self.games) for k in range(self.trials)]
+    def columns(self) -> list:
+        """The columns of pair_game_trial.csv, one row per (alg1, alg2, game, trial)."""
+        keys = product(self.names, self.names, self.games, range(self.trials))
+        m = self.data.reshape(-1, 2)
+        return [*zip(*keys), m[:, 0], m[:, 1]]
 
     @classmethod
     def read(cls, path) -> "TournamentResult":
@@ -193,6 +188,19 @@ def _game_job(args):
             for name_i, name_j, cfg in matches]
 
 
+def check_entrants(names: list, games: list, config: MatchConfig) -> None:
+    """Raise unless each name is an agent in each seat of each game; the
+    kits solved in building them stay on the games, for the matches."""
+    # the result table is keyed by names: a repeated one would merge entrants
+    for kind, keys in (("algorithm", names), ("game", [g.name for g in games])):
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ValueError(f"a round robin needs distinct {kind} names; "
+                                 f"'{key}' occurs more than once")
+    for game, name, player in product(games, names, (1, 2)):
+        build_agent(name, game, player, config)
+
+
 def round_robin(algorithms, games, trials: int, config: MatchConfig,
                 jobs: int = 1) -> TournamentResult:
     """All ordered algorithm pairings over all games and trials.
@@ -206,16 +214,7 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     """
     names = list(algorithms)
     games = list(games)
-    # the result table is keyed by names: a repeated one would merge entrants
-    for kind, keys in (("algorithm", names), ("game", [g.name for g in games])):
-        for i, key in enumerate(keys):
-            if key in keys[:i]:
-                raise ValueError(f"a round robin needs distinct {kind} names; "
-                                 f"'{key}' occurs more than once")
-    # the one registry checks each entrant in each seat of each game before
-    # any match; the kits it solves stay on the games, for the matches
-    for game, name, player in product(games, names, (1, 2)):
-        build_agent(name, game, player, config)
+    check_entrants(names, games, config)
     nA, nG = len(names), len(games)
     data = np.full((nA, nA, nG, trials, 2), np.nan)
 
@@ -223,14 +222,12 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     sym = [game.is_symmetric() for game in games]
     for g, game in enumerate(games):
         matches = []
-        for i in range(nA):
-            for j in range(nA):
-                if sym[g] and j < i:
-                    continue
-                for k in range(trials):
-                    cfg = config.with_seed(_match_seed(config.seed, i, j, g, k))
-                    matches.append((names[i], names[j], cfg))
-                    job_keys.append((i, j, g, k))
+        for i, j, k in product(range(nA), range(nA), range(trials)):
+            if sym[g] and j < i:
+                continue
+            cfg = config.with_seed(_match_seed(config.seed, i, j, g, k))
+            matches.append((names[i], names[j], cfg))
+            job_keys.append((i, j, g, k))
         job_args.append((game, game._kits, game._lps, matches))
 
     if jobs > 1:

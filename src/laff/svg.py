@@ -26,12 +26,8 @@ def svg_line_plot(path, x, series: dict, title: str = ""):
         xmax = xmin + 1
     if ymax == ymin:
         ymax = ymin + 1
-
-    def sx(v):
-        return pad + (v - xmin) / (xmax - xmin) * (WIDTH - 2 * pad)
-
-    def sy(v):
-        return HEIGHT - pad - (v - ymin) / (ymax - ymin) * (HEIGHT - 2 * pad)
+    # elementwise, each operation rounds as the same float64 scalar maths
+    px = (pad + (x - xmin) / (xmax - xmin) * (WIDTH - 2 * pad)).tolist()
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
              f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -54,7 +50,8 @@ def svg_line_plot(path, x, series: dict, title: str = ""):
 
     for idx, (name, y) in enumerate(ys.items()):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        py = HEIGHT - pad - (y - ymin) / (ymax - ymin) * (HEIGHT - 2 * pad)
+        pts = " ".join(map("{:.2f},{:.2f}".format, px, py.tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{WIDTH - pad - 4}" y="{pad + 14 * idx + 12}" '

@@ -1,11 +1,13 @@
 """Brute-force reference computations used to check the solvers."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
 
 from laff import security_value
+from laff.cli import _fmt
 from laff.engine import StateLayout
 from laff.games import _TOL
 from laff.mdp import InducedMdp, signal_outcome_probs
@@ -332,3 +334,12 @@ def replicator_run_reference(result, generations: int, runs: int, seed: int = 0)
             p = new / new.sum()
             out[run, gen] = p
     return out
+
+
+def write_csv_rows(path, header, rows):
+    """`cli.write_csv` as it was before it took columns: row by row, each
+    cell through `cli._fmt`."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -4,10 +4,14 @@ import shlex
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import laff.evaluation
-from laff.cli import build_parser, main
+from laff.cli import build_parser, main, write_csv
+from laff.svg import svg_line_plot
+from oracles import write_csv_rows
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +179,68 @@ def test_svg_text_is_escaped(tmp_path, capsys, name):
     texts = [e.text for e in ET.parse(pop.with_suffix(".svg"))
              .iter("{http://www.w3.org/2000/svg}text")]
     assert name in texts
+
+
+PINNED_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400" viewBox="0 0 640 400">
+<rect width="640" height="400" fill="white"/>
+<line x1="50" y1="350" x2="590" y2="350" stroke="black"/>
+<line x1="50" y1="50" x2="50" y2="350" stroke="black"/>
+<text x="320.0" y="20" text-anchor="middle" font-size="14">regret &lt;laff&gt; &amp; co</text>
+<text x="50" y="366" font-size="10">1</text>
+<text x="590" y="366" text-anchor="end" font-size="10">13</text>
+<text x="46" y="350" text-anchor="end" font-size="10">-0.35</text>
+<text x="46" y="50" text-anchor="end" font-size="10">0.9</text>
+<polyline points="50.00,242.00 95.00,350.00 140.00,186.00 230.00,197.43 365.00,50.00 590.00,265.76" fill="none" stroke="#1f77b4" stroke-width="1.5"/>
+<text x="586" y="62" text-anchor="end" font-size="11" fill="#1f77b4">a&lt;b</text>
+<polyline points="50.00,146.00 95.00,206.00 140.00,236.00 230.00,346.00 365.00,266.00 590.00,98.00" fill="none" stroke="#ff7f0e" stroke-width="1.5"/>
+<text x="586" y="76" text-anchor="end" font-size="11" fill="#ff7f0e">c &amp; d</text>
+</svg>
+"""
+
+
+def test_svg_bytes_are_pinned(tmp_path):
+    # pins the polyline's pixel rounding and the escaped title and legend
+    path = tmp_path / "plot.svg"
+    svg_line_plot(path, [1, 2, 3, 5, 8, 13],
+                  {"a<b": [0.1, -0.35, 1 / 3, 2 / 7, 0.9, 1e-3],
+                   "c & d": [0.5, 0.25, 0.125, -1 / 3, 0.0, 0.7]},
+                  title="regret <laff> & co")
+    assert path.read_text() == PINNED_SVG
+
+
+FLOAT_CELLS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.5e-310, 1e300,
+     -1e300, 0.1, 1 / 3])
+COLUMNS = {
+    "int64": st.integers(-2 ** 63, 2 ** 63 - 1),
+    "bool": st.booleans(),
+    "float64": FLOAT_CELLS,
+    "str": st.text(st.characters(exclude_categories=("Cs",),
+                                 exclude_characters=",\n\r")),
+    "int": st.integers(-10 ** 30, 10 ** 30),
+}
+
+
+@st.composite
+def _columns(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=6))
+    cols = []
+    for kind in kinds:
+        cells = draw(st.lists(COLUMNS[kind], min_size=n, max_size=n))
+        cols.append(cells if kind in ("str", "int") else np.array(cells, dtype=kind))
+    return cols
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_columns())
+def test_write_csv_matches_the_per_cell_writer(tmp_path_factory, columns):
+    out = tmp_path_factory.mktemp("csv")
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(out / "columns.csv", header, columns)
+    write_csv_rows(out / "rows.csv", header, zip(*columns))
+    assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
 @pytest.mark.parametrize("flag", ["--delta", "--C1", "--C3", "--C4", "--eta-m"])
@@ -600,3 +666,46 @@ def test_readme_command_lines_parse():
             pytest.fail(f"README line does not parse: {line}")
     assert commands == {"solve", "benchmark", "match", "regret", "tournament",
                         "replicator"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
+     "adversarial", "--T", "20", "--seeds", "1", "--out", "{file}"],
+    ["tournament", "--algorithms", "fixed:0,fixed:1", "--games", "chicken",
+     "--trials", "1", "--T", "20", "--out", "{file}"],
+    ["match", "--game", "chicken", "--p1", "bully", "--p2", "qlearn",
+     "--T", "20", "--trace", "{dir}"],
+    ["replicator", "--input", "{dir}", "--generations", "3", "--runs", "1",
+     "--out", "{dir}/population.csv"],
+], ids=["regret_out_is_a_file", "tournament_out_is_a_file",
+        "match_trace_is_a_directory", "replicator_input_is_a_directory"])
+def test_unusable_path_is_one_line(tmp_path, capsys, argv):
+    # each of these used to end in an OSError traceback
+    (tmp_path / "file").write_text("kept\n")
+    argv = [a.format(file=tmp_path / "file", dir=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["regret", "--game", "chicken", "--p2", "qlearn", "--opp-class",
+     "follower_unconditional", "--T", "20000", "--seeds", "3"],
+    ["tournament", "--algorithms", "laff,qlearn", "--games", "chicken,cyclic",
+     "--trials", "2", "--T", "20000"],
+], ids=["regret", "tournament"])
+def test_unusable_out_fails_before_any_match(tmp_path, capsys, monkeypatch, argv):
+    # --out used to be created only after every match had been played
+    def no_match(*args, **kwargs):
+        raise AssertionError("a match was played")
+
+    monkeypatch.setattr("laff.cli.play_match", no_match)
+    monkeypatch.setattr("laff.cli.round_robin", no_match)
+    out = tmp_path / "out"
+    out.write_text("")
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: [Errno 17] File exists: '{out}'\n"
