@@ -18,9 +18,9 @@ import numpy as np
 from .bargaining import EnforceParams, enforceable_ebs, bully_solution, \
     punishment_length
 from .engine import MatchConfig
-from .evaluation import (TournamentResult, benchmark_for, check_entrants,
-                         play_match, pure_nash, regret_curve, replicator_run,
-                         round_robin)
+from .evaluation import (TournamentResult, _match_seed, benchmark_for,
+                         check_entrants, play_match, pure_nash, regret_curve,
+                         replicator_run, round_robin)
 from .experts import LeaderKit
 from .games import EVALUATION_GAMES, GAME_NAMES, load_game, security_value
 from .opponents import (AGENT_NAMES, BOUNDED_MEMORY, bounded_memory_policy,
@@ -132,6 +132,8 @@ def _parse_params(text):
 def cmd_match(args) -> int:
     game = load_game(args.game)
     config = _config(args, T=args.T)
+    if args.trace:
+        open(args.trace, "a").close()  # an unusable path fails before the match
     trace = play_match(game, args.p1, args.p2, config,
                        params1=_parse_params(args.p1_params),
                        params2=_parse_params(args.p2_params))
@@ -170,9 +172,8 @@ def cmd_regret(args) -> int:
     ts = np.arange(1, args.T + 1)
     curves = []
     for s in range(args.seeds):
-        cfg = base.with_seed(int(np.random.SeedSequence((base.seed, s))
-                                 .generate_state(1)[0]))
-        trace = play_match(game, args.p1, args.p2, cfg)
+        trace = play_match(game, args.p1, args.p2,
+                           base.with_seed(_match_seed(base.seed, s)))
         curves.append(regret_curve(trace.r1, bench) / ts)
     ts, avg = ts[::args.stride], np.mean(curves, axis=0)[::args.stride]
     out_csv = out_dir / f"{stem}.csv"
@@ -210,14 +211,14 @@ def cmd_replicator(args) -> int:
     _check_counts(args, generations=0, runs=1)
     result = TournamentResult.read(args.input)
     names = result.names
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     shares = replicator_run(result, args.generations, args.runs, seed=args.seed)
     mean = shares.mean(axis=0)
     std = shares.std(axis=0)
     header = ["generation"] + [f"{n}_mean" for n in names] + \
         [f"{n}_std" for n in names]
     generation = np.arange(args.generations + 1)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, header, [generation, *mean.T, *std.T])
     if args.svg:
         svg_line_plot(out.with_suffix(".svg"), generation,

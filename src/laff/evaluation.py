@@ -173,17 +173,13 @@ class TournamentResult:
         return cls(names=names, games=games, trials=len(trials), data=data)
 
 
-def _match_seed(base_seed: int, i: int, j: int, g: int, k: int) -> int:
-    ss = np.random.SeedSequence((base_seed, i, j, g, k))
-    return int(ss.generate_state(1)[0])
+def _match_seed(*key: int) -> int:
+    """The seed of a match derived from a base seed and the match's indices."""
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
 def _game_job(args):
-    game, kits, lps, matches = args
-    game._kits.update(kits)  # a pickled game arrives without its caches
-    game._lps.update(lps)
-    for _, strategy in lps.values():
-        strategy.setflags(write=False)  # unpickled arrays are writable
+    game, matches = args
     return [play_match(game, name_i, name_j, cfg).mean_rewards()
             for name_i, name_j, cfg in matches]
 
@@ -209,8 +205,8 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     reversed cell is filled with the same numbers swapped.  Seeds derive
     deterministically from (config.seed, i, j, game, trial), so results do
     not depend on scheduling.  With ``jobs > 1`` each game's matches form
-    one worker task, so a worker receives each game once, with the leader
-    kits and LPs solved while checking the entrants.
+    one worker task, so a worker receives each game once, carrying the
+    leader kits and LPs solved while checking the entrants.
     """
     names = list(algorithms)
     games = list(games)
@@ -228,7 +224,7 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
             cfg = config.with_seed(_match_seed(config.seed, i, j, g, k))
             matches.append((names[i], names[j], cfg))
             job_keys.append((i, j, g, k))
-        job_args.append((game, game._kits, game._lps, matches))
+        job_args.append((game, matches))
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -81,13 +81,20 @@ class SolutionMap:
     weight: float
     Kp: int
     r: float             # deviation profit of the solution's action set
+    # the seat's target action at every state code, or ~a where the opponent
+    # left the expected cell in the last Kp steps; each step's own signal
+    # bit picks its cell
+    plays: tuple = field(repr=False, compare=False)
 
 
 def _to_global(cell: JointAction, player: int) -> JointAction:
     return cell if player == 1 else JointAction(cell.a2, cell.a1)
 
 
-def _canonical_map(solution: PairSolution, player: int, Kp: int) -> Optional[SolutionMap]:
+def _canonical_map(solution: PairSolution, player: int, ep: EnforceParams,
+                   mu_s_opp: float, layout: StateLayout) -> Optional[SolutionMap]:
+    """The seat's solution in global cells, with its punishment length and
+    play table over the layout's codes; None for the security fallback."""
     if solution.is_fallback:
         return None
     xa = _to_global(solution.xA, player)
@@ -97,20 +104,33 @@ def _canonical_map(solution: PairSolution, player: int, Kp: int) -> Optional[Sol
         w = 1.0 - solution.alpha
     else:
         w = solution.alpha
+    Kp, own = punishment_length(solution, ep, mu_s_opp), player - 1
+    target, expected = (np.array([xb[i], xa[i]]) for i in (own, 1 - own))
+    codes = np.arange(layout.n_states)
+    # the own signal bits and the opponent's actions, newest lowest
+    bits = codes // layout.signals_unit(player)
+    opp_actions = codes // layout.actions_unit(2 - own)
+    play, deviated = target[bits & 1], np.zeros(codes.size, dtype=bool)
+    n_opp = (layout.n1, layout.n2)[1 - own]
+    for _ in range(Kp):
+        bits >>= 1
+        opp_actions, last = np.divmod(opp_actions, n_opp)
+        deviated |= last != expected[bits & 1]
     return SolutionMap(cell1=xa, cell0=xb, weight=float(w), Kp=Kp,
-                       r=solution.deviation_profit)
+                       r=solution.deviation_profit,
+                       plays=tuple(np.where(deviated, ~play, play).tolist()))
 
 
 @dataclass(frozen=True)
 class LeaderKit:
-    """Everything a seat needs to lead: solutions, punish/maximin strategies.
+    """Everything a seat needs to lead: solutions, punish/maximin strategies
+    and the maps' play tables, all made by `_solve`.
 
     Immutable, with read-only arrays, so that one kit can serve every agent
-    built for the same seat of the same game.
+    built for the same seat of the same game.  Its arrays are strategies of
+    the game's LP cache, which a pickle round trip of the game re-freezes.
     """
 
-    player: int
-    K: int                   # memory length of the states the kit's leaders read
     n_own: int
     n_opp: int
     mu_s_own: float
@@ -120,13 +140,6 @@ class LeaderKit:
     bully: PairSolution
     ebs_map: Optional[SolutionMap]
     bully_map: Optional[SolutionMap]
-    # plays(which)'s tables, each made on the first call
-    _plays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __setstate__(self, state):
-        for arr in (state["maximin"], state["punish"]):
-            arr.setflags(write=False)  # unpickled arrays are writable
-        self.__dict__.update(state)
 
     @classmethod
     def build(cls, game: BimatrixGame, player: int, ep: EnforceParams) -> "LeaderKit":
@@ -150,13 +163,11 @@ class LeaderKit:
         _, punish = punishment_strategy(own)
         ebs = enforceable_ebs(own, ep)
         bully = bully_solution(own, ep)
-        kp_e = 0 if ebs.is_fallback else punishment_length(ebs, ep, mu_s_opp)
-        kp_b = 0 if bully.is_fallback else punishment_length(bully, ep, mu_s_opp)
-        return cls(player=player, K=ep.K, n_own=own.n1, n_opp=own.n2,
-                   mu_s_own=mu_s_own, maximin=maximin, punish=punish,
-                   ebs=ebs, bully=bully,
-                   ebs_map=_canonical_map(ebs, player, kp_e),
-                   bully_map=_canonical_map(bully, player, kp_b))
+        layout = StateLayout(game.n1, game.n2, ep.K)
+        return cls(n_own=own.n1, n_opp=own.n2, mu_s_own=mu_s_own,
+                   maximin=maximin, punish=punish, ebs=ebs, bully=bully,
+                   ebs_map=_canonical_map(ebs, player, ep, mu_s_opp, layout),
+                   bully_map=_canonical_map(bully, player, ep, mu_s_opp, layout))
 
     @property
     def ebs_weight(self) -> float:
@@ -164,28 +175,6 @@ class LeaderKit:
 
     def solution_map(self, which: str) -> Optional[SolutionMap]:
         return self.ebs_map if which == "ebs" else self.bully_map
-
-    def plays(self, which: str) -> list:
-        """The ``which`` leader's target action at every state code, or ``~a``
-        where the opponent left the expected cell in the last Kp steps; each
-        step's own signal bit picks its cell.  Made on the first call."""
-        table = self._plays.get(which)
-        if table is None:
-            m, own = self.solution_map(which), self.player - 1
-            target, expected = (np.array([m.cell0[i], m.cell1[i]]) for i in (own, 1 - own))
-            n = (self.n_own, self.n_opp) if own == 0 else (self.n_opp, self.n_own)
-            layout = StateLayout(*n, self.K)
-            codes = np.arange(layout.n_states)
-            # the own signal bits and the opponent's actions, newest lowest
-            bits = codes // layout.signals_unit(self.player)
-            opp_actions = codes // layout.actions_unit(2 - own)
-            play, deviated = target[bits & 1], np.zeros(codes.size, dtype=bool)
-            for _ in range(m.Kp):
-                bits >>= 1
-                opp_actions, last = np.divmod(opp_actions, self.n_opp)
-                deviated |= last != expected[bits & 1]
-            table = self._plays[which] = np.where(deviated, ~play, play).tolist()
-        return table
 
 
 class LeaderCore(Agent):
@@ -215,7 +204,7 @@ class LeaderCore(Agent):
             self.maximin = MaximinPolicy(kit.maximin, rng)
         else:
             self.weight = self.map.weight
-            self.plays = kit.plays(which)
+            self.plays = self.map.plays
             self._points = np.eye(kit.n_own)
 
     def act(self, state: int, t: int) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +19,9 @@ import numpy as np
 _TOL = 1e-9
 # Entrywise tolerance of `BimatrixGame.is_symmetric`.
 _SYMMETRY_TOL = 1e-12
-# Characters a game name may not carry into CSV cells, file names and SVG text.
-_BAD_NAME_CHARS = re.compile(r'[,"/\\\x00-\x1f\x7f-\x9f]')
+# Characters a game name may not carry into CSV cells, file names and SVG
+# text; a lone surrogate has no UTF-8 encoding.
+_BAD_NAME_CHARS = re.compile(r'[,"/\\\x00-\x1f\x7f-\x9f\ud800-\udfff]')
 
 
 @dataclass
@@ -32,7 +32,8 @@ class BimatrixGame:
     pickle round trip (as in `round_robin`'s worker processes).  The
     instance caches its maximin LPs (`security_value`,
     `punishment_strategy`), shared with its `swap_players` view, and its
-    leader kits; a pickle round trip starts both caches empty.
+    leader kits, whose arrays are the LPs' strategies; a pickle round trip
+    carries both caches, the strategies read-only again.
     """
 
     name: str
@@ -44,8 +45,13 @@ class BimatrixGame:
     _lps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __reduce__(self):
-        # unpickled through __init__: read-only matrices again, no caches
-        return type(self), (self.name, self.R1, self.R2)
+        # unpickled through __init__, so the matrices are checked and read-only
+        return type(self), (self.name, self.R1, self.R2), (self._kits, self._lps)
+
+    def __setstate__(self, caches):
+        self._kits, self._lps = caches
+        for _, strategy in self._lps.values():
+            strategy.setflags(write=False)  # unpickled arrays are writable
 
     def __post_init__(self):
         self.R1 = np.array(self.R1, dtype=float)
@@ -158,10 +164,6 @@ def punishment_strategy(game: BimatrixGame):
     return -v, p
 
 
-def _F(a, b):
-    return float(Fraction(a, b))
-
-
 def _cells(rows):
     """Build (R1, R2) from a row-major list of (r1, r2) cells."""
     r1 = [[c[0] for c in row] for row in rows]
@@ -177,18 +179,18 @@ _CHICKEN = [[(0.5, 0.5), (0.25, 1.0)],
 # symmetric member of the unfair family.
 _LIBRARY_CELLS = {
     "chicken": _CHICKEN,
-    "sym_winwin": [[(1.0, 1.0), (0.0, _F(2, 3))],
-                   [(_F(2, 3), 0.0), (_F(1, 3), _F(1, 3))]],
-    "asym_winwin": [[(1.0, 1.0), (0.0, _F(5, 6))],
-                    [(_F(1, 3), 0.0), (_F(2, 3), _F(2, 3))]],
-    "sym_biased": [[(_F(1, 3), _F(1, 3)), (_F(2, 3), 1.0)],
-                   [(1.0, _F(2, 3)), (0.0, 0.0)]],
-    "asym_biased": [[(_F(2, 3), 0.0), (0.0, 1.0)],
-                    [(1.0, _F(2, 3)), (_F(1, 3), _F(1, 3))]],
-    "sym_secondbest": [[(_F(1, 3), _F(1, 3)), (0.0, 1.0)],
-                       [(1.0, 0.0), (_F(2, 3), _F(2, 3))]],
-    "asym_secondbest": [[(1.0, _F(1, 3)), (_F(1, 3), 1.0)],
-                        [(0.0, 0.0), (_F(2, 3), _F(2, 3))]],
+    "sym_winwin": [[(1.0, 1.0), (0.0, 2 / 3)],
+                   [(2 / 3, 0.0), (1 / 3, 1 / 3)]],
+    "asym_winwin": [[(1.0, 1.0), (0.0, 5 / 6)],
+                    [(1 / 3, 0.0), (2 / 3, 2 / 3)]],
+    "sym_biased": [[(1 / 3, 1 / 3), (2 / 3, 1.0)],
+                   [(1.0, 2 / 3), (0.0, 0.0)]],
+    "asym_biased": [[(2 / 3, 0.0), (0.0, 1.0)],
+                    [(1.0, 2 / 3), (1 / 3, 1 / 3)]],
+    "sym_secondbest": [[(1 / 3, 1 / 3), (0.0, 1.0)],
+                       [(1.0, 0.0), (2 / 3, 2 / 3)]],
+    "asym_secondbest": [[(1.0, 1 / 3), (1 / 3, 1.0)],
+                        [(0.0, 0.0), (2 / 3, 2 / 3)]],
     "sym_unfair": _CHICKEN,
     "asym_unfair": [[(0.0, 1.0), (0.75, 0.75)],
                     [(1.0, 0.25), (0.25, 0.0)]],
@@ -204,8 +206,8 @@ _LIBRARY_CELLS = {
                      [(1.0, 0.375), (0.0, 0.0)]],
     "train_coord": [[(1.0, 0.5), (0.0, 0.0)],
                     [(0.0, 0.0), (0.2, 1.0)]],
-    "train_mixed": [[(0.0, 1.0), (1.0, _F(2, 3))],
-                    [(_F(1, 3), 0.0), (_F(2, 3), _F(1, 3))]],
+    "train_mixed": [[(0.0, 1.0), (1.0, 2 / 3)],
+                    [(1 / 3, 0.0), (2 / 3, 1 / 3)]],
 }
 
 #: The 11 games used in tournament-style experiments (training set excluded).
@@ -250,8 +252,8 @@ def game_from_json(path) -> BimatrixGame:
     name = data.get("name", path.stem)
     if not isinstance(name, str) or not name or _BAD_NAME_CHARS.search(name):
         raise ValueError(f"{path}: field name (default: the file stem) must be "
-                         f"a non-empty string without , \" / \\ or control "
-                         f"characters, got {name!r}")
+                         f"a non-empty string without , \" / \\, control "
+                         f"characters or lone surrogates, got {name!r}")
     try:
         return BimatrixGame(name=name, **mats)
     except ValueError as e:

@@ -231,8 +231,9 @@ def enumerate_deterministic_gains(mdp: InducedMdp) -> list:
     return gains
 
 
-def compliant_policy(kit, which: str = "ebs"):
-    """Opponent policy that always plays its half of the leader's solution.
+def compliant_policy(kit, player: int, K: int, which: str = "ebs"):
+    """Opponent policy that always plays its half of the solution of the
+    leader in seat ``player``, on memory-K states.
 
     Compliance tracks the leader's (public) signal bit, read off the state
     code.
@@ -240,11 +241,11 @@ def compliant_policy(kit, which: str = "ebs"):
     m = kit.solution_map(which)
     if m is None:
         raise ValueError("no enforceable solution to comply with")
-    opp_is_p2 = kit.player == 1
+    opp_is_p2 = player == 1
     n1, n2 = (kit.n_own, kit.n_opp) if opp_is_p2 else (kit.n_opp, kit.n_own)
 
     def policy(state: int) -> np.ndarray:
-        _, _, y1, y2 = decode(state, n1, n2, kit.K)
+        _, _, y1, y2 = decode(state, n1, n2, K)
         bit = (y1 if opp_is_p2 else y2)[-1]
         cell = m.cell1 if bit else m.cell0
         d = np.zeros(kit.n_opp)
@@ -254,8 +255,9 @@ def compliant_policy(kit, which: str = "ebs"):
     return policy
 
 
-def leader_distribution(core, state) -> np.ndarray:
-    """`LeaderCore.policy_distribution` worked out on a state's digit tuples.
+def leader_distribution(core, player: int, state) -> np.ndarray:
+    """`LeaderCore.policy_distribution` of a leader in seat ``player``,
+    worked out on a state's digit tuples.
 
     The seat's current signal bit picks the target cell.  The opponent has
     deviated when, at any of the last Kp steps, its action was not its half
@@ -264,7 +266,7 @@ def leader_distribution(core, state) -> np.ndarray:
     kit, m = core.kit, core.map
     if m is None:
         return kit.maximin.copy()
-    own, opp = (0, 1) if kit.player == 1 else (1, 0)
+    own, opp = (0, 1) if player == 1 else (1, 0)
     a1, a2, y1, y2 = state
     own_bits, opp_actions = (y1, y2)[own], (a1, a2)[opp]
     cells = (m.cell0, m.cell1)
@@ -276,16 +278,17 @@ def leader_distribution(core, state) -> np.ndarray:
     return point
 
 
-def leader_deviated(kit, which, state) -> bool:
+def leader_deviated(kit, which, player: int, K: int, state) -> bool:
     """Whether the opponent left the expected cell of the ``which`` leader in
-    the last Kp steps, each step judged by the seat's own signal bit of that
-    step: `LeaderCore`'s per-step digit loop before `LeaderKit.plays`."""
+    seat ``player`` in the last Kp steps of a memory-K state, each step
+    judged by the seat's own signal bit of that step: `LeaderCore`'s
+    per-step digit loop before the maps' play tables."""
     m = kit.solution_map(which)
-    n = (kit.n_own, kit.n_opp) if kit.player == 1 else (kit.n_opp, kit.n_own)
-    layout = StateLayout(*n, kit.K)
-    expected = (m.cell0[2 - kit.player], m.cell1[2 - kit.player])
-    bits = state // layout.signals_unit(kit.player)
-    opp_actions = state // layout.actions_unit(3 - kit.player)
+    n = (kit.n_own, kit.n_opp) if player == 1 else (kit.n_opp, kit.n_own)
+    layout = StateLayout(*n, K)
+    expected = (m.cell0[2 - player], m.cell1[2 - player])
+    bits = state // layout.signals_unit(player)
+    opp_actions = state // layout.actions_unit(3 - player)
     for _ in range(m.Kp):
         bits >>= 1
         opp_actions, last = divmod(opp_actions, kit.n_opp)

@@ -129,9 +129,11 @@ RECT = {"R1": [[0.5, 0.2], [0.9, 0.1]], "R2": [[0.4, 0.8], [0.3, 0.6]]}
 
 
 @pytest.mark.parametrize("name", [5, None, "", "a,b", "x/y", 'say "hi"',
-                                  "back\\slash", "tab\tname", "nl\nname"],
+                                  "back\\slash", "tab\tname", "nl\nname",
+                                  "g\ud800"],
                          ids=["number", "null", "empty", "comma", "slash",
-                              "quote", "backslash", "tab", "newline"])
+                              "quote", "backslash", "tab", "newline",
+                              "lone_surrogate"])
 def test_game_name_reaching_outputs_is_checked(tmp_path, capsys, name):
     # each used to reach a traceback, an unreadable CSV or a failed write
     # after every match had been played
@@ -692,20 +694,31 @@ def test_unusable_path_is_one_line(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["regret", "--game", "chicken", "--p2", "qlearn", "--opp-class",
-     "follower_unconditional", "--T", "20000", "--seeds", "3"],
+     "follower_unconditional", "--T", "20000", "--seeds", "3", "--out", "{out}"],
     ["tournament", "--algorithms", "laff,qlearn", "--games", "chicken,cyclic",
-     "--trials", "2", "--T", "20000"],
-], ids=["regret", "tournament"])
+     "--trials", "2", "--T", "20000", "--out", "{out}"],
+    ["match", "--game", "chicken", "--p1", "laff", "--p2", "qlearn",
+     "--T", "200000", "--trace", "{dir}"],
+    ["replicator", "--input", "{csv}", "--generations", "20000", "--runs", "50",
+     "--out", "{out}/population.csv"],
+], ids=["regret", "tournament", "match_trace", "replicator"])
 def test_unusable_out_fails_before_any_match(tmp_path, capsys, monkeypatch, argv):
-    # --out used to be created only after every match had been played
+    # --out used to be created only after every match had been played, the
+    # trace written only after the match and the replicator's --out parent
+    # only after every generation
     def no_match(*args, **kwargs):
         raise AssertionError("a match was played")
 
-    monkeypatch.setattr("laff.cli.play_match", no_match)
-    monkeypatch.setattr("laff.cli.round_robin", no_match)
-    out = tmp_path / "out"
+    for work in ("play_match", "round_robin", "replicator_run"):
+        monkeypatch.setattr(f"laff.cli.{work}", no_match)
+    out, csv = tmp_path / "out", tmp_path / "pair_game_trial.csv"
     out.write_text("")
-    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    csv.write_text("alg1,alg2,game,trial,m1,m2\nlaff,laff,chicken,0,0.5,0.5\n")
+    argv = [a.format(dir=tmp_path, csv=csv, out=out) for a in argv]
+    code, stdout, err = run_cli(capsys, *argv)
     assert code == 2
     assert stdout == ""
-    assert err == f"error: [Errno 17] File exists: '{out}'\n"
+    if argv[0] == "match":
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    else:
+        assert err == f"error: [Errno 17] File exists: '{out}'\n"

@@ -9,7 +9,7 @@ import pytest
 import laff.games
 from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
                   builtin_game, rq_bound, security_value)
-from laff.evaluation import _game_job, round_robin
+from laff.evaluation import _game_job, check_entrants, round_robin
 from laff.games import GAME_NAMES, load_game
 from laff.engine import Agent, FixedActionAgent, StateLayout, agent_rng, run_match
 from laff.experts import (LeaderCore, MaximinPolicy, TabularQ, follower_rate,
@@ -52,11 +52,11 @@ class CompliantAgent(Agent):
     """Plays its half of the given leader's solution, keyed on the
     leader's signal bit."""
 
-    def __init__(self, kit, which, player):
+    def __init__(self, kit, which, player, K):
         self.player = player
         self.map = kit.solution_map(which)
-        self.n = (kit.n_own, kit.n_opp) if kit.player == 1 else (kit.n_opp, kit.n_own)
-        self.K = kit.K
+        self.n = (kit.n_own, kit.n_opp) if player == 2 else (kit.n_opp, kit.n_own)
+        self.K = K
 
     def act(self, state, t):
         _, _, y1, y2 = decode(state, *self.n, self.K)
@@ -171,7 +171,7 @@ def test_leader_policy_matches_the_tuple_reference(game, K):
             core = LeaderCore(kit, which, agent_rng(0, player), punish_prob=p)
             punishing += core.map is not None and core.map.Kp > 0
             got = np.array([core.policy_distribution(code) for code in codes])
-            want = np.array([leader_distribution(core, s) for s in states])
+            want = np.array([leader_distribution(core, player, s) for s in states])
             bad = np.flatnonzero((got != want).any(axis=1))
             assert not bad.size, (player, which, states[bad[0]])
     # chicken's solutions need no punishment, the 3x2 game's seat 1 does
@@ -194,9 +194,10 @@ def test_leader_play_table_equals_the_digit_loop(K):
                     continue
                 target = (m.cell0[player - 1], m.cell1[player - 1])
                 want = [target[code // unit & 1] for code in codes]
-                want = [~a if leader_deviated(kit, which, code) else a
+                want = [~a if leader_deviated(kit, which, player, K, code) else a
                         for code, a in zip(codes, want)]
-                assert kit.plays(which) == want, (game.name, player, which)
+                # the table is made with the map, not on a leader's first use
+                assert m.plays == tuple(want), (game.name, player, which)
                 deviating += sum(a < 0 for a in want)
                 # after the amnesty, act and policy_distribution follow the table
                 core = LeaderCore(kit, which, agent_rng(0, player), punish_prob=0.5)
@@ -358,7 +359,7 @@ def test_leader_empirical_matches_solution_values():
             return core.act(state, t)
 
     T = 10000
-    tr = run_match(g, Wrap(), CompliantAgent(kit, "ebs", 2),
+    tr = run_match(g, Wrap(), CompliantAgent(kit, "ebs", 2, EP.K),
                    MatchConfig(T=T, seed=1))
     tol = 3 * math.sqrt(math.log(1 / 0.05) / (2 * T))
     m1, m2 = tr.mean_rewards()
@@ -375,7 +376,7 @@ def test_kit_is_solved_once_per_game_seat_and_params():
                        (1, EnforceParams(1, 0.1))):
         other = LeaderKit.build(g, player, ep)
         assert other is not kit
-        assert other.player == player
+        assert g._kits[(player, ep)] is other
         assert LeaderKit.build(g, player, ep) is other
 
 
@@ -397,17 +398,55 @@ def test_cached_kit_equals_a_fresh_solve(name, player):
 
 
 def test_shared_kit_is_read_only():
-    kit = LeaderKit.build(builtin_game("cyclic"), 1, EP)
+    game = builtin_game("cyclic")
+    kit = LeaderKit.build(game, 1, EP)
     with pytest.raises(dataclasses.FrozenInstanceError):
         kit.mu_s_own = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         kit.ebs_map.weight = 0.0
-    # round_robin sends each game's kits to its worker pickled
-    copy = pickle.loads(pickle.dumps(kit))
+    with pytest.raises(TypeError):
+        kit.ebs_map.plays[0] = 0
+    # round_robin sends each game to its worker pickled, kits included
+    copy = pickle.loads(pickle.dumps(game))._kits[(1, EP)]
     for arr in (kit.maximin, kit.punish, copy.maximin, copy.punish):
         with pytest.raises(ValueError):
             arr[0] = 0.5
     assert np.array_equal(copy.maximin, kit.maximin) and copy.ebs == kit.ebs
+    assert copy.ebs_map == kit.ebs_map and copy.ebs_map.plays == kit.ebs_map.plays
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("name", ["chicken", "cyclic", "rect3x2"])
+def test_pickled_game_carries_its_kits_and_lps(name, K):
+    # as round_robin hands a game to a worker: after the entrant check built
+    # every leader's kit and the maximin entrant's LPs
+    game = _rect3x2() if name == "rect3x2" else builtin_game(name)
+    check_entrants(["laff", "bully", "egal", "maximin"], [game],
+                   MatchConfig(T=20, K=K))
+    copy = pickle.loads(pickle.dumps(game))
+    assert copy._kits.keys() == game._kits.keys() == {(1, EnforceParams(K, 0.05)),
+                                                      (2, EnforceParams(K, 0.05))}
+    assert copy._lps.keys() == game._lps.keys()
+    strategies = []
+    for (value, p), (got_value, q) in zip(game._lps.values(), copy._lps.values()):
+        assert got_value == value and np.array_equal(q, p)
+        assert not q.flags.writeable
+        strategies.append(q)
+    for key, kit in game._kits.items():
+        got = copy._kits[key]
+        # field by field: == on kits holding distinct arrays raises
+        for f in dataclasses.fields(LeaderKit):
+            x, y = getattr(kit, f.name), getattr(got, f.name)
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(y, x) and not y.flags.writeable, f.name
+            else:
+                assert y == x, f.name
+        for which in ("ebs", "bully"):
+            m = kit.solution_map(which)
+            assert m is None or got.solution_map(which).plays == m.plays
+        # the LP cache's strategies themselves, so the copy holds each once
+        assert any(got.maximin is q for q in strategies)
+        assert any(got.punish is q for q in strategies)
 
 
 def test_round_robin_solves_each_seat_once(lp_calls):
@@ -478,11 +517,13 @@ def test_round_robin_workers_reuse_the_games_lps(monkeypatch, tmp_path):
     assert np.array_equal(data[2], data[1])
 
 
-def test_worker_lps_stay_read_only():
+def test_worker_lps_stay_read_only(lp_calls):
     # a maximin-only entrant list builds no kit that would share the arrays
     game = load_game("cyclic")
     round_robin(["maximin"], [game], 1, MatchConfig(T=20))
-    copy, lps = pickle.loads(pickle.dumps((game, game._lps)))
-    _game_job((copy, {}, lps, [("maximin", "maximin", MatchConfig(T=20))]))
+    solved = len(lp_calls)
+    copy = pickle.loads(pickle.dumps(game))
+    _game_job((copy, [("maximin", "maximin", MatchConfig(T=20))]))
+    assert len(lp_calls) == solved  # the copy carries the game's LPs
     for player in (1, 2):
         assert not security_value(copy, player)[1].flags.writeable

@@ -143,8 +143,11 @@ def test_unpickled_game_keeps_read_only_matrices():
     for m, orig in ((h.R1, g.R1), (h.R2, g.R2)):
         assert np.array_equal(m, orig)
         assert not m.flags.writeable
-    # kits stay with their process, so none arrives with writable arrays
-    assert h._kits == {}
+    # the kit travels with its game, its arrays read-only again
+    kit = h._kits[(1, EnforceParams(1, 0.05))]
+    assert h._kits.keys() == g._kits.keys()
+    for arr in (kit.maximin, kit.punish):
+        assert not arr.flags.writeable
 
 
 @st.composite
@@ -187,7 +190,12 @@ def test_lp_cache_returns_exactly_a_fresh_solve(g, order):
         assert not strategy.flags.writeable, (frame, name)
     # four distinct LPs at most: each seat's security and punishment
     assert 1 <= len(g._lps) <= 4
-    assert pickle.loads(pickle.dumps(g))._lps == {}
+    # a pickled game carries the same LPs, their strategies read-only
+    copy = pickle.loads(pickle.dumps(g))._lps
+    assert copy.keys() == g._lps.keys()
+    for (value, strategy), (got_value, got) in zip(g._lps.values(), copy.values()):
+        assert got_value.hex() == value.hex()
+        assert got.tobytes() == strategy.tobytes() and not got.flags.writeable
 
 
 @st.composite

@@ -100,7 +100,7 @@ def test_leader_vs_compliant_gains():
     kit = LeaderKit.build(g, 1, EnforceParams(1, 0.05))
     core = LeaderCore(kit, "ebs", np.random.default_rng(0))
     w = kit.ebs_weight
-    opp = compliant_policy(kit, "ebs")
+    opp = compliant_policy(kit, 1, 1, "ebs")
     mdp = induce_mdp(g, opp, w1=w, w2=w, K=1)
     reward2 = np.array([[float(g.R2[a] @ opp(s)) for a in range(g.n1)]
                         for s in mdp.states])
