@@ -18,7 +18,7 @@ import numpy as np
 from .bargaining import EnforceParams, enforceable_ebs, bully_solution, \
     punishment_length
 from .engine import MatchConfig
-from .evaluation import (TournamentResult, _match_seed, benchmark_for,
+from .evaluation import (TournamentResult, _match_config, benchmark_for,
                          check_entrants, play_match, pure_nash, regret_curve,
                          replicator_run, round_robin)
 from .experts import LeaderKit
@@ -125,18 +125,16 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _parse_params(text):
-    return json.loads(text) if text else None
-
-
 def cmd_match(args) -> int:
     game = load_game(args.game)
     config = _config(args, T=args.T)
+    params = [json.loads(p) if p else None for p in (args.p1_params, args.p2_params)]
+    # both entrants are checked before the trace file is created
+    build_agent(args.p1, game, 1, config, params[0])
+    build_agent(args.p2, game, 2, config, params[1])
     if args.trace:
         open(args.trace, "a").close()  # an unusable path fails before the match
-    trace = play_match(game, args.p1, args.p2, config,
-                       params1=_parse_params(args.p1_params),
-                       params2=_parse_params(args.p2_params))
+    trace = play_match(game, args.p1, args.p2, config, *params)
     m1, m2 = trace.mean_rewards()
     if args.trace:
         cols = trace.columns()
@@ -172,8 +170,7 @@ def cmd_regret(args) -> int:
     ts = np.arange(1, args.T + 1)
     curves = []
     for s in range(args.seeds):
-        trace = play_match(game, args.p1, args.p2,
-                           base.with_seed(_match_seed(base.seed, s)))
+        trace = play_match(game, args.p1, args.p2, _match_config(base, s))
         curves.append(regret_curve(trace.r1, bench) / ts)
     ts, avg = ts[::args.stride], np.mean(curves, axis=0)[::args.stride]
     out_csv = out_dir / f"{stem}.csv"

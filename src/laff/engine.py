@@ -10,14 +10,15 @@ order is the lexicographic order of the tuples (a1, a2, y1, y2).
 `StateLayout` is the one place that knows where each digit group sits.  One
 uniform draw x_t per step feeds both players' signal bits, y_i = 1[x_t < w_i],
 so equal weights give a shared coin.  All randomness in a match derives from
-the seed: the engine stream and one substream per agent.  An agent's stream
-(`AgentStream`) is read in blocks and yields the numbers numpy's
-``Generator`` would yield to the same calls; `integers` rewinds it first.
+the seed: the engine stream and one substream per agent, both read as PCG64's
+raw words, whose sequence numpy keeps stable across releases, and turned into
+numbers here as numpy's ``Generator`` turns them (`AgentStream`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import length_hint
 from typing import Optional
 
 import numpy as np
@@ -38,9 +39,6 @@ class MatchConfig:
         if self.T < 1:
             raise ValueError("horizon T must be >= 1")
         EnforceParams(self.K, self.eps)  # checks K and eps
-
-    def with_seed(self, seed: int) -> "MatchConfig":
-        return replace(self, seed=int(seed))
 
 
 class StateLayout:
@@ -85,36 +83,46 @@ def engine_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
-class AgentStream:
-    """An agent's numpy ``Generator``, read in blocks: the same numbers, fewer calls.
+def _doubles(words: np.ndarray) -> np.ndarray:
+    return (words >> 11) * 2.0 ** -53  # as ``Generator.random`` makes doubles
 
-    `random()` serves doubles from a block of ``block`` drawn at once, the
-    first on the first draw; they are the doubles that as many scalar calls
-    would give.  `integers` first rewinds the generator to its state before
-    the block and redraws the doubles used, which also restores the 32-bit
-    half it may hold from an earlier `integers`.
+
+class AgentStream:
+    """An agent's draws: what ``gen.random()`` and ``gen.integers(n)`` would
+    return, computed from blocks of ``block`` raw words of ``gen.bit_generator``.
+
+    Both read the block, fetched on the first draw, at one cursor: the
+    iterator over its doubles.  `integers(n)`, for 1 <= n <= 2**32, is numpy's
+    32-bit Lemire draw on a word's low half, and it keeps the high half for the
+    next `integers`, as PCG64's ``next_uint32`` does; n == 1 draws nothing.
     """
 
-    __slots__ = ("gen", "block", "_doubles", "_saved")
+    __slots__ = ("gen", "block", "_words", "_doubles", "_half")
 
     def __init__(self, gen: np.random.Generator, block: int = 256):
         self.gen, self.block = gen, block
-        self._doubles, self._saved = iter(()), None
+        self._words, self._doubles, self._half = None, iter(()), None
 
     def random(self) -> float:
         try:
             return next(self._doubles)
         except StopIteration:
-            self._saved = self.gen.bit_generator.state
-            self._doubles = iter(self.gen.random(self.block).tolist())
+            self._words = self.gen.bit_generator.random_raw(self.block)
+            self._doubles = iter(_doubles(self._words).tolist())
             return next(self._doubles)
 
-    def integers(self, high: int):
-        if self._saved is not None:
-            self.gen.bit_generator.state = self._saved
-            self.gen.random(self.block - self._doubles.__length_hint__())
-            self._doubles, self._saved = iter(()), None
-        return self.gen.integers(high)
+    def integers(self, n: int) -> np.int64:
+        if n == 1:
+            return np.int64(0)
+        while True:  # Lemire's rejection loop
+            half, self._half = self._half, None
+            if half is None:
+                self.random()  # moves the cursor past the word it reads
+                word = int(self._words[-1 - length_hint(self._doubles)])
+                half, self._half = word & 0xFFFFFFFF, word >> 32
+            m = half * n
+            if m & 0xFFFFFFFF >= (1 << 32) % n:
+                return np.int64(m >> 32)
 
 
 def agent_rng(seed: int, player: int) -> AgentStream:
@@ -192,7 +200,7 @@ def run_match(game, alg1: Agent, alg2: Agent, config: MatchConfig) -> MatchTrace
     m1, m2, mY, _ = layout.sizes
     u1, u2, uY, _ = layout.units
     R1, R2 = game.R1.tolist(), game.R2.tolist()
-    xs = engine_rng(config.seed).random(K + T)
+    xs = _doubles(engine_rng(config.seed).bit_generator.random_raw(K + T))
     weight1, weight2 = alg1.report_weight, alg2.report_weight
     act1, act2 = alg1.act, alg2.act
     observe1, observe2 = alg1.observe, alg2.observe

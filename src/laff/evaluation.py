@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 from typing import Optional
@@ -173,9 +173,10 @@ class TournamentResult:
         return cls(names=names, games=games, trials=len(trials), data=data)
 
 
-def _match_seed(*key: int) -> int:
-    """The seed of a match derived from a base seed and the match's indices."""
-    return int(np.random.SeedSequence(key).generate_state(1)[0])
+def _match_config(config: MatchConfig, *key: int) -> MatchConfig:
+    """The config of the match with indices ``key``, seeded from config.seed and key."""
+    seed = np.random.SeedSequence((config.seed, *key)).generate_state(1)[0]
+    return replace(config, seed=int(seed))
 
 
 def _game_job(args):
@@ -221,8 +222,7 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
         for i, j, k in product(range(nA), range(nA), range(trials)):
             if sym[g] and j < i:
                 continue
-            cfg = config.with_seed(_match_seed(config.seed, i, j, g, k))
-            matches.append((names[i], names[j], cfg))
+            matches.append((names[i], names[j], _match_config(config, i, j, g, k)))
             job_keys.append((i, j, g, k))
         job_args.append((game, matches))
 

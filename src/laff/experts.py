@@ -36,6 +36,10 @@ ETA_M = 0.05
 # on genuinely capped opponents within the first epoch but survives an
 # ordinary learner's burn-in (see tests).
 RQ_SCALE = 0.1
+# Most state codes a kit's play tables may cover.  Building them peaks at 50-80
+# bytes a code (228 MB for a 2x2 game at K=5, which is at the budget; a 3x2
+# game at K=4 has 1,327,104 codes), so a larger layout is refused first.
+MAX_STATE_CODES = 2 ** 22
 
 
 def rq_bound(tau: int, delta: float, S: int, A: int) -> float:
@@ -157,13 +161,16 @@ class LeaderKit:
 
     @classmethod
     def _solve(cls, game: BimatrixGame, player: int, ep: EnforceParams) -> "LeaderKit":
+        layout = StateLayout(game.n1, game.n2, ep.K)
+        if layout.n_states > MAX_STATE_CODES:
+            raise ValueError(f"K={ep.K} gives game '{game.name}' {layout.n_states} state "
+                             f"codes, above the leaders' budget of {MAX_STATE_CODES}")
         own = game if player == 1 else swap_players(game)
         mu_s_own, maximin = security_value(own, 1)
         mu_s_opp, _ = security_value(own, 2)
         _, punish = punishment_strategy(own)
         ebs = enforceable_ebs(own, ep)
         bully = bully_solution(own, ep)
-        layout = StateLayout(game.n1, game.n2, ep.K)
         return cls(n_own=own.n1, n_opp=own.n2, mu_s_own=mu_s_own,
                    maximin=maximin, punish=punish, ebs=ebs, bully=bully,
                    ebs_map=_canonical_map(ebs, player, ep, mu_s_opp, layout),
@@ -253,19 +260,12 @@ class TabularQ(Agent):
         self.counts = counts if counts is not None else {}
         self._pending = None  # [state, action, reward, t] of the unsettled step
 
-    def row(self, state):
-        row = self.table.get(state)
-        if row is None:
-            row = [self.Q0] * self.n_actions
-            self.table[state] = row
-        return row
-
     def act(self, state, t: int, action: Optional[int] = None) -> int:
         """Settle the pending step, then take ``action`` (greedy if None)."""
         table = self.table
         row = table.get(state)
         if row is None:
-            row = self.row(state)
+            row = table[state] = [self.Q0] * self.n_actions
         best = max(row)
         pending = self._pending
         if pending is not None:

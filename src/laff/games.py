@@ -246,6 +246,8 @@ def game_from_json(path) -> BimatrixGame:
             raise ValueError(f"{path}: needs a JSON object with field {key}")
         try:
             mats[key] = np.array(data[key], dtype=float)
+            if {type(v) for v in np.array(data[key], dtype=object).flat} - {int, float}:
+                raise TypeError  # float() also takes JSON strings and booleans
         except (TypeError, ValueError):
             raise ValueError(f"{path}: field {key} must be a rectangular "
                              f"matrix of numbers") from None

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -106,8 +107,13 @@ def test_non_finite_reward_file(tmp_path, capsys):
     ("{R1: oops", None),                           # not JSON
     ('{"R1": [0.5], "R2": [0.5]}', None),          # vectors, not matrices
     ('{"R1": [[1.5]], "R2": [[0.2]]}', None),      # reward outside [0, 1]
+    # float() reads a string or a boolean, but neither is a JSON number
+    ('{"R1": [[0.5, 1], [0, 1]], "R2": [[0.5, "1e-1"], [0, 0]]}', "R2"),
+    ('{"R1": [[0.5, true], [0, 1]], "R2": [[0.5, 0.1], [0, 0]]}', "R1"),
+    ('{"R1": [["0.5", true], [0, 1]], "R2": [[0.5, "1e-1"], [false, 0]]}', "R1"),
 ], ids=["directory", "list", "missing_R2", "ragged_R1", "not_json",
-        "one_dimensional", "out_of_range"])
+        "one_dimensional", "out_of_range", "string_reward", "boolean_reward",
+        "string_and_boolean_rewards"])
 def test_malformed_game_file_is_one_line(tmp_path, capsys, content, field):
     path = tmp_path / "game.json"
     if content is None:
@@ -638,17 +644,51 @@ def test_non_finite_eps_is_rejected(tmp_path, capsys, argv, eps):
     (["regret", "--p2", "martian", "--opp-class", "adversarial"],
      "unknown agent 'martian'; choose from ('laff', 'bully', 'ftft', 'qlearn', "
      "'fp', 'manipulator', 'egal', 'maximin') or fixed:<a>"),
-], ids=["benchmark_not_markov", "regret_not_markov", "regret_unknown"])
+    (["match", "--p1", "nosuch", "--p2", "qlearn"],
+     "unknown agent 'nosuch'; choose from ('laff', 'bully', 'ftft', 'qlearn', "
+     "'fp', 'manipulator', 'egal', 'maximin') or fixed:<a>"),
+], ids=["benchmark_not_markov", "regret_not_markov", "regret_unknown", "match_unknown"])
 def test_bad_opponent_is_rejected_before_any_output(tmp_path, capsys, argv, message):
-    # regret used to create its --out directory before it checked --p2
-    out_dir = tmp_path / "out"
+    # regret used to create its --out directory before it checked --p2, and
+    # match its --trace file before it checked --p1
+    out_dir, trace = tmp_path / "out", tmp_path / "t.csv"
     if argv[0] == "regret":
         argv = argv + ["--T", "10", "--seeds", "1", "--out", str(out_dir)]
+    if argv[0] == "match":
+        argv = argv + ["--T", "10", "--trace", str(trace)]
     code, out, err = run_cli(capsys, argv[0], "--game", "chicken", *argv[1:])
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
-    assert not out_dir.exists()
+    assert not out_dir.exists() and not trace.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["match", "--p1", "bully", "--p2", "qlearn", "--T", "10"],
+    ["benchmark", "--opponent", "fixed:0"],
+], ids=["match", "benchmark"])
+def test_leader_tables_past_the_state_budget_are_refused_first(capsys, argv):
+    # K=12 gives chicken 2**50 state codes, whose play table used to end in
+    # numpy's MemoryError for 8 PiB
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv[0], "--game", "chicken", "--K", "12",
+                                 *argv[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == ("error: K=12 gives game 'chicken' 1125899906842624 state codes, "
+                   "above the leaders' budget of 4194304\n")
+    assert peak < 2 ** 20
+
+
+def test_learner_matches_build_no_table_and_have_no_state_budget(capsys):
+    code, out, _ = run_cli(capsys, "match", "--game", "chicken", "--p1", "qlearn",
+                           "--p2", "fp", "--T", "10", "--K", "12")
+    assert code == 0
+    assert json.loads(out)["T"] == 10
 
 
 def test_readme_command_lines_parse():

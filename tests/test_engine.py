@@ -1,9 +1,12 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import laff.engine
+import laff.opponents
 from laff import (BimatrixGame, MatchConfig, build_agent, builtin_game, play_match,
                   run_match)
 from laff.engine import (Agent, AgentStream, FixedActionAgent, StateLayout,
@@ -178,6 +181,40 @@ def test_agent_stream_yields_what_the_generator_yields(seed, block, runs):
             got = stream.integers(n) if n else stream.random()
             want = raw.integers(n) if n else raw.random()
             assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+@pytest.mark.parametrize("n", [7, 1000, 2 ** 31 + 5])
+def test_agent_stream_redraws_where_lemire_rejects(n, block):
+    # at n = 2**31 + 5 numpy rejects a 32-bit draw about half of the time, and
+    # both the rejected half and the one after it come from raw words
+    for seed in range(10):
+        stream = AgentStream(np.random.default_rng(seed), block)
+        gen = np.random.default_rng(seed)
+        for use_integers in np.random.default_rng((seed, 1)).random(300) < 0.6:
+            got = stream.integers(n) if use_integers else stream.random()
+            want = gen.integers(n) if use_integers else gen.random()
+            assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("p1, p2", [("laff", "qlearn"), ("manipulator", "laff")])
+def test_a_match_reads_nothing_but_bit_generators(monkeypatch, p1, p2):
+    # the streams call no Generator method, so the numbers come from the
+    # bit generators' raw words alone
+    g, cfg = builtin_game("chicken"), MatchConfig(T=2000, K=2, seed=11)
+    want = play_match(g, p1, p2, cfg).columns()
+
+    def bits_only(gen):
+        return SimpleNamespace(bit_generator=gen.bit_generator)
+
+    monkeypatch.setattr(laff.engine, "engine_rng",
+                        lambda seed: bits_only(engine_rng(seed)))
+    monkeypatch.setattr(laff.opponents, "agent_rng",
+                        lambda seed, player: AgentStream(bits_only(agent_rng(seed, player).gen)))
+    got = play_match(g, p1, p2, cfg).columns()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_agent_stream_draws_nothing_before_its_first_draw():

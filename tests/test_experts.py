@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+import laff.experts
 import laff.games
 from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
                   builtin_game, rq_bound, security_value)
@@ -314,7 +315,7 @@ def test_tabular_q_basics():
     # the step is settled, with its visit count and time, once s follows it
     q.act(s, 2)
     assert rates == [(1, 1)] and q.counts[s] == [0, 1]
-    assert q.row(s)[1] == pytest.approx(20.0 + 0.5 * (1.0 + 0.95 * 20.0 - 20.0))
+    assert q.table[s][1] == pytest.approx(20.0 + 0.5 * (1.0 + 0.95 * 20.0 - 20.0))
 
 
 def test_new_follower_leaves_shared_tables_alone_on_first_act():
@@ -366,6 +367,15 @@ def test_leader_empirical_matches_solution_values():
     assert abs(m1 - kit.ebs.u1) < tol
     assert abs(m2 - kit.ebs.u2) < tol
     assert core.punish_steps == 0
+
+
+def test_kit_layouts_above_the_state_budget_are_refused(monkeypatch):
+    g = builtin_game("chicken")
+    monkeypatch.setattr(laff.experts, "MAX_STATE_CODES", StateLayout(2, 2, 2).n_states)
+    assert LeaderKit.build(g, 1, EnforceParams(2, 0.05)).ebs_map is not None
+    with pytest.raises(ValueError, match="K=3 gives game 'chicken' 16384 state codes, "
+                                         "above the leaders' budget of 1024"):
+        LeaderKit.build(g, 2, EnforceParams(3, 0.05))
 
 
 def test_kit_is_solved_once_per_game_seat_and_params():
