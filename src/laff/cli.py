@@ -18,9 +18,9 @@ import numpy as np
 from .bargaining import EnforceParams, enforceable_ebs, bully_solution, \
     punishment_length
 from .engine import MatchConfig
-from .evaluation import (TournamentResult, _match_config, benchmark_for,
-                         check_entrants, play_match, pure_nash, regret_curve,
-                         replicator_run, round_robin)
+from .evaluation import (OPPONENT_CLASSES, TournamentResult, _match_config,
+                         benchmark_for, check_entrants, play_match, pure_nash,
+                         regret_curve, replicator_run, round_robin)
 from .experts import LeaderKit
 from .games import EVALUATION_GAMES, GAME_NAMES, load_game, security_value
 from .opponents import (AGENT_NAMES, BOUNDED_MEMORY, bounded_memory_policy,
@@ -76,6 +76,14 @@ def _add_common(p, with_T=True, with_game=True, with_seed=True):
         p.add_argument("--T", type=int, default=20000)
 
 
+def _benchmark(game, opp_class: str, opponent: str, config: MatchConfig) -> float:
+    """Player 1's per-step benchmark against ``opponent``, of class ``opp_class``."""
+    if opp_class != "bounded_memory":
+        return benchmark_for(game, opp_class, config)
+    policy, w2 = bounded_memory_policy(opponent, game, config)
+    return benchmark_for(game, opp_class, config, opp_policy=policy, w2=w2)
+
+
 def cmd_solve(args) -> int:
     game = load_game(args.game)
     ep = EnforceParams(args.K, args.eps)
@@ -96,7 +104,7 @@ def cmd_solve(args) -> int:
         return d
 
     doc = {
-        "game": game.name, "K": args.K, "eps": args.eps,
+        "game": game.name, "K": args.K, "eps": float(_fmt(args.eps)),
         "security": {"mu_s1": float(_fmt(mu_s1)), "mu_s2": float(_fmt(mu_s2)),
                      "strategy1": [float(_fmt(p)) for p in s1],
                      "strategy2": [float(_fmt(p)) for p in s2]},
@@ -109,11 +117,8 @@ def cmd_solve(args) -> int:
 
 def cmd_benchmark(args) -> int:
     game = load_game(args.game)
-    config = _config(args)
-    policy, w2 = bounded_memory_policy(args.opponent, game, config)
+    mu_star = _benchmark(game, "bounded_memory", args.opponent, _config(args))
     kit = LeaderKit.build(game, 1, EnforceParams(args.K, args.eps))
-    mu_star = benchmark_for(game, "bounded_memory", config,
-                            opp_policy=policy, w2=w2)
     doc = {
         "game": game.name, "opponent": args.opponent,
         "mu_star": float(_fmt(mu_star)),
@@ -128,7 +133,12 @@ def cmd_benchmark(args) -> int:
 def cmd_match(args) -> int:
     game = load_game(args.game)
     config = _config(args, T=args.T)
-    params = [json.loads(p) if p else None for p in (args.p1_params, args.p2_params)]
+    params = []
+    for flag, text in (("--p1-params", args.p1_params), ("--p2-params", args.p2_params)):
+        try:
+            params.append(json.loads(text) if text else None)
+        except ValueError as e:  # the decoder's message names no flag
+            raise ValueError(f"{flag} is not JSON: {e}") from None
     # both entrants are checked before the trace file is created
     build_agent(args.p1, game, 1, config, params[0])
     build_agent(args.p2, game, 2, config, params[1])
@@ -154,12 +164,7 @@ def cmd_regret(args) -> int:
     # both entrants are checked before the benchmark and any output
     build_agent(args.p1, game, 1, base)
     build_agent(args.p2, game, 2, base)
-    if args.opp_class == "bounded_memory":
-        policy, w2 = bounded_memory_policy(args.p2, game, base)
-        bench = benchmark_for(game, "bounded_memory", base,
-                              opp_policy=policy, w2=w2)
-    else:
-        bench = benchmark_for(game, args.opp_class, base)
+    bench = _benchmark(game, args.opp_class, args.p2, base)
 
     # LAFF's runs keep the older name, which perfbench and criterion 9 read
     stem = (f"regret_{game.name}_{args.p2}" if args.p1 == "laff"
@@ -255,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--p1", default="laff")
     pr.add_argument("--p2", required=True)
     pr.add_argument("--opp-class", dest="opp_class", required=True,
-                    choices=["adversarial", "follower_conditional",
-                             "follower_unconditional", "bounded_memory"])
+                    choices=OPPONENT_CLASSES)
     pr.add_argument("--seeds", type=int, default=10)
     pr.add_argument("--stride", type=int, default=1)
     pr.add_argument("--out", default="out")

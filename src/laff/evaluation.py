@@ -18,6 +18,8 @@ from .opponents import build_agent
 
 # Payoff gap below a row or column maximum that `pure_nash` still counts as a tie.
 _TIE_TOL = 1e-12
+OPPONENT_CLASSES = ("adversarial", "follower_conditional", "follower_unconditional",
+                    "bounded_memory")  # the classes `benchmark_for` knows
 
 
 def play_match(game: BimatrixGame, name1: str, name2: str, config: MatchConfig,
@@ -161,15 +163,12 @@ class TournamentResult:
         names = list(dict.fromkeys(a for key in cells for a in key[:2]))
         games = list(dict.fromkeys(key[2] for key in cells))
         trials = range(max(key[3] for key in cells) + 1)
-        # checked lazily and before any allocation, so that a huge trial index
-        # fails within len(cells) + 1 keys
-        for key in ((a1, a2, g, k) for a1 in names for a2 in names
-                    for g in games for k in trials):
-            if key not in cells:
-                raise ValueError(f"{path} has no row for {key[0]} vs {key[1]} on "
-                                 f"{key[2]}, trial {key[3]}")
-        data = np.array([[[[cells[(a1, a2, g, k)] for k in trials] for g in games]
-                          for a2 in names] for a1 in names])
+        try:  # the first missing key ends the walk: within len(cells) + 1 keys
+            data = np.array([[[[cells[(a1, a2, g, k)] for k in trials] for g in games]
+                              for a2 in names] for a1 in names])
+        except KeyError as e:
+            raise ValueError("{} has no row for {} vs {} on {}, trial {}"
+                             .format(path, *e.args[0])) from None
         return cls(names=names, games=games, trials=len(trials), data=data)
 
 
@@ -228,7 +227,7 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(job_args))) as pool:
             per_game = list(pool.map(_game_job, job_args))
     else:
         per_game = [_game_job(a) for a in job_args]

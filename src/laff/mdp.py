@@ -5,9 +5,8 @@ state (and whose signal weight is constant), the repeated game seen by
 player 1 is an MDP.  This module builds dense transition/reward tensors
 over the states reachable from the engine's start only, and solves for the
 optimal gain and a gain-optimal policy (relative value iteration, with a
-multichain LP fallback).  K=3 then takes well under a second on most
-built-in games; at K=4 the tensors still need 0.5-3.5 GB on train_mixed and
-asym_biased against bully, ftft or egal (62 GB on asym_secondbest).
+multichain LP fallback).  An MDP above ``MAX_STATES`` reachable states is
+refused before any array is built.
 """
 
 from __future__ import annotations
@@ -21,6 +20,10 @@ from .engine import StateLayout
 
 _SPAN_TOL = 1e-8
 _MAX_SWEEPS = 10 ** 6
+# Most reachable states an induced MDP may have.  Its dense (S, A, S) tensor takes
+# 8*A*S**2 bytes: 430 MB for asym_secondbest at K=3 (5,184 states, the most of any
+# built-in game at K=3), 576 MB at the budget with 2 actions, 62 GB at K=4 there.
+MAX_STATES = 6000
 
 
 def signal_outcome_probs(w1: float, w2: float):
@@ -53,16 +56,12 @@ class InducedMdp:
 
     def reachable_from_initial(self) -> np.ndarray:
         """Indices reachable from the initial distribution under any policy."""
-        frontier = list(np.nonzero(self.initial > 0)[0])
-        seen = set(frontier)
-        any_next = self.transition.sum(axis=1) > 0  # (S, S) reach under some a
-        while frontier:
-            s = frontier.pop()
-            for s2 in np.nonzero(any_next[s])[0]:
-                if s2 not in seen:
-                    seen.add(s2)
-                    frontier.append(int(s2))
-        return np.array(sorted(seen), dtype=int)
+        step = self.transition.any(axis=1)  # (S, S): reach under some action
+        reach, size = self.initial > 0, 0
+        while reach.sum() > size:  # until a pass adds no state
+            size = reach.sum()
+            reach |= step[reach].any(axis=0)
+        return np.nonzero(reach)[0]
 
 
 def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> InducedMdp:
@@ -87,16 +86,18 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
         start = {successor(s, 0, 0, b1, b2): p * ps
                  for s, p in start.items() for (b1, b2), ps in sig}
 
-    explored = {}  # reachable state -> (opponent distribution, [(a, next, prob)])
+    explored = {}  # reachable state -> (expected rewards by a, [(a, next, prob)])
     seen = set(start)
     frontier = sorted(start)
     while frontier:
+        if len(seen) > MAX_STATES:
+            raise ValueError(f"K={K} gives the induced MDP over {MAX_STATES} states")
         s = frontier.pop()
         pi2 = np.asarray(opp_policy(s), dtype=float)
         if pi2.shape != (n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
             raise ValueError(f"opponent policy is not a distribution at state code {s}")
         out = []
-        explored[s] = (pi2, out)
+        explored[s] = ([game.R1[a] @ pi2 for a in range(A)], out)
         for a in range(A):
             for b, pb in enumerate(pi2):
                 if pb <= 0:
@@ -112,16 +113,12 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
     index = {s: i for i, s in enumerate(states)}
     S = len(states)
     transition = np.zeros((S, A, S))
-    reward1 = np.zeros((S, A))
     for i, s in enumerate(states):
-        pi2, out = explored[s]
-        for a in range(A):
-            reward1[i, a] = float(game.R1[a] @ pi2)
-        for a, nxt, p in out:
+        for a, nxt, p in explored[s][1]:
             transition[i, a, index[nxt]] += p
+    reward1 = np.array([explored[s][0] for s in states])
     initial = np.zeros(S)
-    for s, p in start.items():
-        initial[index[s]] += p
+    initial[[index[s] for s in start]] = list(start.values())
 
     return InducedMdp(states=states, n_actions=A, transition=transition,
                       reward1=reward1, initial=initial)

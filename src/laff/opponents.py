@@ -121,8 +121,8 @@ class ManipulatorAgent(Agent):
         self.arm = "leader"            # the arm that plays: leader | rl
         self.t_switch: Optional[int] = None
         self.cum = 0.0
-        self.arm_cum = {"leader": 0.0, "rl": 0.0}
-        self.arm_steps = {"leader": 0, "rl": 0}
+        self.arm_cum = 0.0             # reward since the playing arm took over
+        self.leader_avg: Optional[float] = None  # the leader arm's average at the switch
         self.opp_actions: list = []
         self.override = False
         self.override_steps = 0
@@ -146,10 +146,9 @@ class ManipulatorAgent(Agent):
 
     def observe(self, t, opp_action, r_own, r_opp):
         self.cum += r_own
+        self.arm_cum += r_own
         self.opp_actions.append(int(opp_action))
         # the arm only changes below, so it is the one that acted this step
-        self.arm_cum[self.arm] += r_own
-        self.arm_steps[self.arm] += 1
         self.arms[self.arm].observe(t, opp_action, r_own, r_opp)
 
         avg = self.cum / t  # the engine observes every step, so t counts them
@@ -159,20 +158,16 @@ class ManipulatorAgent(Agent):
             if (avg < self.kit.bully.u1 - self.eps_prime
                     and self.rng.random() < self.p_switch):
                 self.phase = self.arm = "rl"
-                self.t_switch = t
+                self.t_switch, self.leader_avg, self.arm_cum = t, avg, 0.0
         elif self.phase == "rl":
             elapsed = t - self.t_switch
             if elapsed in (self.probe, self.probe + self.window):
-                if self._tv_nonstationary():
-                    self._lock_best()
+                if self._tv_nonstationary():  # lock the arm with the better average
+                    self.phase = "locked"
+                    if self.leader_avg >= self.arm_cum / elapsed:
+                        self.arm = "leader"
                 elif elapsed > self.probe:
                     self.phase = "locked"  # a stationary opponent keeps RL
-
-    def _lock_best(self):
-        avgs = {a: (self.arm_cum[a] / self.arm_steps[a]) if self.arm_steps[a] else -1.0
-                for a in self.arms}
-        self.arm = "leader" if avgs["leader"] >= avgs["rl"] else "rl"
-        self.phase = "locked"
 
 
 # parameter -> (check, what the check demands)

@@ -21,6 +21,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_solve_prints_eps_with_ten_digits(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--game", "chicken",
+                           "--eps", "0.123456789012345")
+    assert code == 0
+    assert json.loads(out)["eps"] == 0.123456789
+    assert '"eps": 0.123456789,' in out
+
+
 def test_solve_chicken(capsys):
     code, out, _ = run_cli(capsys, "solve", "--game", "chicken",
                            "--K", "1", "--eps", "0.05")
@@ -429,8 +437,14 @@ def test_float_formatting_ten_significant_digits(tmp_path, capsys):
     (["--p1", "martian", "--p2", "qlearn"],
      "error: unknown agent 'martian'; choose from ('laff', 'bully', 'ftft', "
      "'qlearn', 'fp', 'manipulator', 'egal', 'maximin') or fixed:<a>\n"),
+    (["--p1", "qlearn", "--p1-params", "{bad", "--p2", "ftft"],
+     "error: --p1-params is not JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)\n"),
+    (["--p1", "qlearn", "--p2", "ftft", "--p2-params", '{"p": 0.1'],
+     "error: --p2-params is not JSON: Expecting ',' delimiter: line 1 column 10 "
+     "(char 9)\n"),
 ], ids=["ftft_p_out_of_range", "ftft_unknown_key", "fixed_weight_out_of_range",
-        "unknown_agent"])
+        "unknown_agent", "p1_not_json", "p2_not_json"])
 def test_match_rejects_bad_agent_params(capsys, agents, message):
     code, out, err = run_cli(capsys, "match", "--game", "chicken",
                              "--T", "50", *agents)
@@ -682,6 +696,22 @@ def test_leader_tables_past_the_state_budget_are_refused_first(capsys, argv):
     assert err == ("error: K=12 gives game 'chicken' 1125899906842624 state codes, "
                    "above the leaders' budget of 4194304\n")
     assert peak < 2 ** 20
+
+
+def test_induced_mdp_past_the_state_budget_is_refused_first(capsys):
+    # K=4 gives asym_secondbest vs bully 62,208 reachable states, whose dense
+    # (S, A, S) tensor would take 62 GB; exploring up to the budget takes little
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "benchmark", "--game", "asym_secondbest",
+                                 "--opponent", "bully", "--K", "4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == "error: K=4 gives the induced MDP over 6000 states\n"
+    assert peak < 100 * 2 ** 20
 
 
 def test_learner_matches_build_no_table_and_have_no_state_budget(capsys):

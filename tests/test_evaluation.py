@@ -222,6 +222,37 @@ def test_round_robin_asymmetric_runs_both_orders():
     assert m1[1, 0] == pytest.approx(g.R1[1, 0])
 
 
+def test_round_robin_starts_no_more_workers_than_games(monkeypatch):
+    # a fork-based pool starts all max_workers processes at the first submit,
+    # so --jobs 64 on one game used to fork 64; the fake pool starts none
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = MatchConfig(T=20, seed=0)
+    names = ["fixed:0", "fixed:1"]
+    for games in (["cyclic"], ["cyclic", "chicken", "asym_biased"]):
+        games = [builtin_game(g) for g in games]
+        pooled = round_robin(names, games, trials=2, config=cfg, jobs=64)
+        serial = round_robin(names, games, trials=2, config=cfg)
+        assert np.array_equal(pooled.data, serial.data)
+    assert sizes == [1, 3]
+
+
 def test_replicator_run_trajectories():
     data = np.zeros((2, 2, 1, 1, 2))
     # algorithm 0 strictly dominates in both seats

@@ -192,6 +192,32 @@ def test_multichain_fallback_two_absorbing_states(monkeypatch):
     assert set(policy) == {0, 1}
 
 
+def test_reachable_from_initial_follows_every_action():
+    # state 2 is reached only through action 1, two steps after the start in
+    # state 1; state 0 leads into the reachable set but nothing leads to it
+    trans = np.zeros((4, 2, 4))
+    trans[0, :, 1] = 1.0
+    trans[1, 0, 1] = 1.0
+    trans[1, 1, 3] = 1.0
+    trans[3, :, 2] = 1.0
+    trans[2, :, 2] = 1.0
+    mdp = InducedMdp(states=[0, 1, 2, 3], n_actions=2, transition=trans,
+                     reward1=np.zeros((4, 2)), initial=np.array([0.0, 1.0, 0.0, 0.0]))
+    assert mdp.reachable_from_initial().tolist() == [1, 2, 3]
+
+
+def test_induced_mdp_above_the_state_budget_is_refused(monkeypatch):
+    g = builtin_game("chicken")
+    pol, w2 = bounded_memory_policy("ftft", g, MatchConfig(T=1, K=2))
+    n = induce_mdp(g, pol, w1=0.5, w2=w2, K=2).n_states
+    monkeypatch.setattr(laff.mdp, "MAX_STATES", n)
+    assert induce_mdp(g, pol, w1=0.5, w2=w2, K=2).n_states == n
+    monkeypatch.setattr(laff.mdp, "MAX_STATES", n - 1)
+    with pytest.raises(ValueError) as err:
+        induce_mdp(g, pol, w1=0.5, w2=w2, K=2)
+    assert str(err.value) == f"K=2 gives the induced MDP over {n - 1} states"
+
+
 def test_value_iteration_sweep_cap_raises(monkeypatch):
     # a cap reached before the span contracts, and before the stall
     # detector's first check, is an error rather than a silent gain

@@ -120,6 +120,32 @@ def test_manipulator_maximin_override():
     assert abs(tr.r1.mean() - (0.25 - m.eps_prime)) < 0.05
 
 
+@pytest.mark.parametrize("game, opp, seed, arm", [
+    ("asym_biased", "qlearn", 0, "leader"),
+    ("train_mixed", "laff", 1, "rl"),
+], ids=["leader", "rl"])
+def test_manipulator_locks_the_arm_with_the_better_average(game, opp, seed, arm):
+    g = builtin_game(game)
+    cfg = MatchConfig(T=400, seed=seed)
+    m = build_agent("manipulator", g, 1, cfg, {"eps_prime": 0.0, "p_switch": 0.5})
+    locked_at, observe = [], m.observe
+
+    def spy(t, *rest):
+        observe(t, *rest)
+        if m.phase == "locked" and not locked_at:
+            locked_at.append(t)
+
+    m.observe = spy
+    tr = run_match(g, m, build_agent(opp, g, 2, cfg), cfg)
+    # a lock at the end of the first audition means a nonstationary opponent,
+    # so the averages decided it rather than the stationary rule
+    assert locked_at == [m.t_switch + m.probe]
+    leader = tr.r1[:m.t_switch].mean()              # steps 1..t_switch
+    rl = tr.r1[m.t_switch:locked_at[0]].mean()      # the RL arm's audition
+    assert abs(leader - rl) > 0.1
+    assert m.arm == arm == ("leader" if leader >= rl else "rl")
+
+
 def test_manipulator_punished_by_laff():
     g = builtin_game("sym_unfair")
     mu_e2 = enforceable_ebs(g, EnforceParams(1, 0.05)).u2
