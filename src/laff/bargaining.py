@@ -113,13 +113,10 @@ def _solve(game: BimatrixGame, ep: EnforceParams, selfish: bool) -> PairSolution
                 if s1 >= -1e-12:
                     # both players' rewards weakly increase toward xA
                     alpha = 1.0
-                else:
+                else:  # den <= s1 < -1e-12: r2b - r2a <= 0, as xA has the larger R2
                     den = (r1a - r1b) + (r2b - r2a)
-                    if abs(den) < 1e-12:
-                        alpha = lo
-                    else:
-                        peak = (r2b - r1b + muS1 - muS2) / den
-                        alpha = min(max(peak, lo), 1.0)
+                    peak = (r2b - r1b + muS1 - muS2) / den
+                    alpha = min(max(peak, lo), 1.0)
             else:
                 # selfish objective u1; the solution must stay inside U
                 s2 = r2a - r2b

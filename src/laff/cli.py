@@ -36,6 +36,13 @@ def _fmt(x) -> str:
     return format(float(x), ".10g")
 
 
+def _print_json(doc) -> None:
+    """Print ``doc`` as indented JSON, each float rounded as `_fmt` rounds it."""
+    text = json.dumps(doc, default=list)  # numpy arrays as lists, floats by repr
+    rounded = json.loads(text, parse_float=lambda s: float(_fmt(float(s))))
+    print(json.dumps(rounded, indent=2))
+
+
 def write_csv(path, header, columns):
     """Write one row per index of the equal-length ``columns``, each cell as
     `_fmt` gives it; numpy columns fill one printf template per row."""
@@ -53,7 +60,7 @@ def write_csv(path, header, columns):
 
 
 def _check_counts(args, **minimums):
-    """Reject a count flag below its minimum, before any work or output."""
+    """Reject a count or seed flag below its minimum, before any work or output."""
     for name, low in minimums.items():
         value = getattr(args, name)
         if value < low:
@@ -89,29 +96,21 @@ def cmd_solve(args) -> int:
     ep = EnforceParams(args.K, args.eps)
     mu_s1, s1 = security_value(game, 1)
     mu_s2, s2 = security_value(game, 2)
-    ebs = enforceable_ebs(game, ep)
-    bully = bully_solution(game, ep)
 
     def sol_dict(sol):
-        d = {"kind": sol.kind, "u1": float(_fmt(sol.u1)), "u2": float(_fmt(sol.u2)),
-             "alpha": float(_fmt(sol.alpha)),
-             "xA": list(sol.xA) if sol.xA is not None else None,
-             "xB": list(sol.xB) if sol.xB is not None else None,
-             "deviation_profit": None if sol.deviation_profit is None
-             else float(_fmt(sol.deviation_profit))}
+        d = {"kind": sol.kind, "u1": sol.u1, "u2": sol.u2, "alpha": sol.alpha,
+             "xA": sol.xA, "xB": sol.xB, "deviation_profit": sol.deviation_profit}
         if not sol.is_fallback:
             d["punishment_length"] = punishment_length(sol, ep, mu_s2)
         return d
 
-    doc = {
-        "game": game.name, "K": args.K, "eps": float(_fmt(args.eps)),
-        "security": {"mu_s1": float(_fmt(mu_s1)), "mu_s2": float(_fmt(mu_s2)),
-                     "strategy1": [float(_fmt(p)) for p in s1],
-                     "strategy2": [float(_fmt(p)) for p in s2]},
-        "ebs": sol_dict(ebs),
-        "bully": sol_dict(bully),
-    }
-    print(json.dumps(doc, indent=2))
+    _print_json({
+        "game": game.name, "K": args.K, "eps": args.eps,
+        "security": {"mu_s1": mu_s1, "mu_s2": mu_s2,
+                     "strategy1": s1, "strategy2": s2},
+        "ebs": sol_dict(enforceable_ebs(game, ep)),
+        "bully": sol_dict(bully_solution(game, ep)),
+    })
     return 0
 
 
@@ -119,14 +118,10 @@ def cmd_benchmark(args) -> int:
     game = load_game(args.game)
     mu_star = _benchmark(game, "bounded_memory", args.opponent, _config(args))
     kit = LeaderKit.build(game, 1, EnforceParams(args.K, args.eps))
-    doc = {
-        "game": game.name, "opponent": args.opponent,
-        "mu_star": float(_fmt(mu_star)),
-        "mu_s1": float(_fmt(kit.mu_s_own)),
-        "mu_e1": float(_fmt(kit.ebs.u1)),
-        "mu_b1": float(_fmt(kit.bully.u1)),
-    }
-    print(json.dumps(doc, indent=2))
+    _print_json({
+        "game": game.name, "opponent": args.opponent, "mu_star": mu_star,
+        "mu_s1": kit.mu_s_own, "mu_e1": kit.ebs.u1, "mu_b1": kit.bully.u1,
+    })
     return 0
 
 
@@ -149,10 +144,8 @@ def cmd_match(args) -> int:
     if args.trace:
         cols = trace.columns()
         write_csv(args.trace, cols, cols.values())
-    print(json.dumps({"game": game.name, "p1": args.p1, "p2": args.p2,
-                      "T": args.T, "seed": config.seed,
-                      "mean_r1": float(_fmt(m1)), "mean_r2": float(_fmt(m2))},
-                     indent=2))
+    _print_json({"game": game.name, "p1": args.p1, "p2": args.p2,
+                 "T": args.T, "seed": config.seed, "mean_r1": m1, "mean_r2": m2})
     return 0
 
 
@@ -204,13 +197,12 @@ def cmd_tournament(args) -> int:
               result.columns())
 
     eqs = pure_nash(m1, m2)
-    print(json.dumps({"pure_nash": [[names[i], names[j]] for i, j in eqs]},
-                     indent=2))
+    _print_json({"pure_nash": [[names[i], names[j]] for i, j in eqs]})
     return 0
 
 
 def cmd_replicator(args) -> int:
-    _check_counts(args, generations=0, runs=1)
+    _check_counts(args, generations=0, runs=1, seed=0)
     result = TournamentResult.read(args.input)
     names = result.names
     out = Path(args.out)

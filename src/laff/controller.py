@@ -43,12 +43,14 @@ class Laff(Agent):
         self.q_table, self.q_counts = {}, {}   # shared by every follower
         self.follower_tripped = False
         self.expert_index = 1   # the schedule slot, 1..N_EXPERTS
-        # since the last switch: steps, own reward, and the opponent's
-        # reward after its first K steps
-        self.tau = 0
-        self.r_tau = 0.0
-        self.opp_r_tau = 0.0
         self.switch_times: list = []
+        self._enter_slot()
+
+    def _enter_slot(self):
+        """Zero the sums since the switch and hand the seat to the slot's expert."""
+        self.tau = 0          # steps,
+        self.r_tau = 0.0      # own reward,
+        self.opp_r_tau = 0.0  # and the opponent's reward after its first K steps
         self._activate(self._build_expert(self.expert_index))
 
     def _build_expert(self, j: int):
@@ -103,7 +105,4 @@ class Laff(Agent):
             if self.r_tau / tau < self.targets[self.expert_index - 1] - self._slack():
                 self.expert_index += 1
                 self.switch_times.append(t)
-                self.tau = 0
-                self.r_tau = 0.0
-                self.opp_r_tau = 0.0
-                self._activate(self._build_expert(self.expert_index))
+                self._enter_slot()

@@ -39,6 +39,8 @@ class MatchConfig:
         if self.T < 1:
             raise ValueError("horizon T must be >= 1")
         EnforceParams(self.K, self.eps)  # checks K and eps
+        if self.seed < 0:  # numpy's own error would not name the seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class StateLayout:

@@ -214,16 +214,11 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     nA, nG = len(names), len(games)
     data = np.full((nA, nA, nG, trials, 2), np.nan)
 
-    job_args, job_keys = [], []
     sym = [game.is_symmetric() for game in games]
-    for g, game in enumerate(games):
-        matches = []
-        for i, j, k in product(range(nA), range(nA), range(trials)):
-            if sym[g] and j < i:
-                continue
-            matches.append((names[i], names[j], _match_config(config, i, j, g, k)))
-            job_keys.append((i, j, g, k))
-        job_args.append((game, matches))
+    keys = [[(i, j, k) for i, j, k in product(range(nA), range(nA), range(trials))
+             if not (sym[g] and j < i)] for g in range(nG)]
+    job_args = [(game, [(names[i], names[j], _match_config(config, i, j, g, k))
+                        for i, j, k in keys[g]]) for g, game in enumerate(games)]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -231,12 +226,12 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
             per_game = list(pool.map(_game_job, job_args))
     else:
         per_game = [_game_job(a) for a in job_args]
-    results = [r for game_results in per_game for r in game_results]
 
-    for (i, j, g, k), (m1, m2) in zip(job_keys, results):
-        data[i, j, g, k] = (m1, m2)
-        if sym[g] and i != j:
-            data[j, i, g, k] = (m2, m1)
+    for g, results in enumerate(per_game):
+        for (i, j, k), (m1, m2) in zip(keys[g], results):
+            data[i, j, g, k] = (m1, m2)
+            if sym[g] and i != j:
+                data[j, i, g, k] = (m2, m1)
     return TournamentResult(names=names, games=[g.name for g in games],
                             trials=trials, data=data)
 

@@ -164,13 +164,6 @@ def punishment_strategy(game: BimatrixGame):
     return -v, p
 
 
-def _cells(rows):
-    """Build (R1, R2) from a row-major list of (r1, r2) cells."""
-    r1 = [[c[0] for c in row] for row in rows]
-    r2 = [[c[1] for c in row] for row in rows]
-    return np.array(r1, dtype=float), np.array(r2, dtype=float)
-
-
 _CHICKEN = [[(0.5, 0.5), (0.25, 1.0)],
             [(1.0, 0.25), (0.0, 0.0)]]
 
@@ -229,8 +222,8 @@ def builtin_game(name: str) -> BimatrixGame:
         raise KeyError(
             f"unknown game '{name}'; built-ins: {', '.join(GAME_NAMES)}"
         ) from None
-    r1, r2 = _cells(rows)
-    return BimatrixGame(name=name, R1=r1, R2=r2)
+    cells = np.array(rows, dtype=float)  # (n1, n2, 2): each cell is (r1, r2)
+    return BimatrixGame(name=name, R1=cells[..., 0], R2=cells[..., 1])
 
 
 def game_from_json(path) -> BimatrixGame:

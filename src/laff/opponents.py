@@ -128,9 +128,7 @@ class ManipulatorAgent(Agent):
         self.override_steps = 0
 
     def _tv_nonstationary(self) -> bool:
-        w = self.window
-        if len(self.opp_actions) < 2 * w:
-            return False
+        w = self.window  # called only at t > window + probe >= 2 * window
         last = np.bincount(self.opp_actions[-w:], minlength=self.kit.n_opp) / w
         prev = np.bincount(self.opp_actions[-2 * w:-w], minlength=self.kit.n_opp) / w
         return 0.5 * np.abs(last - prev).sum() > 0.1

@@ -43,6 +43,55 @@ def test_solve_chicken(capsys):
     assert doc["bully"]["u1"] == pytest.approx(1.0)
 
 
+FLAT2_SOLVE = """\
+{
+  "game": "flat2",
+  "K": 1,
+  "eps": 0.05,
+  "security": {
+    "mu_s1": 0.3,
+    "mu_s2": 0.5,
+    "strategy1": [
+      1.0,
+      0.0
+    ],
+    "strategy2": [
+      1.0,
+      0.0
+    ]
+  },
+  "ebs": {
+    "kind": "SecurityFallback",
+    "u1": 0.3,
+    "u2": 0.5,
+    "alpha": 1.0,
+    "xA": null,
+    "xB": null,
+    "deviation_profit": null
+  },
+  "bully": {
+    "kind": "SecurityFallback",
+    "u1": 0.3,
+    "u2": 0.5,
+    "alpha": 1.0,
+    "xA": null,
+    "xB": null,
+    "deviation_profit": null
+  }
+}
+"""
+
+
+def test_solve_prints_a_security_fallback(tmp_path, capsys):
+    # the opponent's constant rewards leave nothing enforceable; no golden
+    # digest covers this document, whose pairs are null and which has no
+    # punishment_length
+    path = tmp_path / "flat2.json"
+    path.write_text(json.dumps({"name": "flat2", "R1": [[0.3, 0.7], [0.2, 0.9]],
+                                "R2": [[0.5, 0.5], [0.5, 0.5]]}))
+    assert run_cli(capsys, "solve", "--game", str(path)) == (0, FLAT2_SOLVE, "")
+
+
 def test_match_trace_rows(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     code, out, _ = run_cli(capsys, "match", "--game", "chicken",
@@ -107,22 +156,24 @@ def test_non_finite_reward_file(tmp_path, capsys):
         assert err == f"error: {p}: rewards of game 'bad' must be finite\n"
 
 
-@pytest.mark.parametrize("content, field", [
+@pytest.mark.parametrize("content, says", [
     (None, None),                                  # --game names a directory
     ("[[0.5]]", None),                             # top-level list
-    ('{"R1": [[0.5]]}', "R2"),                     # missing field
-    ('{"R1": [[0.5, 0.2], [0.1]], "R2": [[0.5]]}', "R1"),  # ragged rows
+    ('{"R1": [[0.5]]}', "field R2"),               # missing field
+    ('{"R1": [[0.5, 0.2], [0.1]], "R2": [[0.5]]}', "field R1"),  # ragged rows
     ("{R1: oops", None),                           # not JSON
     ('{"R1": [0.5], "R2": [0.5]}', None),          # vectors, not matrices
     ('{"R1": [[1.5]], "R2": [[0.2]]}', None),      # reward outside [0, 1]
     # float() reads a string or a boolean, but neither is a JSON number
-    ('{"R1": [[0.5, 1], [0, 1]], "R2": [[0.5, "1e-1"], [0, 0]]}', "R2"),
-    ('{"R1": [[0.5, true], [0, 1]], "R2": [[0.5, 0.1], [0, 0]]}', "R1"),
-    ('{"R1": [["0.5", true], [0, 1]], "R2": [[0.5, "1e-1"], [false, 0]]}', "R1"),
+    ('{"R1": [[0.5, 1], [0, 1]], "R2": [[0.5, "1e-1"], [0, 0]]}', "field R2"),
+    ('{"R1": [[0.5, true], [0, 1]], "R2": [[0.5, 0.1], [0, 0]]}', "field R1"),
+    ('{"R1": [["0.5", true], [0, 1]], "R2": [[0.5, "1e-1"], [false, 0]]}',
+     "field R1"),
+    ('{"R1": [[]], "R2": [[]]}', "need at least one action per player"),
 ], ids=["directory", "list", "missing_R2", "ragged_R1", "not_json",
         "one_dimensional", "out_of_range", "string_reward", "boolean_reward",
-        "string_and_boolean_rewards"])
-def test_malformed_game_file_is_one_line(tmp_path, capsys, content, field):
+        "string_and_boolean_rewards", "no_columns"])
+def test_malformed_game_file_is_one_line(tmp_path, capsys, content, says):
     path = tmp_path / "game.json"
     if content is None:
         path.mkdir()
@@ -133,8 +184,8 @@ def test_malformed_game_file_is_one_line(tmp_path, capsys, content, field):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
-    if field is not None:
-        assert f"field {field}" in err
+    if says is not None:
+        assert says in err
     if content is None:
         assert err == f"error: '{path}' is neither a built-in game nor a file\n"
 
@@ -495,9 +546,10 @@ def _pair_csv_lines(tmp_path, capsys):
                   "',fixed:0,chicken,0,0.5,0.5'"),
     ("empty_game", "{csv}:2: alg1, alg2 and game must not be empty, got "
                    "'fixed:0,fixed:0,,0,0.5,0.5'"),
+    ("header_only", "{csv} has no data rows"),
 ], ids=["negative_trial", "missing_row", "nan_reward", "huge_trial", "bad_trial",
         "out_of_range", "duplicate_row", "no_header", "wrong_header", "empty_alg",
-        "empty_game"])
+        "empty_game", "header_only"])
 def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
     lines = _pair_csv_lines(tmp_path, capsys)
     assert lines[1].startswith("fixed:0,fixed:0,chicken,0,")
@@ -525,6 +577,8 @@ def test_replicator_rejects_malformed_csv(tmp_path, capsys, damage, message):
         lines[1] = ",fixed:0,chicken,0,0.5,0.5"
     elif damage == "empty_game":
         lines[1] = "fixed:0,fixed:0,,0,0.5,0.5"
+    elif damage == "header_only":
+        del lines[1:]
     else:
         lines[1] = "fixed:0,fixed:0,chicken,x,0.5,0.5"
     csv = tmp_path / "broken.csv"
@@ -569,27 +623,45 @@ def test_tournament_rejects_repeated_names(tmp_path, capsys, flags, message):
 
 @pytest.mark.parametrize("argv, message", [
     (["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
-      "adversarial", "--T", "20", "--seeds", "0"],
+      "adversarial", "--T", "20", "--seeds", "0", "--out", "{out}"],
      "--seeds must be >= 1, got 0"),
     (["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
-      "adversarial", "--T", "20", "--stride", "0"],
+      "adversarial", "--T", "20", "--stride", "0", "--out", "{out}"],
      "--stride must be >= 1, got 0"),
     (["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
-      "adversarial", "--T", "20", "--stride", "-3"],
+      "adversarial", "--T", "20", "--stride", "-3", "--out", "{out}"],
      "--stride must be >= 1, got -3"),
     (["tournament", "--algorithms", "fixed:0,fixed:1", "--games", "chicken",
-      "--T", "20", "--trials", "0"],
+      "--T", "20", "--trials", "0", "--out", "{out}"],
      "--trials must be >= 1, got 0"),
     (["tournament", "--algorithms", "fixed:0,fixed:1", "--games", "chicken",
-      "--T", "20", "--jobs", "-4"],
+      "--T", "20", "--jobs", "-4", "--out", "{out}"],
      "--jobs must be >= 1, got -4"),
-    (["replicator", "--generations", "-1", "--runs", "2"],
+    (["replicator", "--generations", "-1", "--runs", "2",
+      "--out", "{out}/population.csv"],
      "--generations must be >= 0, got -1"),
-    (["replicator", "--generations", "5", "--runs", "0"],
+    (["replicator", "--generations", "5", "--runs", "0",
+      "--out", "{out}/population.csv"],
      "--runs must be >= 1, got 0"),
+    # a negative seed used to fail in numpy with "expected non-negative
+    # integer", which names no flag, and the replicator created --out first
+    (["match", "--game", "chicken", "--p1", "laff", "--p2", "fp", "--T", "10",
+      "--seed", "-1", "--trace", "{out}"],
+     "seed must be >= 0, got -1"),
+    (["benchmark", "--game", "chicken", "--opponent", "bully", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["regret", "--game", "chicken", "--p2", "bully", "--opp-class",
+      "adversarial", "--T", "20", "--seed", "-1", "--out", "{out}"],
+     "seed must be >= 0, got -1"),
+    (["tournament", "--algorithms", "fixed:0,fixed:1", "--games", "chicken",
+      "--T", "20", "--seed", "-1", "--out", "{out}"],
+     "seed must be >= 0, got -1"),
+    (["replicator", "--seed", "-1", "--out", "{out}/population.csv"],
+     "--seed must be >= 0, got -1"),
 ], ids=["regret_seeds", "regret_stride_zero", "regret_stride_negative",
         "tournament_trials", "tournament_jobs", "replicator_generations",
-        "replicator_runs"])
+        "replicator_runs", "match_seed", "benchmark_seed", "regret_seed",
+        "tournament_seed", "replicator_seed"])
 def test_out_of_range_counts_are_rejected(tmp_path, capsys, argv, message):
     # these used to raise IndexError, write all-nan CSVs or silently run with
     # a count of 1
@@ -599,8 +671,7 @@ def test_out_of_range_counts_are_rejected(tmp_path, capsys, argv, message):
         csv.write_text("\n".join(lines) + "\n")
         argv = argv + ["--input", str(csv)]
     out_dir = tmp_path / "out"
-    target = out_dir / "population.csv" if argv[0] == "replicator" else out_dir
-    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    code, out, err = run_cli(capsys, *[a.format(out=out_dir) for a in argv])
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"

@@ -245,6 +245,13 @@ def test_out_of_range_action_aborts():
         run_match(g, _Rogue(), FixedActionAgent(0, 2, player=2), MatchConfig(T=5))
 
 
+def test_out_of_range_action_of_player_2_aborts():
+    g = builtin_game("chicken")
+    with pytest.raises(RuntimeError, match=r"^player 2 agent returned action 5 "
+                       r"outside 0\.\.1 at step 1$"):
+        run_match(g, FixedActionAgent(0, 2, player=1), _Rogue(), MatchConfig(T=5))
+
+
 class _BadWeight(FixedActionAgent):
     """Reports ``weight`` from its call for step ``at`` on, 0.5 before.
 
@@ -281,3 +288,5 @@ def test_config_validation():
         MatchConfig(T=10, eps=0.0)
     with pytest.raises(ValueError):
         MatchConfig(T=10, K=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        MatchConfig(T=5, seed=-1)

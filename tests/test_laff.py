@@ -4,8 +4,9 @@ import pytest
 from laff import (BimatrixGame, EnforceParams, GAME_NAMES, Laff, MatchConfig,
                   build_agent, builtin_game, bully_solution, enforceable_ebs,
                   play_match, run_match, security_value)
+from laff.bargaining import slack_b
 from laff.engine import agent_rng
-from laff.experts import LeaderCore, MaximinPolicy, TabularQ, maximin_trip
+from laff.experts import DELTA, LeaderCore, MaximinPolicy, TabularQ, maximin_trip
 from oracles import encode
 
 
@@ -32,6 +33,27 @@ def test_fallback_targets_collapse_to_security():
     laff, _ = _mk(g)
     muS1, _ = security_value(g, 1)
     assert laff.targets == pytest.approx([muS1] * 5)
+
+
+def test_switch_slack_without_a_target_solution_is_the_bare_slack():
+    # both leader maps of flat2 are security fallbacks, so the switch test
+    # has no enforcement margin to carry and falls back to slack_b
+    g = BimatrixGame("flat2", [[0.3, 0.7], [0.2, 0.9]],
+                     [[0.5, 0.5], [0.5, 0.5]])
+    cfg = MatchConfig(T=4000, seed=1)
+    laff = build_agent("laff", g, 1, cfg)
+    assert laff.kit.solution_map("bully") is None
+    assert laff.kit.solution_map("ebs") is None
+    seen, slack = [], laff._slack
+
+    def spy():
+        seen.append((laff.tau, slack()))
+        return seen[-1][1]
+
+    laff._slack = spy
+    run_match(g, laff, build_agent("qlearn", g, 2, cfg), cfg)
+    assert seen
+    assert all(value == slack_b(tau, cfg.T, DELTA) for tau, value in seen)
 
 
 def _feed(laff, rewards, start=1):

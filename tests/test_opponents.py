@@ -146,6 +146,28 @@ def test_manipulator_locks_the_arm_with_the_better_average(game, opp, seed, arm)
     assert m.arm == arm == ("leader" if leader >= rl else "rl")
 
 
+def test_manipulator_tests_the_opponent_only_with_two_windows_of_actions():
+    # the test runs at t > window + probe >= 2 * window steps, so it reads
+    # two full windows at every horizon; from T = 3 on, every horizon reaches it
+    horizons = [*range(1, 80), 200, 999, 2000]
+    seen = []
+    for name in ("chicken", "asym_biased", "train_mixed"):
+        g = builtin_game(name)
+        for T in horizons:
+            for seed in range(3):
+                cfg = MatchConfig(T=T, seed=seed)
+                m = build_agent("manipulator", g, 1, cfg, {"p_switch": 1})
+
+                def spy(m=m, test=m._tv_nonstationary, T=T):
+                    seen.append((T, len(m.opp_actions), m.window))
+                    return test()
+
+                m._tv_nonstationary = spy
+                run_match(g, m, build_agent("qlearn", g, 2, cfg), cfg)
+    assert {T for T, _, _ in seen} == set(horizons) - {1, 2}
+    assert all(n >= 2 * window for _, n, window in seen)
+
+
 def test_manipulator_punished_by_laff():
     g = builtin_game("sym_unfair")
     mu_e2 = enforceable_ebs(g, EnforceParams(1, 0.05)).u2
