@@ -40,7 +40,7 @@ def _print_json(doc) -> None:
     """Print ``doc`` as indented JSON, each float rounded as `_fmt` rounds it."""
     text = json.dumps(doc, default=list)  # numpy arrays as lists, floats by repr
     rounded = json.loads(text, parse_float=lambda s: float(_fmt(float(s))))
-    print(json.dumps(rounded, indent=2))
+    print(json.dumps(rounded, indent=2, allow_nan=False))
 
 
 def write_csv(path, header, columns):
@@ -98,8 +98,9 @@ def cmd_solve(args) -> int:
     mu_s2, s2 = security_value(game, 2)
 
     def sol_dict(sol):
+        r = sol.deviation_profit  # -inf if player 2 has one action: null, as a fallback's
         d = {"kind": sol.kind, "u1": sol.u1, "u2": sol.u2, "alpha": sol.alpha,
-             "xA": sol.xA, "xB": sol.xB, "deviation_profit": sol.deviation_profit}
+             "xA": sol.xA, "xB": sol.xB, "deviation_profit": None if r == -np.inf else r}
         if not sol.is_fallback:
             d["punishment_length"] = punishment_length(sol, ep, mu_s2)
         return d

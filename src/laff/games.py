@@ -3,8 +3,8 @@
 Rewards are always normalized to [0, 1].  Player 1 is the row player and
 player 2 the column player; all indices are 0-based.  The zero-sum kernels
 (`security_value`, `punishment_strategy`) read a pure saddle point off the
-matrix and solve an LP with HiGHS only for a matrix without one, so
-scipy.optimize is imported on the first such LP, not with this module.
+matrix and solve a matrix without one exactly (`_mixed_maximin`), with no
+LP library.
 """
 
 from __future__ import annotations
@@ -96,43 +96,56 @@ def swap_players(game: BimatrixGame) -> BimatrixGame:
 def _maximin(M: np.ndarray):
     """max over row mixtures p of min_j (p'M)_j, with the optimal p.
 
-    Pure optima are preferred (lowest index) so results are deterministic.
-    A matrix with a pure saddle point (max of the row minima equals min of
-    the column maxima) has its best pure row optimal (von Neumann's minimax
-    theorem), so HiGHS runs, and scipy.optimize is imported, only for a
-    matrix without one.  HiGHS's optimum is kept only where it beats the
-    best pure row by more than `_TOL`.  p is a read-only float array on
-    the simplex.
+    A pure saddle point (max of the row minima = min of the column maxima)
+    makes the best pure row (lowest index) optimal (von Neumann's minimax
+    theorem).  Without one, `_mixed_maximin`'s optimum replaces that row only
+    where it beats it by more than `_TOL`.  p is read-only, on the simplex.
     """
     M = np.asarray(M, dtype=float)
-    m, n = M.shape
     pure_vals = M.min(axis=1)
     best_pure = int(np.argmax(pure_vals))
     value = float(pure_vals[best_pure])
-    p = np.zeros(m)
+    p = np.zeros(M.shape[0])
     p[best_pure] = 1.0
     if value < M.max(axis=0).min():  # no pure saddle point
-        from scipy.optimize import linprog
-
-        # variables (p_1..p_m, v); maximize v s.t. p'M >= v, p on the simplex
-        c = np.zeros(m + 1)
-        c[-1] = -1.0
-        A_ub = np.hstack([-M.T, np.ones((n, 1))])
-        b_ub = np.zeros(n)
-        A_eq = np.zeros((1, m + 1))
-        A_eq[0, :m] = 1.0
-        b_eq = np.array([1.0])
-        bounds = [(0.0, 1.0)] * m + [(None, None)]
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
-        if not res.success:
-            raise RuntimeError(f"maximin LP failed: {res.message}")
-        if value < float(res.x[-1]) - _TOL:
-            value = float(res.x[-1])
-            p = np.clip(res.x[:m], 0.0, None)
-            p /= p.sum()
+        mixed_value, mixed_p = _mixed_maximin(M)
+        if value < mixed_value - _TOL:
+            value, p = mixed_value, mixed_p
     p.setflags(write=False)
     return value, p
+
+
+def _mixed_maximin(M: np.ndarray):
+    """`_maximin`'s optimum in exact arithmetic, each number rounded once.
+
+    The column player's LP (Shapley & Snow, 1950), max 1'y s.t. (M + shift) y
+    <= 1, y >= 0 with shift = 1 - min M, by simplex from the all-slack basis
+    under Bland's rule: the lowest column with a positive reduced cost enters,
+    the minimum-ratio row leaves (ties: lowest basic index).  The tableau is
+    integral over the entries' common denominator, and each pivot divides it
+    exactly by the last (Edmonds).  Value 1/opt - shift; p = slack duals/opt.
+    """
+    from fractions import Fraction
+
+    m, n = M.shape
+    ratios = [x.as_integer_ratio() for x in M.ravel().tolist()]
+    D = max(d for _, d in ratios)
+    A = [a * (D // d) for a, d in ratios]
+    low = min(A)
+    # rows [D(M + shift) | I | D], then [reduced costs | -1'y <= 0]; all times det
+    rows = [[a - low + D for a in A[i * n:i * n + n]] + [int(i == k) for k in range(m)]
+            + [D] for i in range(m)] + [[1] * n + [0] * (m + 1)]
+    basis, det = list(range(n, n + m)), 1
+    while (j := next((j for j, c in enumerate(rows[-1]) if c > 0), None)) is not None:
+        i = min((i for i in range(m) if rows[i][j] > 0),
+                key=lambda i: (Fraction(rows[i][-1], rows[i][j]), basis[i]))
+        piv, top = rows[i][j], rows[i]
+        rows = [top if k == i else [(x * piv - r[j] * y) // det for x, y in zip(r, top)]
+                for k, r in enumerate(rows)]
+        basis[i], det = j, piv
+    *duals, opt = (-c for c in rows[-1][n:])
+    p = np.array([q / sum(duals) for q in duals])  # int quotients, correctly rounded
+    return (det * D - opt * (D - low)) / (opt * D), p
 
 
 def _cached_maximin(game: BimatrixGame, M: np.ndarray):

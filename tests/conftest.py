@@ -1,5 +1,4 @@
 import pytest
-import scipy.optimize
 
 import laff.games
 
@@ -7,7 +6,7 @@ import laff.games
 @pytest.fixture
 def lp_calls(monkeypatch):
     """The matrices passed to `laff.games._maximin` during the test, in order:
-    the LP cache's misses, whether or not HiGHS runs for them."""
+    the LP cache's misses, whether or not the exact kernel runs for them."""
     real, calls = laff.games._maximin, []
 
     def spy(M):
@@ -19,14 +18,14 @@ def lp_calls(monkeypatch):
 
 
 @pytest.fixture
-def highs_solves(monkeypatch):
-    """The objective vectors of the `scipy.optimize.linprog` calls (HiGHS
-    solves) during the test, in order."""
-    real, calls = scipy.optimize.linprog, []
+def mixed_solves(monkeypatch):
+    """The matrices passed to `laff.games._mixed_maximin` (the exact kernel,
+    run for an LP matrix without a pure saddle point) during the test."""
+    real, calls = laff.games._mixed_maximin, []
 
-    def spy(c, *args, **kwargs):
-        calls.append(c)
-        return real(c, *args, **kwargs)
+    def spy(M):
+        calls.append(M)
+        return real(M)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    monkeypatch.setattr(laff.games, "_mixed_maximin", spy)
     return calls

@@ -1,6 +1,7 @@
 """Brute-force reference computations used to check the solvers."""
 
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,18 @@ def maximin_grid(M, step=1e-3):
     return float(vals.max())
 
 
+def _pure_row(M):
+    """The best pure row (lowest index) of M: its value and its strategy."""
+    best = int(np.argmax(M.min(axis=1)))
+    p = np.zeros(M.shape[0])
+    p[best] = 1.0
+    return float(M[best].min()), p
+
+
 def maximin_lp(M):
-    """`games._maximin` as it was before the pure-saddle shortcut: HiGHS on
-    every matrix, its value replaced by the best pure row (lowest index)
-    when that row is within `_TOL` of it."""
+    """`games._maximin` as it was before the pure-saddle shortcut and the
+    exact kernel: HiGHS on every matrix, its value replaced by the best
+    pure row (lowest index) when that row is within `_TOL` of it."""
     M = np.asarray(M, dtype=float)
     m, n = M.shape
     # variables (p_1..p_m, v); maximize v s.t. p'M >= v, p on the simplex
@@ -42,19 +51,73 @@ def maximin_lp(M):
                   method="highs")
     if not res.success:
         raise RuntimeError(f"maximin LP failed: {res.message}")
-    value = float(res.x[-1])
-
-    pure_vals = M.min(axis=1)
-    best_pure = int(np.argmax(pure_vals))
-    if pure_vals[best_pure] >= value - _TOL:
-        value = float(pure_vals[best_pure])
-        p = np.zeros(m)
-        p[best_pure] = 1.0
-    else:
+    value, p = _pure_row(M)
+    if value < float(res.x[-1]) - _TOL:
+        value = float(res.x[-1])
         p = np.clip(res.x[:m], 0.0, None)
         p /= p.sum()
     p.setflags(write=False)
     return value, p
+
+
+def _solve_exact(A, b):
+    """x with A x = b for a square matrix A of Fractions, None if A is singular."""
+    rows = [list(r) + [c] for r, c in zip(A, b)]
+    k = len(rows)
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][-1] / rows[i][i] for i in range(k)]
+
+
+def maximin_exact(M):
+    """`games._maximin` by support enumeration in exact arithmetic (Shapley &
+    Snow), for matrices up to 4x4.
+
+    Every vertex (p, v) of {p >= 0, sum p = 1, p'M >= v} solves a square
+    system: p zero off a row set S, p'M_j = v on a column set T, |S| = |T|.
+    The square systems are enumerated smallest first (then S, then T in
+    lexicographic order) over the Fraction values of the float entries; the
+    nonsingular ones whose p is nonnegative and guarantees v against every
+    column are the vertices, and those with the largest v the optimal ones.
+
+    Returns (value, p, determined).  As in `_maximin`, the best pure row
+    (lowest index) is returned when it is within `_TOL` of the optimum;
+    otherwise the first optimal vertex, each number rounded once.
+    `determined` is True when that rule picks the pure row or the optimal
+    strategy is unique, so that `_maximin` must return exactly this p.
+    """
+    M = np.asarray(M, dtype=float)
+    m, n = M.shape
+    assert m <= 4 and n <= 4, "support enumeration grows as C(m+n, m)"
+    F = [[Fraction(x) for x in row] for row in M.tolist()]
+    vertices = []
+    for k in range(1, min(m, n) + 1):
+        for S in itertools.combinations(range(m), k):
+            for T in itertools.combinations(range(n), k):
+                # unknowns p_S and v: p_S'M_{S,j} - v = 0 for j in T, sum p_S = 1
+                A = [[F[i][j] for i in S] + [Fraction(-1)] for j in T]
+                x = _solve_exact(A + [[Fraction(1)] * k + [Fraction(0)]],
+                                 [Fraction(0)] * k + [Fraction(1)])
+                if x is None or min(x[:k]) < 0:
+                    continue
+                p = [Fraction(0)] * m
+                for i, q in zip(S, x[:k]):
+                    p[i] = q
+                if all(sum(p[i] * F[i][j] for i in range(m)) >= x[k] for j in range(n)):
+                    vertices.append((x[k], tuple(p)))
+    best = max(v for v, _ in vertices)
+    optimal = [p for v, p in vertices if v == best]
+    value, p = _pure_row(M)
+    if value >= float(best) - _TOL:
+        return value, p, True
+    return float(best), np.array([float(q) for q in optimal[0]]), len(set(optimal)) == 1
 
 
 def bargaining_grid(game, K, eps, selfish, step=1e-4):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import laff.evaluation
-from laff.cli import build_parser, main, write_csv
+from laff.cli import _print_json, build_parser, main, write_csv
 from laff.svg import svg_line_plot
 from oracles import write_csv_rows
 
@@ -90,6 +90,22 @@ def test_solve_prints_a_security_fallback(tmp_path, capsys):
     path.write_text(json.dumps({"name": "flat2", "R1": [[0.3, 0.7], [0.2, 0.9]],
                                 "R2": [[0.5, 0.5], [0.5, 0.5]]}))
     assert run_cli(capsys, "solve", "--game", str(path)) == (0, FLAT2_SOLVE, "")
+
+
+def test_solve_prints_null_for_a_deviation_profit_that_does_not_exist(
+        tmp_path, capsys):
+    # player 2 has one action, so no deviation exists; -Infinity is not JSON
+    path = tmp_path / "edge1.json"
+    path.write_text(json.dumps({"name": "edge1", "R1": [[0.51], [0.10]],
+                                "R2": [[0.82], [0.37]]}))
+    code, out, _ = run_cli(capsys, "solve", "--game", str(path))
+    assert code == 0
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+    for kind in ("ebs", "bully"):
+        assert doc[kind]["deviation_profit"] is None
+        assert doc[kind]["punishment_length"] == 0
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _print_json({"x": -np.inf})
 
 
 def test_match_trace_rows(tmp_path, capsys):
@@ -391,12 +407,13 @@ def test_benchmark_solves_each_distinct_lp_once(capsys, lp_calls, game,
     ("sym_biased", 2, 2),  # symmetric, and both of its LPs mix
 ])
 def test_benchmark_runs_highs_only_without_a_saddle_point(
-        capsys, lp_calls, highs_solves, game, lps, solves):
+        capsys, lp_calls, mixed_solves, game, lps, solves):
+    # the mixed solves are the exact kernel's, which took HiGHS's place
     code, _, _ = run_cli(capsys, "benchmark", "--game", game,
                          "--opponent", "bully", "--K", "2")
     assert code == 0
     assert len(lp_calls) == lps
-    assert len(highs_solves) == solves
+    assert len(mixed_solves) == solves
 
 
 def test_regret_subcommand(tmp_path, capsys):

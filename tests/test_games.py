@@ -3,14 +3,14 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import laff.games
 from laff import (BimatrixGame, EnforceParams, GAME_NAMES, LeaderKit,
                   builtin_game, load_game, punishment_strategy, security_value,
                   swap_players)
-from oracles import maximin_grid, maximin_lp
+from oracles import maximin_exact, maximin_grid, maximin_lp
 
 
 def test_chicken_security_values():
@@ -207,15 +207,47 @@ def _lp_matrices(draw):
     return draw(arrays(np.float64, shape, elements=elements))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(_lp_matrices())
-@example(np.array([[0.0, 1.0], [0.5, 0.75]]))  # saddle in the second row
-@example(np.array([[0.0, 1.0], [0.5, 1.0], [0.5, 0.75]]))  # tie: row 1 wins
-@example(-np.zeros((2, 2)))  # the value is -0.0
-@example(builtin_game("cyclic").R1)  # no saddle: HiGHS runs
-def test_maximin_matches_the_highs_oracle_exactly(M):
+def _lp_examples(test):
+    """The strategies and examples shared by the two oracle comparisons."""
+    for M in ([[0.0, 1.0], [0.5, 0.75]],  # saddle in the second row
+              [[0.0, 1.0], [0.5, 1.0], [0.5, 0.75]],  # tie: row 1 wins
+              -np.zeros((2, 2)),  # the value is -0.0
+              builtin_game("cyclic").R1,  # no saddle: the exact kernel runs
+              # no saddle, yet the pure row 2 is optimal and is kept
+              [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]):
+        test = example(np.array(M))(test)
+    return settings(derandomize=True, database=None, max_examples=300,
+                    deadline=None)(given(_lp_matrices())(test))
+
+
+@_lp_examples
+# HiGHS returned 5.96e-08, within its feasibility tolerance; the all-zero
+# column caps the value at 0
+@example(np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 2.0**-24], [0.0, 0.0, 0.0]]))
+# HiGHS returned rows 1 and 3, as if the 4.4e-77 entry were 0
+@example(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [4.3843001e-77, 1.0, 1.0],
+                   [0.0, 1.0, 1.0]]))
+def test_maximin_matches_the_exact_oracle(M):
+    # bit for bit where the optimal strategy is determined, else optimal
+    value, strategy = laff.games._maximin(M)
+    want_value, want_strategy, determined = maximin_exact(M)
+    assert value.hex() == want_value.hex()
+    if determined:
+        assert strategy.tobytes() == want_strategy.tobytes()
+    else:
+        assert strategy.min() >= 0 and abs(strategy.sum() - 1) <= 1e-12
+        assert (strategy @ M).min() >= value - 1e-12
+    assert not strategy.flags.writeable
+
+
+@_lp_examples
+def test_maximin_matches_the_highs_oracle_within_1e_15(M):
+    # HiGHS's floats differ from the exact optimum by at most an ulp or two;
+    # on a degenerate matrix it may return another optimal vertex
+    values = np.unique(np.append(M, 0.0))
+    assume(np.diff(values).min(initial=1.0) >= 1e-6)
     value, strategy = laff.games._maximin(M)
     want_value, want_strategy = maximin_lp(M)
-    assert value.hex() == want_value.hex()
-    assert strategy.tobytes() == want_strategy.tobytes()
-    assert not strategy.flags.writeable
+    assert abs(value - want_value) <= 1e-15
+    if maximin_exact(M)[2]:
+        assert np.abs(strategy - want_strategy).max() <= 1e-15
