@@ -144,7 +144,7 @@ def _mixed_maximin(M: np.ndarray):
                 for k, r in enumerate(rows)]
         basis[i], det = j, piv
     *duals, opt = (-c for c in rows[-1][n:])
-    p = np.array([q / sum(duals) for q in duals])  # int quotients, correctly rounded
+    p = np.array([q * D / opt for q in duals])  # int quotients, correctly rounded
     return (det * D - opt * (D - low)) / (opt * D), p
 
 

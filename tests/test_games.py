@@ -242,8 +242,10 @@ def test_maximin_matches_the_exact_oracle(M):
 
 @_lp_examples
 def test_maximin_matches_the_highs_oracle_within_1e_15(M):
-    # HiGHS's floats differ from the exact optimum by at most an ulp or two;
-    # on a degenerate matrix it may return another optimal vertex
+    # HiGHS's floats differ from the exact optimum by a few ulps, and where
+    # the optimum is not unique it may return another optimal vertex.  An
+    # entry or a gap between entries below 1e-6 is within reach of its
+    # tolerances (1e-7 feasibility), which then decide its answer.
     values = np.unique(np.append(M, 0.0))
     assume(np.diff(values).min(initial=1.0) >= 1e-6)
     value, strategy = laff.games._maximin(M)
