@@ -8,7 +8,8 @@ outweigh the opponent's one-shot deviation profit by at least epsilon:
     K * u2 >= K * muS2 + r(X) + eps
 
 The egalitarian solution maximizes min_i(u_i - muS_i) over the enforceable
-set; the bully solution maximizes u1 alone.
+set; the bully solution maximizes u1 alone.  This module holds only these
+solutions; LAFF's switch slack, which reads them, lives in `controller`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ BULLY = "Bully"
 SECURITY_FALLBACK = "SecurityFallback"
 
 _TOL = 1e-9
-# Weights of the 1/tau and sqrt(log(T/delta)/tau) terms of the switch slack.
-C1 = 0.05
-C3 = 0.005
 
 
 class JointAction(NamedTuple):
@@ -188,46 +186,4 @@ def punishment_length(solution: PairSolution, ep: EnforceParams,
         raise ValueError("solution is not enforceable: opponent gains nothing "
                          "over its security value yet profits from deviating")
     return min(ep.K, max(0, math.ceil(num / gap - 1e-12)))
-
-
-def xi(eps: float, r: float, Kp: int) -> float:
-    """Per-step enforcement margin used by the slack schedule.
-
-    xi = eps/(2K') if r >= 0; (eps+r)/(2K') if -eps < r < 0; -r otherwise.
-    """
-    if r <= -eps:
-        return -r
-    if Kp < 1:
-        raise ValueError("punishment length must be >= 1 when r > -eps")
-    return (eps if r >= 0 else eps + r) / (2 * Kp)
-
-
-def slack_b(tau: int, T: int, delta: float) -> float:
-    """Bare two-term switch slack: C1/tau + C3*sqrt(log(T/d)/2tau).
-
-    Solution-independent floor; the controller prefers `slack_b_enforced`
-    when a target solution (hence its enforcement margin) is available.
-    """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    return C1 / tau + C3 * math.sqrt(math.log(T / delta) / (2 * tau))
-
-
-def slack_b_enforced(tau: int, T: int, delta: float, xi_val: float, Kp: int,
-                     t0: float = 1.0) -> float:
-    """Switch slack carrying the target solution's enforcement margin xi.
-
-    Follows the analysis form with the unobservable follower-regret terms
-    dropped: the 1/tau term keeps the punishment-length numerator (with the
-    adaptation time collapsed to t0), and C3 multiplies the full
-    sqrt-order coefficient (3 + xi)/xi.  Small margins xi buy followers a
-    long re-learning grace before the expert is abandoned.
-    """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    if xi_val <= 0:
-        raise ValueError("enforcement margin xi must be positive")
-    lead = (Kp * xi_val + C1 * max(t0, 1.0) + Kp + 1) / (xi_val * tau)
-    root = C3 * (3.0 + xi_val) / xi_val * math.sqrt(math.log(T / delta) / (2 * tau))
-    return lead + root
 

@@ -11,18 +11,83 @@ the active expert is dropped when its average reward falls below the current
 target minus a slack that shrinks with time.  A follower or maximin expert
 that trips its exploitation test at a subepoch boundary hands the seat to
 the egalitarian leader; after a follower trip, every later follower slot
-starts as that leader.  Follower instances share one Q table.
+starts as that leader.  Follower instances share one Q table.  All of
+LAFF's decision rules and tuned constants live in this module.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
-from .bargaining import EnforceParams, slack_b, slack_b_enforced, xi
+from .bargaining import EnforceParams
 from .engine import Agent, MatchConfig, StateLayout
-from .experts import (DELTA, LeaderCore, LeaderKit, MaximinPolicy, TabularQ,
-                      follower_rate, follower_trip, maximin_trip)
+from .experts import LeaderCore, LeaderKit, MaximinPolicy, SolutionMap, TabularQ
 from .games import BimatrixGame
+
+
+# Confidence level of the switch slack and the tripwire tests.
+DELTA = 0.05
+# Weights of the 1/tau and sqrt(log(T/delta)/tau) terms of the switch slack.
+C1 = 0.05
+C3 = 0.005
+# Margin below the opponent's egalitarian value in the maximin tripwire.
+ETA_M = 0.05
+# Scale of the follower regret bound at the trip test.  The bound is stated
+# only up to an O(1) factor; this value is calibrated so the tripwire fires
+# on genuinely capped opponents within the first epoch but survives an
+# ordinary learner's burn-in (see tests).
+RQ_SCALE = 0.1
+# Visit-count offset of the follower's learning rate.
+H0 = 10
+
+
+def switch_slack(tau: int, T: int, m: Optional[SolutionMap], eps: float) -> float:
+    """How far an expert's average may fall below its target after tau steps.
+
+    C1/tau + C3*sqrt(log(T/DELTA)/2tau) with no target solution (``m`` None);
+    else the analysis form without the unobservable follower-regret terms: the
+    1/tau term keeps the punishment-length numerator, with one leader phase (T/20)
+    as a follower's adaptation time, and C3 scales by (3 + xi)/xi, so a thin
+    enforcement margin xi (-r or (eps + min(r, 0))/2K') buys a follower a long grace.
+    """
+    root = math.sqrt(math.log(T / DELTA) / (2 * tau))
+    if m is None:
+        return C1 / tau + C3 * root
+    # tau >= 1, and xi > 0: -r >= eps > 0, or (eps + min(r, 0)) / 2K' > 0
+    r, Kp = m.r, m.Kp
+    xi = -r if r <= -eps else (eps if r >= 0 else eps + r) / (2 * max(1, Kp))
+    return ((Kp * xi + C1 * max(T / 20.0, 1.0) + Kp + 1) / (xi * tau)
+            + C3 * (3.0 + xi) / xi * root)
+
+
+def rq_bound(tau: int, delta: float, S: int, A: int) -> float:
+    """Regret scale of the tabular follower: (S*A*log(tau/delta))^(1/3) * tau^(2/3).
+
+    Unit leading constant; the follower's trip test scales it by RQ_SCALE.
+    """
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
+    return (S * A * math.log(tau / delta)) ** (1.0 / 3.0) * tau ** (2.0 / 3.0)
+
+
+def follower_trip(kit: LeaderKit, tau: int, cum: float, T: int, S: int) -> bool:
+    """True when the average ``cum / tau`` falls below the own egalitarian
+    value by more than the scaled follower-regret allowance over S states."""
+    allowance = RQ_SCALE * rq_bound(tau, DELTA / T, S, kit.n_own)
+    return cum / tau < kit.ebs.u1 - allowance / tau
+
+
+def maximin_trip(kit: LeaderKit, n: int, opp_cum: float, T: int) -> bool:
+    """True when the opponent's average ``opp_cum / n`` over n steps
+    significantly exceeds its egalitarian value."""
+    bound = kit.ebs.u2 - ETA_M + math.sqrt(math.log(T / DELTA) / (2 * n))
+    return opp_cum / n > bound
+
+
+def follower_rate(t: int, n: int) -> float:
+    """The follower's learning rate at the n-th visit of a state-action pair."""
+    return (H0 + 1.0) / (H0 + n)
 
 
 class Laff(Agent):
@@ -33,8 +98,7 @@ class Laff(Agent):
     def __init__(self, game: BimatrixGame, player: int, config: MatchConfig, rng):
         self.config = config
         self.rng = rng
-        self.kit = LeaderKit.build(game, player,
-                                   EnforceParams(config.K, config.eps))
+        self.kit = LeaderKit.build(game, player, EnforceParams(config.K, config.eps))
         self.targets = [self.kit.bully.u1, self.kit.bully.u1,
                         self.kit.ebs.u1, self.kit.ebs.u1, self.kit.mu_s_own]
         self.H = max(1, int(math.isqrt(config.T)))
@@ -71,17 +135,9 @@ class Laff(Agent):
         return self._act(state, t)
 
     def _slack(self) -> float:
-        cfg = self.config
         # the test guards the target solution of the current schedule slot
-        which = "bully" if self.expert_index <= 2 else "ebs"
-        m = self.kit.solution_map(which)
-        if m is None:
-            return slack_b(self.tau, cfg.T, DELTA)
-        xi_val = xi(cfg.eps, m.r, max(1, m.Kp))
-        # t0, the adaptation time granted to a follower after this seat
-        # turns stationary, is one leader phase
-        return slack_b_enforced(self.tau, cfg.T, DELTA, xi_val, m.Kp,
-                                t0=cfg.T / 20.0)
+        m = self.kit.solution_map("bully" if self.expert_index <= 2 else "ebs")
+        return switch_slack(self.tau, self.config.T, m, self.config.eps)
 
     def observe(self, t, opp_action, r_own, r_opp):
         cfg, active = self.config, self.active

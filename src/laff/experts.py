@@ -1,9 +1,9 @@
 """LAFF's sub-algorithms: leader enforcement, optimistic-Q follower, maximin.
 
-The experts are plain agents, and the zoo's leader, Q-learning and maximin
-opponents are subclasses of the same three classes.  The two exploitation
-tests, `follower_trip` and `maximin_trip`, are pure predicates that the
-controller applies to its own running sums.
+This module holds the leader kits (each seat's solutions, strategies and
+play tables) and the three experts, which are plain agents: the zoo's
+leader, Q-learning and maximin opponents are subclasses of the same three
+classes.  The rules that choose among the experts live in `controller`.
 
 Leaders hold a bargaining solution, map the public signal bit to one of its
 two cells, and punish recent opponent deviations with the punishment
@@ -15,7 +15,6 @@ the reported weight is that cell's mixture weight.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,43 +26,10 @@ from .engine import Agent, StateLayout
 from .games import BimatrixGame, security_value, punishment_strategy, swap_players
 
 
-# Confidence level of LAFF's switch slack and tripwire tests.
-DELTA = 0.05
-# Margin below the opponent's egalitarian value in the maximin tripwire.
-ETA_M = 0.05
-# Scale of the follower regret bound at the trip test.  The bound is stated
-# only up to an O(1) factor; this value is calibrated so the tripwire fires
-# on genuinely capped opponents within the first epoch but survives an
-# ordinary learner's burn-in (see tests).
-RQ_SCALE = 0.1
 # Most state codes a kit's play tables may cover.  Building them peaks at 50-80
 # bytes a code (228 MB for a 2x2 game at K=5, which is at the budget; a 3x2
 # game at K=4 has 1,327,104 codes), so a larger layout is refused first.
 MAX_STATE_CODES = 2 ** 22
-
-
-def rq_bound(tau: int, delta: float, S: int, A: int) -> float:
-    """Regret scale of the tabular follower: (S*A*log(tau/delta))^(1/3) * tau^(2/3).
-
-    Unit leading constant; the follower's trip test scales it by RQ_SCALE.
-    """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    return (S * A * math.log(tau / delta)) ** (1.0 / 3.0) * tau ** (2.0 / 3.0)
-
-
-def follower_trip(kit: LeaderKit, tau: int, cum: float, T: int, S: int) -> bool:
-    """True when the average ``cum / tau`` falls below the own egalitarian
-    value by more than the scaled follower-regret allowance over S states."""
-    allowance = RQ_SCALE * rq_bound(tau, DELTA / T, S, kit.n_own)
-    return cum / tau < kit.ebs.u1 - allowance / tau
-
-
-def maximin_trip(kit: LeaderKit, n: int, opp_cum: float, T: int) -> bool:
-    """True when the opponent's average ``opp_cum / n`` over n steps
-    significantly exceeds its egalitarian value."""
-    bound = kit.ebs.u2 - ETA_M + math.sqrt(math.log(T / DELTA) / (2 * n))
-    return opp_cum / n > bound
 
 
 def _sample(dist: np.ndarray, rng) -> int:
@@ -287,15 +253,6 @@ class TabularQ(Agent):
         """Record the reward of the pending step."""
         if self._pending is not None:
             self._pending[2] = r_own
-
-
-# Visit-count offset of the follower's learning rate.
-H0 = 10
-
-
-def follower_rate(t: int, n: int) -> float:
-    """The follower's learning rate at the n-th visit of a state-action pair."""
-    return (H0 + 1.0) / (H0 + n)
 
 
 class MaximinPolicy(Agent):

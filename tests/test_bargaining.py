@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from laff import (BimatrixGame, EnforceParams, JointAction, builtin_game,
                   bully_solution, deviation_profit, enforceable_ebs,
-                  punishment_length, security_value, slack_b, xi)
-from laff.bargaining import PairSolution, slack_b_enforced
+                  punishment_length, security_value)
+from laff.bargaining import PairSolution
 from oracles import bargaining_grid
 
 EP = EnforceParams(1, 0.05)
@@ -173,31 +173,6 @@ def test_punishment_length():
                        deviation_profit=0.2, kind="EBS")
     with pytest.raises(ValueError):
         punishment_length(bad, EP, muS2)
-
-
-def test_xi_branches():
-    assert xi(0.05, -0.25, 0) == pytest.approx(0.25)
-    assert xi(0.1, 0.2, 2) == pytest.approx(0.025)
-    assert xi(0.1, -0.05, 1) == pytest.approx(0.025)
-    with pytest.raises(ValueError):
-        xi(0.1, 0.2, 0)
-
-
-def test_slack_b():
-    assert slack_b(1, 200000, 0.05) == pytest.approx(0.06378486711900234)
-    taus = [1, 2, 10, 100, 10000, 10 ** 8]
-    vals = [slack_b(t, 200000, 0.05) for t in taus]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 1e-3
-
-
-def test_slack_b_enforced_shrinks_with_margin():
-    # a thin enforcement margin buys a follower a longer grace period
-    loose = slack_b_enforced(100, 20000, 0.05, xi_val=0.5, Kp=0)
-    tight = slack_b_enforced(100, 20000, 0.05, xi_val=0.025, Kp=1)
-    assert tight > loose
-    with pytest.raises(ValueError):
-        slack_b_enforced(100, 20000, 0.05, xi_val=0.0, Kp=1)
 
 
 def test_solver_handles_rectangular_games():

@@ -13,8 +13,8 @@ from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
 from laff.evaluation import _game_job, check_entrants, round_robin
 from laff.games import GAME_NAMES, load_game
 from laff.engine import Agent, FixedActionAgent, StateLayout, agent_rng, run_match
-from laff.experts import (LeaderCore, MaximinPolicy, TabularQ, follower_rate,
-                          follower_trip, maximin_trip)
+from laff.controller import follower_rate, follower_trip, maximin_trip
+from laff.experts import LeaderCore, MaximinPolicy, TabularQ
 from oracles import decode, encode, leader_deviated, leader_distribution
 
 EP = EnforceParams(1, 0.05)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from laff import (BimatrixGame, EnforceParams, GAME_NAMES, Laff, MatchConfig,
-                  build_agent, builtin_game, bully_solution, enforceable_ebs,
-                  play_match, run_match, security_value)
-from laff.bargaining import slack_b
+from laff import (BimatrixGame, EnforceParams, GAME_NAMES, JointAction, Laff,
+                  MatchConfig, build_agent, builtin_game, bully_solution,
+                  enforceable_ebs, play_match, run_match, security_value,
+                  switch_slack)
+from laff.controller import maximin_trip
 from laff.engine import agent_rng
-from laff.experts import DELTA, LeaderCore, MaximinPolicy, TabularQ, maximin_trip
+from laff.experts import LeaderCore, MaximinPolicy, SolutionMap, TabularQ
 from oracles import encode
 
 
@@ -37,7 +38,7 @@ def test_fallback_targets_collapse_to_security():
 
 def test_switch_slack_without_a_target_solution_is_the_bare_slack():
     # both leader maps of flat2 are security fallbacks, so the switch test
-    # has no enforcement margin to carry and falls back to slack_b
+    # has no enforcement margin to carry and takes the bare slack
     g = BimatrixGame("flat2", [[0.3, 0.7], [0.2, 0.9]],
                      [[0.5, 0.5], [0.5, 0.5]])
     cfg = MatchConfig(T=4000, seed=1)
@@ -53,7 +54,82 @@ def test_switch_slack_without_a_target_solution_is_the_bare_slack():
     laff._slack = spy
     run_match(g, laff, build_agent("qlearn", g, 2, cfg), cfg)
     assert seen
-    assert all(value == slack_b(tau, cfg.T, DELTA) for tau, value in seen)
+    assert all(value == switch_slack(tau, cfg.T, None, cfg.eps)
+               for tau, value in seen)
+
+
+def _map(r, Kp):
+    """A solution map carrying only what the switch slack reads."""
+    cell = JointAction(0, 0)
+    return SolutionMap(cell1=cell, cell0=cell, weight=1.0, Kp=Kp, r=r, plays=())
+
+
+# (tau, T, (r, Kp) of the map or None, eps, slack.hex()) as the three
+# functions the switch slack replaced computed them: the bare slack, each
+# regime of the margin xi (r <= -eps, -eps < r < 0, r >= 0) with Kp in
+# {0, 1, 2}, and T < 20, where the adaptation time is floored at one step
+RECORDED_SLACKS = [
+    (1, 200000, None, 0.05, "0x1.054347e417d79p-4"),
+    (100, 20000, None, 0.05, "0x1.cff18b182b34dp-10"),
+    (3, 10, None, 0.1, "0x1.5e0c3107b8588p-6"),
+    (100, 20000, (-0.25, 0), 0.05, "0x1.073ba2e03c85bp+1"),
+    (100, 20000, (-0.25, 1), 0.05, "0x1.0da20946a2ec1p+1"),
+    (100, 20000, (-0.25, 2), 0.05, "0x1.14086fad09528p+1"),
+    (100, 20000, (-0.05, 1), 0.05, "0x1.4f9941a040b22p+3"),
+    (100, 20000, (-0.02, 0), 0.05, "0x1.120ab65ac1f7ep+5"),
+    (100, 20000, (-0.02, 1), 0.05, "0x1.177486915efb5p+5"),
+    (100, 20000, (-0.02, 2), 0.05, "0x1.1cc88f0797d00p+6"),
+    (100, 20000, (0.0, 1), 0.05, "0x1.4f6b18613f537p+4"),
+    (100, 20000, (0.2, 0), 0.05, "0x1.48dbbc384990ep+4"),
+    (100, 20000, (0.2, 1), 0.05, "0x1.4f6b18613f537p+4"),
+    (100, 20000, (0.2, 2), 0.05, "0x1.55cee5096cb8bp+5"),
+    (3, 10, (0.2, 1), 0.05, "0x1.c3c357318feedp+4"),
+    (7, 49, (-0.01, 2), 0.1, "0x1.4950c6fdb3e99p+4"),
+]
+
+
+def test_switch_slack_matches_the_recorded_values():
+    for tau, T, m, eps, expected in RECORDED_SLACKS:
+        got = switch_slack(tau, T, None if m is None else _map(*m), eps)
+        assert got.hex() == expected, (tau, T, m, eps)
+
+
+def test_switch_slack_shrinks_with_tau_and_grows_as_the_margin_thins():
+    bare = [switch_slack(t, 200000, None, 0.05)
+            for t in (1, 2, 10, 100, 10000, 10 ** 8)]
+    assert all(a > b for a, b in zip(bare, bare[1:]))
+    assert bare[-1] < 1e-3
+    # a thin enforcement margin buys a follower a longer grace period:
+    # xi = 0.5 (r = -0.5) against xi = 0.05/2 (r >= 0, Kp = 1)
+    loose = switch_slack(100, 20000, _map(-0.5, 0), 0.05)
+    tight = switch_slack(100, 20000, _map(0.2, 1), 0.05)
+    assert tight > loose
+
+
+def test_slots_3_to_5_take_their_slack_from_the_egalitarian_map():
+    # slot 5's target is the own security value, yet its slack carries the
+    # egalitarian solution's margin, as slots 3 and 4 do; slots 1 and 2
+    # carry the bully solution's, and slot 6 runs no switch test
+    laff, cfg = _mk(builtin_game("asym_unfair"), T=10000)
+    bully, ebs = laff.kit.bully_map, laff.kit.ebs_map
+    assert (bully.r, bully.Kp) != (ebs.r, ebs.Kp)
+    seen, slack = [], laff._slack
+
+    def spy():
+        seen.append((laff.expert_index, laff.tau, slack()))
+        return seen[-1][2]
+
+    laff._slack = spy
+    t = 0
+    while laff.expert_index < 6 and t < cfg.T:  # starved of reward
+        _feed(laff, [0.0] * laff.H, start=t + 1)
+        t += laff.H
+    assert {j for j, _, _ in seen} == {1, 2, 3, 4, 5}
+    for j, tau, value in seen:
+        m = bully if j <= 2 else ebs
+        assert value == switch_slack(tau, cfg.T, m, cfg.eps), (j, tau)
+        other = ebs if j <= 2 else bully
+        assert value != switch_slack(tau, cfg.T, other, cfg.eps), (j, tau)
 
 
 def _feed(laff, rewards, start=1):
