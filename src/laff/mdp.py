@@ -176,21 +176,13 @@ def _multichain_lp(P, r, init):
     """
     from scipy.optimize import linprog
 
-    n, A, _ = P.shape
-    # variables: g (n), h (n)
-    c = np.concatenate([init, np.zeros(n)])
-    rows = []
-    rhs = []
-    for a in range(A):
-        # (P[:, a] - I) g <= 0
-        block = np.hstack([P[:, a, :] - np.eye(n), np.zeros((n, n))])
-        rows.append(block)
-        rhs.append(np.zeros(n))
-        # -g + (P[:, a] - I) h <= -r[:, a]
-        block2 = np.hstack([-np.eye(n), P[:, a, :] - np.eye(n)])
-        rows.append(block2)
-        rhs.append(-r[:, a])
-    res = linprog(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+    n = len(P)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    # variables (g, h); per action a, (P_a - I) g <= 0 and -g + (P_a - I) h <= -r_a
+    A_ub = np.vstack([np.block([[Pa - eye, zero], [-eye, Pa - eye]])
+                      for Pa in P.swapaxes(0, 1)])
+    b_ub = np.concatenate([np.r_[np.zeros(n), -ra] for ra in r.T])
+    res = linprog(np.r_[init, np.zeros(n)], A_ub=A_ub, b_ub=b_ub,
                   bounds=[(None, None)] * (2 * n), method="highs")
     if not res.success:
         raise RuntimeError(f"multichain gain LP failed: {res.message}")
