@@ -146,8 +146,9 @@ class ManipulatorAgent(Agent):
         self.cum += r_own
         self.arm_cum += r_own
         self.opp_actions.append(int(opp_action))
-        # the arm only changes below, so it is the one that acted this step
-        self.arms[self.arm].observe(t, opp_action, r_own, r_opp)
+        # the arm and the override only change below, so they tell who acted
+        if not self.override:
+            self.arms[self.arm].observe(t, opp_action, r_own, r_opp)
 
         avg = self.cum / t  # the engine observes every step, so t counts them
         self.override = avg < self.kit.mu_s_own - self.eps_prime

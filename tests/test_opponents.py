@@ -120,6 +120,24 @@ def test_manipulator_maximin_override():
     assert abs(tr.r1.mean() - (0.25 - m.eps_prime)) < 0.05
 
 
+def test_manipulator_rl_arm_learns_only_from_its_own_steps():
+    g = builtin_game("chicken")
+    m = build_agent("manipulator", g, 1, MatchConfig(T=4000, seed=1))
+    m.phase = m.arm = "rl"  # as if it had switched to the RL arm at t = 0
+    m.t_switch, m.leader_avg = 0, 0.0
+    rl = m.arms["rl"]
+    action = m.act(0, 1)  # the RL arm plays step 1
+    m.observe(1, 0, 0.1, 0.9)
+    # an average of 0.1 is below the security floor 0.25 - eps', so the
+    # maximin override plays step 2 while the RL arm stays the playing arm
+    assert m.override and m.arm == "rl"
+    m.act(0, 2)
+    m.observe(2, 0, 0.15, 0.9)
+    assert m.override_steps == 1
+    # the arm's pending step is still its own step 1, with that step's reward
+    assert rl._pending == [0, action, 0.1, 1]
+
+
 @pytest.mark.parametrize("game, opp, seed, arm", [
     ("asym_biased", "qlearn", 0, "leader"),
     ("train_mixed", "laff", 1, "rl"),
