@@ -431,6 +431,23 @@ def test_regret_subcommand(tmp_path, capsys):
     assert (tmp_path / "regret_chicken_qlearn.svg").exists()
 
 
+def test_regret_at_one_step_plots_a_one_point_curve(tmp_path, capsys):
+    # one point spans no x range: the plot widens it to [1, 2]
+    code, _, _ = run_cli(capsys, "regret", "--game", "chicken", "--p2", "qlearn",
+                         "--opp-class", "follower_unconditional", "--T", "1",
+                         "--out", str(tmp_path), "--svg")
+    assert code == 0
+    csv = tmp_path / "regret_chicken_qlearn.csv"
+    assert csv.read_text().splitlines()[0] == "t,avg_regret"
+    assert len(csv.read_text().splitlines()) == 2
+    root = ET.parse(tmp_path / "regret_chicken_qlearn.svg").getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    (line,) = root.iter(f"{ns}polyline")
+    assert line.get("points") == "50.00,350.00"
+    labels = [t.text for t in root.iter(f"{ns}text")]
+    assert labels[1:3] == ["1", "2"]
+
+
 def test_regret_output_names_p1(tmp_path, capsys):
     # the name used to leave out --p1, so the second run overwrote the first
     for p1 in ("laff", "bully"):

@@ -80,6 +80,11 @@ def test_pure_nash_degenerate():
     assert pure_nash(np.array([[1.0]]), np.array([[0.0]])) == [(0, 0)]
 
 
+def test_pure_nash_rejects_matrices_of_different_shapes():
+    with pytest.raises(ValueError, match="payoff matrices must share a shape"):
+        pure_nash(np.ones((2, 2)), np.ones((2, 3)))
+
+
 def test_pure_nash_affine_invariance():
     rng = np.random.default_rng(0)
     a = rng.random((4, 4))

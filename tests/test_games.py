@@ -122,6 +122,14 @@ def test_load_game_file(tmp_path):
         load_game("no_such_game")
 
 
+def test_unknown_builtin_game_names_the_built_ins():
+    with pytest.raises(KeyError) as info:
+        builtin_game("nosuch")
+    assert info.value.args == (
+        "unknown game 'nosuch'; built-ins: " + ", ".join(GAME_NAMES),)
+    assert info.value.__suppress_context__  # no second traceback
+
+
 def test_game_copies_and_freezes_its_matrices():
     r1 = np.array([[0.5, 0.25], [1.0, 0.0]])
     r2 = r1.T.copy()
