@@ -49,7 +49,7 @@ def switch_slack(tau: int, T: int, m: Optional[SolutionMap], eps: float) -> floa
     else the analysis form without the unobservable follower-regret terms: the
     1/tau term keeps the punishment-length numerator, with one leader phase (T/20)
     as a follower's adaptation time, and C3 scales by (3 + xi)/xi, so a thin
-    enforcement margin xi (-r or (eps + min(r, 0))/2K') buys a follower a long grace.
+    enforcement margin xi buys a follower a long grace before it is dropped.
     """
     root = math.sqrt(math.log(T / DELTA) / (2 * tau))
     if m is None:
