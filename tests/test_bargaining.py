@@ -7,8 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from laff import (BimatrixGame, EnforceParams, JointAction, builtin_game,
                   bully_solution, deviation_profit, enforceable_ebs,
-                  punishment_length, security_value)
+                  punishment_length, security_value, switch_slack)
 from laff.bargaining import PairSolution
+from laff.experts import SolutionMap
 from oracles import bargaining_grid
 
 EP = EnforceParams(1, 0.05)
@@ -173,6 +174,29 @@ def test_punishment_length():
                        deviation_profit=0.2, kind="EBS")
     with pytest.raises(ValueError):
         punishment_length(bad, EP, muS2)
+
+
+def test_slack_b():
+    # the switch slack with no target solution, now switch_slack's None map
+    assert switch_slack(1, 200000, None, 0.05) == pytest.approx(0.06378486711900234)
+    taus = [1, 2, 10, 100, 10000, 10 ** 8]
+    vals = [switch_slack(t, 200000, None, 0.05) for t in taus]
+    assert all(a > b for a, b in zip(vals, vals[1:]))
+    assert vals[-1] < 1e-3
+
+
+def _map(r, Kp):
+    """A solution map carrying only what the switch slack reads."""
+    cell = JointAction(0, 0)
+    return SolutionMap(cell1=cell, cell0=cell, weight=1.0, Kp=Kp, r=r, plays=())
+
+
+def test_slack_b_enforced_shrinks_with_margin():
+    # a thin enforcement margin buys a follower a longer grace period:
+    # xi = 0.5 (r = -0.5) against xi = 0.05/2 (r >= 0, Kp = 1)
+    loose = switch_slack(100, 20000, _map(-0.5, 0), 0.05)
+    tight = switch_slack(100, 20000, _map(0.2, 1), 0.05)
+    assert tight > loose
 
 
 def test_solver_handles_rectangular_games():
