@@ -17,7 +17,7 @@ import numpy as np
 
 from .bargaining import EnforceParams, enforceable_ebs, bully_solution, \
     punishment_length
-from .engine import MatchConfig
+from .engine import MatchConfig, run_match
 from .evaluation import (OPPONENT_CLASSES, TournamentResult, _match_config,
                          benchmark_for, check_entrants, play_match, pure_nash,
                          regret_curve, replicator_run, round_robin)
@@ -135,12 +135,12 @@ def cmd_match(args) -> int:
             params.append(json.loads(text) if text else None)
         except ValueError as e:  # the decoder's message names no flag
             raise ValueError(f"{flag} is not JSON: {e}") from None
-    # both entrants are checked before the trace file is created
-    build_agent(args.p1, game, 1, config, params[0])
-    build_agent(args.p2, game, 2, config, params[1])
+    # both entrants are built, and so checked, before the trace file is created
+    a1 = build_agent(args.p1, game, 1, config, params[0])
+    a2 = build_agent(args.p2, game, 2, config, params[1])
     if args.trace:
         open(args.trace, "a").close()  # an unusable path fails before the match
-    trace = play_match(game, args.p1, args.p2, config, *params)
+    trace = run_match(game, a1, a2, config)
     m1, m2 = trace.mean_rewards()
     if args.trace:
         cols = trace.columns()

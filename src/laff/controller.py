@@ -11,8 +11,8 @@ the active expert is dropped when its average reward falls below the current
 target minus a slack that shrinks with time.  A follower or maximin expert
 that trips its exploitation test at a subepoch boundary hands the seat to
 the egalitarian leader; after a follower trip, every later follower slot
-starts as that leader.  Follower instances share one Q table.  All of
-LAFF's decision rules and tuned constants live in this module.
+starts as that leader.  Every follower slot runs the one follower, Q table
+and all.  All of LAFF's decision rules and tuned constants live here.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class Laff(Agent):
         self.H = max(1, int(math.isqrt(config.T)))
         self.subepoch = max(1, math.ceil(math.sqrt(self.H)))
         self.S = StateLayout(game.n1, game.n2, config.K).n_states
-        self.q_table, self.q_counts = {}, {}   # shared by every follower
+        self.follower = TabularQ(self.kit.n_own, follower_rate, self.kit.ebs_weight)
         self.follower_tripped = False
         self.expert_index = 1   # the schedule slot, 1..N_EXPERTS
         self.switch_times: list = []
@@ -119,8 +119,8 @@ class Laff(Agent):
 
     def _build_expert(self, j: int):
         if j in (1, 3, 5) and not self.follower_tripped:
-            return TabularQ(self.kit.n_own, follower_rate, self.kit.ebs_weight,
-                            self.q_table, self.q_counts)
+            self.follower.pending = None  # the step the last slot interrupted
+            return self.follower
         if j == 6:
             return MaximinPolicy(self.kit.maximin, self.rng, self.kit.ebs_weight)
         return LeaderCore(self.kit, "bully" if j == 2 else "ebs", self.rng)

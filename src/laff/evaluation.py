@@ -22,11 +22,10 @@ OPPONENT_CLASSES = ("adversarial", "follower_conditional", "follower_uncondition
                     "bounded_memory")  # the classes `benchmark_for` knows
 
 
-def play_match(game: BimatrixGame, name1: str, name2: str, config: MatchConfig,
-               params1: Optional[dict] = None, params2: Optional[dict] = None):
+def play_match(game: BimatrixGame, name1: str, name2: str, config: MatchConfig):
     """Build both agents by name from the match seed and run the match."""
-    a1 = build_agent(name1, game, 1, config, params=params1)
-    a2 = build_agent(name2, game, 2, config, params=params2)
+    a1 = build_agent(name1, game, 1, config)
+    a2 = build_agent(name2, game, 2, config)
     return run_match(game, a1, a2, config)
 
 
@@ -178,10 +177,8 @@ def _match_config(config: MatchConfig, *key: int) -> MatchConfig:
     return replace(config, seed=int(seed))
 
 
-def _game_job(args):
-    game, matches = args
-    return [play_match(game, name_i, name_j, cfg).mean_rewards()
-            for name_i, name_j, cfg in matches]
+def _match_job(args):
+    return play_match(*args).mean_rewards()
 
 
 def check_entrants(names: list, games: list, config: MatchConfig) -> None:
@@ -204,9 +201,9 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     For symmetric games only the ordered pairs with i <= j are played; the
     reversed cell is filled with the same numbers swapped.  Seeds derive
     deterministically from (config.seed, i, j, game, trial), so results do
-    not depend on scheduling.  With ``jobs > 1`` each game's matches form
-    one worker task, so a worker receives each game once, carrying the
-    leader kits and LPs solved while checking the entrants.
+    not depend on scheduling.  With ``jobs > 1`` each of at most ``jobs``
+    workers takes one contiguous chunk of the matches, pickled as one object:
+    it carries each of its games once, with the kits and LPs solved already.
     """
     names = list(algorithms)
     games = list(games)
@@ -215,23 +212,23 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     data = np.full((nA, nA, nG, trials, 2), np.nan)
 
     sym = [game.is_symmetric() for game in games]
-    keys = [[(i, j, k) for i, j, k in product(range(nA), range(nA), range(trials))
-             if not (sym[g] and j < i)] for g in range(nG)]
-    job_args = [(game, [(names[i], names[j], _match_config(config, i, j, g, k))
-                        for i, j, k in keys[g]]) for g, game in enumerate(games)]
+    keys = [(i, j, g, k) for g, i, j, k in product(*map(range, (nG, nA, nA, trials)))
+            if not (sym[g] and j < i)]
+    tasks = [(games[g], names[i], names[j], _match_config(config, i, j, g, k))
+             for i, j, g, k in keys]
 
-    if jobs > 1:
+    if jobs > 1 and tasks:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(job_args))) as pool:
-            per_game = list(pool.map(_game_job, job_args))
+        chunk = -(-len(tasks) // jobs)  # ceil: at most jobs chunks, a worker each
+        with ProcessPoolExecutor(max_workers=-(-len(tasks) // chunk)) as pool:
+            results = list(pool.map(_match_job, tasks, chunksize=chunk))
     else:
-        per_game = [_game_job(a) for a in job_args]
+        results = map(_match_job, tasks)
 
-    for g, results in enumerate(per_game):
-        for (i, j, k), (m1, m2) in zip(keys[g], results):
-            data[i, j, g, k] = (m1, m2)
-            if sym[g] and i != j:
-                data[j, i, g, k] = (m2, m1)
+    for (i, j, g, k), (m1, m2) in zip(keys, results):
+        data[i, j, g, k] = (m1, m2)
+        if sym[g] and i != j:
+            data[j, i, g, k] = (m2, m1)
     return TournamentResult(names=names, games=[g.name for g in games],
                             trials=trials, data=data)
 

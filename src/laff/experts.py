@@ -207,24 +207,22 @@ class LeaderCore(Agent):
 class TabularQ(Agent):
     """Tabular Q-learning over state codes, optimistic at 1/(1 - GAMMA).
 
-    A step's update waits for the state that follows it: `act` settles the
-    pending step at the caller's learning rate ``schedule(t, n)``, for the
-    step's time t and visit count n (this visit included), and then defers
-    the new step, whose reward `observe` records.  Greedy as is, it is
-    LAFF's follower; `opponents.EpsGreedyQAgent` adds exploration.
+    `act` settles the pending step once the next state is known, at the
+    caller's learning rate ``schedule(t, n)`` for its time t and visit count
+    n (this visit included), then defers the new step for `observe` to reward.
+    An owner that takes the seat away sets ``pending`` to None, dropping that
+    step.  Greedy, it is LAFF's follower; `opponents.EpsGreedyQAgent` explores.
     """
 
     GAMMA = 0.95
     Q0 = 1.0 / (1.0 - GAMMA)
 
-    def __init__(self, n_actions: int, schedule, weight: float = 0.0,
-                 table: Optional[dict] = None, counts: Optional[dict] = None):
+    def __init__(self, n_actions: int, schedule, weight: float = 0.0):
         self.n_actions = n_actions
         self.schedule = schedule
         self.weight = weight
-        self.table = table if table is not None else {}
-        self.counts = counts if counts is not None else {}
-        self._pending = None  # [state, action, reward, t] of the unsettled step
+        self.table, self.counts = {}, {}
+        self.pending = None  # [state, action, reward, t] of the unsettled step
 
     def act(self, state, t: int, action: Optional[int] = None) -> int:
         """Settle the pending step, then take ``action`` (greedy if None)."""
@@ -233,7 +231,7 @@ class TabularQ(Agent):
         if row is None:
             row = table[state] = [self.Q0] * self.n_actions
         best = max(row)
-        pending = self._pending
+        pending = self.pending
         if pending is not None:
             ps, pa, pr, pt = pending
             counts = self.counts.get(ps)
@@ -246,13 +244,13 @@ class TabularQ(Agent):
                 best = max(row)
         if action is None:
             action = row.index(best)  # ties go to the lowest index
-        self._pending = [state, action, 0.0, t]
+        self.pending = [state, action, 0.0, t]
         return action
 
     def observe(self, t, opp_action, r_own, r_opp):
         """Record the reward of the pending step."""
-        if self._pending is not None:
-            self._pending[2] = r_own
+        if self.pending is not None:
+            self.pending[2] = r_own
 
 
 class MaximinPolicy(Agent):

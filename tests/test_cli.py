@@ -884,7 +884,7 @@ def test_unusable_out_fails_before_any_match(tmp_path, capsys, monkeypatch, argv
     def no_match(*args, **kwargs):
         raise AssertionError("a match was played")
 
-    for work in ("play_match", "round_robin", "replicator_run"):
+    for work in ("play_match", "run_match", "round_robin", "replicator_run"):
         monkeypatch.setattr(f"laff.cli.{work}", no_match)
     out, csv = tmp_path / "out", tmp_path / "pair_game_trial.csv"
     out.write_text("")

@@ -227,16 +227,16 @@ def test_round_robin_asymmetric_runs_both_orders():
     assert m1[1, 0] == pytest.approx(g.R1[1, 0])
 
 
-def test_round_robin_starts_no_more_workers_than_games(monkeypatch):
+def test_round_robin_starts_one_worker_per_chunk(monkeypatch):
     # a fork-based pool starts all max_workers processes at the first submit,
-    # so --jobs 64 on one game used to fork 64; the fake pool starts none
+    # so each worker must get a chunk of matches; the fake pool starts none
     import concurrent.futures
 
-    sizes = []
+    pools = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            pools.append([max_workers])
 
         def __enter__(self):
             return self
@@ -244,18 +244,25 @@ def test_round_robin_starts_no_more_workers_than_games(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize):
+            pools[-1] += [len(items), chunksize]
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = MatchConfig(T=20, seed=0)
     names = ["fixed:0", "fixed:1"]
-    for games in (["cyclic"], ["cyclic", "chicken", "asym_biased"]):
+    three = ["cyclic", "chicken", "asym_biased"]  # 8 + 6 + 8 matches at 2 trials
+    for games, jobs in ((["cyclic"], 64), (three, 7), (three, 2)):
         games = [builtin_game(g) for g in games]
-        pooled = round_robin(names, games, trials=2, config=cfg, jobs=64)
+        pooled = round_robin(names, games, trials=2, config=cfg, jobs=jobs)
         serial = round_robin(names, games, trials=2, config=cfg)
         assert np.array_equal(pooled.data, serial.data)
-    assert sizes == [1, 3]
+    # one worker per chunk, never more than jobs: 22 matches in 7 jobs are
+    # 6 chunks of at most 4
+    assert pools == [[8, 8, 1], [6, 22, 4], [2, 22, 11]]
+    # no matches, no pool
+    assert round_robin([], [builtin_game("cyclic")], 2, cfg, jobs=2).data.size == 0
+    assert len(pools) == 3
 
 
 def test_replicator_run_trajectories():

@@ -10,19 +10,19 @@ import laff.experts
 import laff.games
 from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
                   builtin_game, rq_bound, security_value)
-from laff.evaluation import _game_job, check_entrants, round_robin
+from laff.evaluation import _match_job, check_entrants, round_robin
 from laff.games import GAME_NAMES, load_game
 from laff.engine import Agent, FixedActionAgent, StateLayout, agent_rng, run_match
-from laff.controller import follower_rate, follower_trip, maximin_trip
+from laff.controller import Laff, follower_rate, follower_trip, maximin_trip
 from laff.experts import LeaderCore, MaximinPolicy, TabularQ
 from oracles import decode, encode, leader_deviated, leader_distribution
 
 EP = EnforceParams(1, 0.05)
 
 
-def _follower(kit, table, counts):
-    """LAFF's follower expert, as the controller builds it for a slot."""
-    return TabularQ(kit.n_own, follower_rate, kit.ebs_weight, table, counts)
+def _follower(kit):
+    """LAFF's follower expert, as the controller builds it."""
+    return TabularQ(kit.n_own, follower_rate, kit.ebs_weight)
 
 
 def _subepoch(T):
@@ -229,7 +229,7 @@ def test_follower_trips_against_capped_opponent():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        f = _follower(kit, {}, {})
+        f = _follower(kit)
         tr = run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
         assert _follower_tripped(g, kit, tr, cfg), seed
 
@@ -245,7 +245,7 @@ def test_follower_survives_leader_copy():
     for seed in range(10):
         cfg = MatchConfig(T=T, seed=seed)
         kit = LeaderKit.build(g, 1, EP)
-        f = _follower(kit, {}, {})
+        f = _follower(kit)
         tr = run_match(g, f, build_agent("egal", g, 2, cfg), cfg)
         trips += _follower_tripped(g, kit, tr, cfg)
     assert trips <= 1, f"{trips}/10 seeds tripped"
@@ -256,12 +256,11 @@ def test_follower_learns_best_response():
     T = 5000
     cfg = MatchConfig(T=T, seed=2)
     kit = LeaderKit.build(g, 1, EP)
-    counts = {}
-    f = _follower(kit, {}, counts)
+    f = _follower(kit)
     tr = run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
     # the greedy policy on recently visited states settles on the row
     # paying 0.25 against column 1
-    dominant = {s for s, c in counts.items() if sum(c) > 300}
+    dominant = {s for s, c in f.counts.items() if sum(c) > 300}
     assert dominant
     assert all(f.table[s].index(max(f.table[s])) == 0 for s in dominant)
     assert tr.a1[-500:].mean() < 0.15
@@ -318,30 +317,31 @@ def test_tabular_q_basics():
     assert q.table[s][1] == pytest.approx(20.0 + 0.5 * (1.0 + 0.95 * 20.0 - 20.0))
 
 
-def test_new_follower_leaves_shared_tables_alone_on_first_act():
-    # a follower's unsettled last step dies with it: the next follower
-    # instance on the same shared tables must not apply it
+def test_follower_reentry_leaves_the_tables_alone_on_first_act():
+    # the follower's unsettled last step dies with its slot: when LAFF hands
+    # the seat back to the same follower, its first act must not apply it
     g = builtin_game("chicken")
     cfg = MatchConfig(T=300, seed=4)
-    kit = LeaderKit.build(g, 1, EP)
-    shared_table, shared_counts = {}, {}
-    f = _follower(kit, shared_table, shared_counts)
+    laff = Laff(g, 1, cfg, agent_rng(cfg.seed, 1))
+    f = laff.follower
     run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
-    table = {s: list(row) for s, row in shared_table.items()}
-    counts = {s: list(row) for s, row in shared_counts.items()}
-    f2 = _follower(kit, shared_table, shared_counts)
-    f2.act(next(iter(table)), 1)
-    assert shared_table == table and shared_counts == counts
+    assert f.pending is not None
+    table = {s: list(row) for s, row in f.table.items()}
+    counts = {s: list(row) for s, row in f.counts.items()}
+    laff.expert_index = 3  # the egalitarian follower slot
+    laff._enter_slot()
+    assert laff.active is f and f.pending is None
+    f.act(next(iter(table)), 1)
+    assert f.table == table and f.counts == counts
 
 
 def test_q_estimates_decay_without_reward():
     g = BimatrixGame("zero", [[0.0]], [[0.0]])
     cfg = MatchConfig(T=5000, seed=0)
     kit = LeaderKit.build(g, 1, EnforceParams(1, 0.05))
-    table = {}
-    f = _follower(kit, table, {})
+    f = _follower(kit)
     run_match(g, f, FixedActionAgent(0, 2, player=2), cfg)
-    assert max(max(row) for row in table.values()) < 10.0
+    assert max(max(row) for row in f.table.values()) < 10.0
 
 
 def test_leader_empirical_matches_solution_values():
@@ -533,7 +533,7 @@ def test_worker_lps_stay_read_only(lp_calls):
     round_robin(["maximin"], [game], 1, MatchConfig(T=20))
     solved = len(lp_calls)
     copy = pickle.loads(pickle.dumps(game))
-    _game_job((copy, [("maximin", "maximin", MatchConfig(T=20))]))
+    _match_job((copy, "maximin", "maximin", MatchConfig(T=20)))
     assert len(lp_calls) == solved  # the copy carries the game's LPs
     for player in (1, 2):
         assert not security_value(copy, player)[1].flags.writeable

@@ -41,7 +41,8 @@ def test_ftft_full_probability_matches_egalitarian_stream():
     outs = []
     for name, params in (("ftft", {"p": 1.0}), ("egal", None)):
         cfg = MatchConfig(T=3000, seed=9)
-        tr = play_match(g, "qlearn", name, cfg, params2=params)
+        tr = run_match(g, build_agent("qlearn", g, 1, cfg),
+                       build_agent(name, g, 2, cfg, params=params), cfg)
         outs.append(tr.a2)
     assert np.array_equal(outs[0], outs[1])
 
@@ -135,7 +136,7 @@ def test_manipulator_rl_arm_learns_only_from_its_own_steps():
     m.observe(2, 0, 0.15, 0.9)
     assert m.override_steps == 1
     # the arm's pending step is still its own step 1, with that step's reward
-    assert rl._pending == [0, action, 0.1, 1]
+    assert rl.pending == [0, action, 0.1, 1]
 
 
 @pytest.mark.parametrize("game, opp, seed, arm", [
