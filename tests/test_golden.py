@@ -266,7 +266,7 @@ GOLDEN = {
         'qlearn ftft {"p": 0.5}':
             'a1c01a549c378949df3ba8e87a91850440ab91bdeadd5f302af3aa0b1a08278f',
         'manipulator {"eps_prime": 0.0, "p_switch": 0.5} qlearn':
-            'b2a6c0cf1e120eb7c356bfbf77d11a8c20a07951e715fde6bcb930f8f18baa56',
+            '3250f81ed3bd4a75d24aba88c9941292431d773e726c639bc0b849653845d477',
         'fixed:1 {"weight": 0.5} laff':
             '87245634ad65018b207b8073a1bc6aa38d5ba3dc0d6269e9eced1d3c12d4ce42',
     },
@@ -310,7 +310,7 @@ GOLDEN = {
         'qlearn ftft {"p": 0.5}':
             '8c71db5deaee79da6cbf77767690cc1f56f79fc0c7f3fed971ec04b198d493d1',
         'manipulator {"eps_prime": 0.0, "p_switch": 0.5} qlearn':
-            '10513d157576c268b4a82834b04f8bebfcb8664c1b35ad1ae9e9b8cf8a564567',
+            'a8657adc738e658de48a31c5a14d6150f6baa2df1e14f3467e1fc7be635ec6d6',
         'fixed:1 {"weight": 0.5} laff':
             'b2323f671b2bae6239c3d2c557eb85ff46faa5aa50c224ff4bb0e47fcddeb596',
     },
@@ -398,7 +398,7 @@ GOLDEN = {
         'qlearn ftft {"p": 0.5}':
             '549cb9ecf70d785edd5fb7d905cb1a61f8e69c31b203b8af080bb3311f444daf',
         'manipulator {"eps_prime": 0.0, "p_switch": 0.5} qlearn':
-            '596a33ea386eafe5fb110dcd2251cd060ecc48377accd97ede331a3ed9124cfb',
+            '8dd414770c3396c231866ddb8614b650a75c2f65599a3eb27bb60d39bdfdc6ad',
         'fixed:1 {"weight": 0.5} laff':
             '09abc6e813a7430ab1b6f6a0ca0adaa916fe1a9b6d238a2d85906fbc8e59707d',
     },

@@ -128,6 +128,7 @@ def test_manipulator_rl_arm_learns_only_from_its_own_steps():
     m.t_switch, m.leader_avg = 0, 0.0
     rl = m.arms["rl"]
     action = m.act(0, 1)  # the RL arm plays step 1
+    step1 = rl.pending
     m.observe(1, 0, 0.1, 0.9)
     # an average of 0.1 is below the security floor 0.25 - eps', so the
     # maximin override plays step 2 while the RL arm stays the playing arm
@@ -135,8 +136,10 @@ def test_manipulator_rl_arm_learns_only_from_its_own_steps():
     m.act(0, 2)
     m.observe(2, 0, 0.15, 0.9)
     assert m.override_steps == 1
-    # the arm's pending step is still its own step 1, with that step's reward
-    assert rl.pending == [0, action, 0.1, 1]
+    # step 1 got its own reward, and the override dropped it unsettled: the
+    # arm never credits it with the state after the gap
+    assert step1 == [0, action, 0.1, 1]
+    assert rl.pending is None
 
 
 @pytest.mark.parametrize("game, opp, seed, arm", [
