@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -223,6 +224,7 @@ def cmd_replicator(args) -> int:
     return 0
 
 
+@cache  # one parser per process: `main` is called in-process, many times
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="laff",
                                 description="repeated-game simulation lab")
