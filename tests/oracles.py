@@ -5,9 +5,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from laff import security_value
+from laff import BimatrixGame, security_value
 from laff.cli import _fmt
 from laff.engine import StateLayout
 from laff.games import _TOL
@@ -409,3 +411,13 @@ def write_csv_rows(path, header, rows):
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+@st.composite
+def random_games(draw):
+    """2x2 and 3x2 games, entries on the quarter grid or anywhere in [0, 1]."""
+    shape = (draw(st.sampled_from((2, 3))), 2)
+    elements = draw(st.sampled_from((st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+                                     st.floats(0.0, 1.0))))
+    return BimatrixGame("random", draw(arrays(np.float64, shape, elements=elements)),
+                        draw(arrays(np.float64, shape, elements=elements)))

@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis import given, settings
 
 from laff import (BimatrixGame, EnforceParams, JointAction, builtin_game,
                   bully_solution, deviation_profit, enforceable_ebs,
                   punishment_length, security_value, switch_slack)
 from laff.bargaining import PairSolution
 from laff.experts import SolutionMap
-from oracles import bargaining_grid
+from oracles import bargaining_grid, random_games
 
 EP = EnforceParams(1, 0.05)
 GRID = [(K, eps) for K in (1, 2) for eps in (0.05, 0.2)]
@@ -225,18 +224,8 @@ def test_solver_handles_rectangular_games():
             assert bully.u1 == pytest.approx(want_b, abs=1e-3)
 
 
-@st.composite
-def _random_games(draw):
-    """2x2 and 3x2 games, entries on the quarter grid or anywhere in [0, 1]."""
-    shape = (draw(st.sampled_from((2, 3))), 2)
-    elements = draw(st.sampled_from((st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
-                                     st.floats(0.0, 1.0))))
-    return BimatrixGame("random", draw(arrays(np.float64, shape, elements=elements)),
-                        draw(arrays(np.float64, shape, elements=elements)))
-
-
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(_random_games())
+@given(random_games())
 def test_solvers_match_grid_oracle_on_random_games(g):
     muS1, _ = security_value(g, 1)
     muS2, _ = security_value(g, 2)
@@ -257,3 +246,23 @@ def test_solvers_match_grid_oracle_on_random_games(g):
         else:
             assert want_b is not None, (K, eps)
             assert bully.u1 == pytest.approx(want_b, abs=1e-3), (K, eps)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(random_games())
+def test_punishment_length_is_the_least_that_enforces(g):
+    # K' rounds of punishment cost the opponent at least the deviation
+    # profit plus eps, and K' - 1 rounds would not
+    muS2, _ = security_value(g, 2)
+    for K in (1, 2, 3):
+        for eps in (0.05, 0.2, 0.5):
+            ep = EnforceParams(K, eps)
+            for sol in (enforceable_ebs(g, ep), bully_solution(g, ep)):
+                if sol.is_fallback:
+                    continue
+                Kp = punishment_length(sol, ep, muS2)
+                need, gap = sol.deviation_profit + eps, sol.u2 - muS2
+                assert 0 <= Kp <= K, (K, eps, sol.kind)
+                assert Kp * gap >= need - 1e-9, (K, eps, sol.kind)
+                if Kp >= 1:
+                    assert (Kp - 1) * gap < need + 1e-9, (K, eps, sol.kind)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import laff.mdp
 from laff import (GAME_NAMES, BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
@@ -9,7 +10,8 @@ from laff.experts import LeaderCore
 from laff.mdp import InducedMdp
 from laff.opponents import bounded_memory_policy
 from oracles import (compliant_policy, decode, encode, enumerate_deterministic_gains,
-                     enumerate_states, induce_mdp_full, policy_average_reward)
+                     enumerate_states, induce_mdp_full, policy_average_reward,
+                     random_games)
 
 RECT = BimatrixGame("rect3x2",
                     [[0.512, 0.95], [0.144, 0.949], [0.312, 0.423]],
@@ -145,25 +147,42 @@ def test_optimal_gain_at_least_security_vs_leaders():
             assert gain >= muS1 - 1e-6, (name, opp)
 
 
+MARKOV_KINDS = ("bully", "ftft", "egal", "maximin", "fixed:0", "fixed:1")
+
+
+def _reachable_block(g, K, opp):
+    """induce_mdp and induce_mdp_full against ``opp`` in seat 2, once the first
+    is checked to be the second's reachable block bit for bit."""
+    cfg = MatchConfig(T=1, K=K)
+    w1 = LeaderKit.build(g, 1, EnforceParams(K, cfg.eps)).ebs_weight
+    pol, w2 = bounded_memory_policy(opp, g, cfg)
+    mdp = induce_mdp(g, pol, w1=w1, w2=w2, K=K)
+    full = induce_mdp_full(g, pol, w1=w1, w2=w2, K=K)
+    reach = full.reachable_from_initial()
+    assert [decode(c, g.n1, g.n2, K) for c in mdp.states] \
+        == [full.states[i] for i in reach], opp
+    assert np.array_equal(mdp.transition,
+                          full.transition[np.ix_(reach, range(g.n1), reach)]), opp
+    assert np.array_equal(mdp.reward1, full.reward1[reach]), opp
+    assert np.array_equal(mdp.initial, full.initial[reach]), opp
+    assert np.allclose(mdp.transition.sum(axis=2), 1.0, rtol=0, atol=1e-12), opp
+    return mdp, full
+
+
 @pytest.mark.parametrize("name,K", [(n, 1) for n in GAME_NAMES]
                          + [("chicken", 2), ("rect3x2", 2)])
 def test_reachable_mdp_equals_full_space_block(name, K):
     # the explored MDP is exactly the reachable block of the full-space one
     g = RECT if name == "rect3x2" else builtin_game(name)
-    cfg = MatchConfig(T=1, K=K)
-    w1 = LeaderKit.build(g, 1, EnforceParams(K, cfg.eps)).ebs_weight
-    for opp in ("bully", "ftft", "egal", "maximin", "fixed:0", "fixed:1"):
-        pol, w2 = bounded_memory_policy(opp, g, cfg)
-        mdp = induce_mdp(g, pol, w1=w1, w2=w2, K=K)
-        full = induce_mdp_full(g, pol, w1=w1, w2=w2, K=K)
-        reach = full.reachable_from_initial()
-        assert [decode(c, g.n1, g.n2, K) for c in mdp.states] \
-            == [full.states[i] for i in reach], opp
-        assert np.array_equal(mdp.transition,
-                              full.transition[np.ix_(reach, range(g.n1), reach)]), opp
-        assert np.array_equal(mdp.reward1, full.reward1[reach]), opp
-        assert np.array_equal(mdp.initial, full.initial[reach]), opp
+    for opp in MARKOV_KINDS:
+        mdp, full = _reachable_block(g, K, opp)
         assert optimal_average_reward(mdp)[0] == optimal_average_reward(full)[0], opp
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(random_games(), st.sampled_from((1, 2)), st.sampled_from(MARKOV_KINDS))
+def test_reachable_mdp_equals_full_space_block_on_random_games(g, K, opp):
+    _reachable_block(g, K, opp)
 
 
 def test_multichain_fallback_two_absorbing_states(monkeypatch):
