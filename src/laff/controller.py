@@ -119,7 +119,6 @@ class Laff(Agent):
 
     def _build_expert(self, j: int):
         if j in (1, 3, 5) and not self.follower_tripped:
-            self.follower.pending = None  # the step the last slot interrupted
             return self.follower
         if j == 6:
             return MaximinPolicy(self.kit.maximin, self.rng, self.kit.ebs_weight)

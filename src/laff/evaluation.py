@@ -201,9 +201,8 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
     For symmetric games only the ordered pairs with i <= j are played; the
     reversed cell is filled with the same numbers swapped.  Seeds derive
     deterministically from (config.seed, i, j, game, trial), so results do
-    not depend on scheduling.  With ``jobs > 1`` each of at most ``jobs``
-    workers takes one contiguous chunk of the matches, pickled as one object:
-    it carries each of its games once, with the kits and LPs solved already.
+    not depend on scheduling.  With ``jobs > 1`` the pool's workers take the
+    matches one at a time, each with its game's kits and LPs solved already.
     """
     names = list(algorithms)
     games = list(games)
@@ -219,9 +218,8 @@ def round_robin(algorithms, games, trials: int, config: MatchConfig,
 
     if jobs > 1 and tasks:
         from concurrent.futures import ProcessPoolExecutor
-        chunk = -(-len(tasks) // jobs)  # ceil: at most jobs chunks, a worker each
-        with ProcessPoolExecutor(max_workers=-(-len(tasks) // chunk)) as pool:
-            results = list(pool.map(_match_job, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(_match_job, tasks))
     else:
         results = map(_match_job, tasks)
 

@@ -207,11 +207,12 @@ class LeaderCore(Agent):
 class TabularQ(Agent):
     """Tabular Q-learning over state codes, optimistic at 1/(1 - GAMMA).
 
-    `act` settles the pending step once the next state is known, at the
-    caller's learning rate ``schedule(t, n)`` for its time t and visit count
-    n (this visit included), then defers the new step for `observe` to reward.
-    An owner that takes the seat away sets ``pending`` to None, dropping that
-    step.  Greedy, it is LAFF's follower; `opponents.EpsGreedyQAgent` explores.
+    `act` at time t settles the step pending from t - 1, now that its next
+    state is known, at the caller's learning rate ``schedule(t - 1, n)`` for
+    the step's visit count n (this visit included), then defers the new step
+    for `observe` to reward.  An older pending step was cut off while another
+    agent held the seat, so `act` drops it unsettled.  Greedy, it is LAFF's
+    follower; `opponents.EpsGreedyQAgent` explores.
     """
 
     GAMMA = 0.95
@@ -222,7 +223,7 @@ class TabularQ(Agent):
         self.schedule = schedule
         self.weight = weight
         self.table, self.counts = {}, {}
-        self.pending = None  # [state, action, reward, t] of the unsettled step
+        self._pending = [0, 0, 0.0, None]  # [state, action, reward, t] of the last step
 
     def act(self, state, t: int, action: Optional[int] = None) -> int:
         """Settle the pending step, then take ``action`` (greedy if None)."""
@@ -231,8 +232,8 @@ class TabularQ(Agent):
         if row is None:
             row = table[state] = [self.Q0] * self.n_actions
         best = max(row)
-        pending = self.pending
-        if pending is not None:
+        pending = self._pending
+        if pending[3] == t - 1:  # None before the first step
             ps, pa, pr, pt = pending
             counts = self.counts.get(ps)
             if counts is None:
@@ -244,13 +245,12 @@ class TabularQ(Agent):
                 best = max(row)
         if action is None:
             action = row.index(best)  # ties go to the lowest index
-        self.pending = [state, action, 0.0, t]
+        self._pending = [state, action, 0.0, t]
         return action
 
     def observe(self, t, opp_action, r_own, r_opp):
         """Record the reward of the pending step."""
-        if self.pending is not None:
-            self.pending[2] = r_own
+        self._pending[2] = r_own
 
 
 class MaximinPolicy(Agent):

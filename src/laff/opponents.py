@@ -152,8 +152,6 @@ class ManipulatorAgent(Agent):
 
         avg = self.cum / t  # the engine observes every step, so t counts them
         self.override = avg < self.kit.mu_s_own - self.eps_prime
-        if self.override:  # the RL arm's step it interrupts is never settled
-            self.arms["rl"].pending = None
 
         if self.phase == "leader" and t > self.window:
             if (avg < self.kit.bully.u1 - self.eps_prime

@@ -229,7 +229,7 @@ def test_round_robin_asymmetric_runs_both_orders():
 
 def test_round_robin_starts_one_worker_per_chunk(monkeypatch):
     # a fork-based pool starts all max_workers processes at the first submit,
-    # so each worker must get a chunk of matches; the fake pool starts none
+    # so there must be no more workers than matches; the fake pool starts none
     import concurrent.futures
 
     pools = []
@@ -244,8 +244,8 @@ def test_round_robin_starts_one_worker_per_chunk(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
-            pools[-1] += [len(items), chunksize]
+        def map(self, fn, items):  # the default chunk size: one match at a time
+            pools[-1].append(len(items))
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -257,9 +257,8 @@ def test_round_robin_starts_one_worker_per_chunk(monkeypatch):
         pooled = round_robin(names, games, trials=2, config=cfg, jobs=jobs)
         serial = round_robin(names, games, trials=2, config=cfg)
         assert np.array_equal(pooled.data, serial.data)
-    # one worker per chunk, never more than jobs: 22 matches in 7 jobs are
-    # 6 chunks of at most 4
-    assert pools == [[8, 8, 1], [6, 22, 4], [2, 22, 11]]
+    # min(jobs, matches) workers
+    assert pools == [[8, 8], [7, 22], [2, 22]]
     # no matches, no pool
     assert round_robin([], [builtin_game("cyclic")], 2, cfg, jobs=2).data.size == 0
     assert len(pools) == 3

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import multiprocessing
@@ -319,19 +320,23 @@ def test_tabular_q_basics():
 
 def test_follower_reentry_leaves_the_tables_alone_on_first_act():
     # the follower's unsettled last step dies with its slot: when LAFF hands
-    # the seat back to the same follower, its first act must not apply it
+    # the seat back to the same follower after another expert's steps, its
+    # first act must not apply it
     g = builtin_game("chicken")
     cfg = MatchConfig(T=300, seed=4)
     laff = Laff(g, 1, cfg, agent_rng(cfg.seed, 1))
     f = laff.follower
-    run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)
-    assert f.pending is not None
+    run_match(g, f, FixedActionAgent(1, 2, player=2), cfg)  # f acts at 1..T
     table = {s: list(row) for s, row in f.table.items()}
     counts = {s: list(row) for s, row in f.counts.items()}
+    s = next(iter(table))
+    at_next_step = copy.deepcopy(f)
+    at_next_step.act(s, cfg.T + 1)  # with no gap, the last step is settled
+    assert at_next_step.counts != counts
     laff.expert_index = 3  # the egalitarian follower slot
     laff._enter_slot()
-    assert laff.active is f and f.pending is None
-    f.act(next(iter(table)), 1)
+    assert laff.active is f
+    f.act(s, cfg.T + 2)  # a leader slot held the seat at T + 1
     assert f.table == table and f.counts == counts
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -127,19 +129,23 @@ def test_manipulator_rl_arm_learns_only_from_its_own_steps():
     m.phase = m.arm = "rl"  # as if it had switched to the RL arm at t = 0
     m.t_switch, m.leader_avg = 0, 0.0
     rl = m.arms["rl"]
-    action = m.act(0, 1)  # the RL arm plays step 1
-    step1 = rl.pending
+    m.act(0, 1)  # the RL arm plays step 1
     m.observe(1, 0, 0.1, 0.9)
     # an average of 0.1 is below the security floor 0.25 - eps', so the
     # maximin override plays step 2 while the RL arm stays the playing arm
     assert m.override and m.arm == "rl"
+    at_step2 = copy.deepcopy(rl)
+    at_step2.act(0, 2)  # had the arm played step 2, it would settle step 1
+    assert at_step2.counts
+    table = {s: list(row) for s, row in rl.table.items()}
     m.act(0, 2)
-    m.observe(2, 0, 0.15, 0.9)
+    m.observe(2, 0, 0.9, 0.9)
+    assert m.override_steps == 1 and not m.override
+    # the arm plays step 3 and drops step 1 unsettled: it never credits that
+    # step with the state after the gap
+    m.act(0, 3)
     assert m.override_steps == 1
-    # step 1 got its own reward, and the override dropped it unsettled: the
-    # arm never credits it with the state after the gap
-    assert step1 == [0, action, 0.1, 1]
-    assert rl.pending is None
+    assert rl.table == table and rl.counts == {}
 
 
 @pytest.mark.parametrize("game, opp, seed, arm", [
