@@ -121,8 +121,7 @@ def _solve(game: BimatrixGame, ep: EnforceParams, selfish: bool) -> PairSolution
                 lo2, hi = lo, 1.0
                 if s2 > _TOL:
                     lo2 = max(lo2, (muS2 - r2b) / s2)
-                elif r2b < muS2 - _TOL:
-                    continue
+                # else the mix is enforced with r < _TOL - eps: r2b >= muS2 - _TOL
                 if s1 > _TOL:
                     lo2 = max(lo2, (muS1 - r1b) / s1)
                 elif s1 < -_TOL:

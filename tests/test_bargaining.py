@@ -85,6 +85,8 @@ def test_fallback_when_nothing_enforceable():
     muS1, _ = security_value(g, 1)
     assert sol.u1 == pytest.approx(muS1)
     assert bully_solution(g, EP).is_fallback
+    with pytest.raises(ValueError, match="undefined for a security fallback"):
+        punishment_length(sol, EP, security_value(g, 2)[0])
 
 
 def test_oracle_equivalence_spotcheck():

@@ -24,6 +24,11 @@ def test_chicken_security_values():
     assert s2[0] == pytest.approx(1.0)
 
 
+def test_security_value_rejects_a_third_player():
+    with pytest.raises(ValueError, match="player must be 1 or 2"):
+        security_value(builtin_game("chicken"), 3)
+
+
 @pytest.mark.parametrize("r1, value, probs", [
     ([[0.7]], 0.7, (1.0,)),
     ([[0.7, 0.2, 0.5]], 0.2, (1.0,)),

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ import laff.mdp
 from laff import (GAME_NAMES, BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
                   builtin_game, induce_mdp, optimal_average_reward,
                   security_value)
+from laff.engine import StateLayout
 from laff.experts import LeaderCore
 from laff.mdp import InducedMdp
 from laff.opponents import bounded_memory_policy
@@ -209,6 +212,43 @@ def test_multichain_fallback_two_absorbing_states(monkeypatch):
     assert gain == pytest.approx(0.5, abs=1e-9)
     assert len(calls) == 1
     assert set(policy) == {0, 1}
+
+
+def _seeded_table(g, seed, point, absorbing=False):
+    """An opponent policy with one seeded row per K=1 state code of ``g``: a random
+    point mass, or else a Dirichlet row.  ``absorbing``: every code whose
+    opponent's last action is 1 plays 1."""
+    rng = np.random.default_rng(seed)
+    n = StateLayout(g.n1, g.n2, 1).n_states
+    table = (np.eye(g.n2)[rng.integers(g.n2, size=n)] if point
+             else rng.dirichlet(np.ones(g.n2), size=n))
+    if absorbing:
+        table[[decode(c, g.n1, g.n2, 1)[1][-1] == 1 for c in range(n)]] = _point(g.n2, 1)
+    return table.__getitem__
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(random_games(), st.sampled_from((0.0, 1.0)), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_optimal_gain_tops_every_deterministic_policy_on_random_games(g, w2, seed, point):
+    mdp = induce_mdp(g, _seeded_table(g, seed, point), w1=0.0, w2=w2, K=1)
+    gain, _ = optimal_average_reward(mdp)
+    assert abs(gain - max(enumerate_deterministic_gains(mdp))) <= 1e-6
+
+
+def test_multichain_fallback_matches_enumeration_on_absorbing_opponents(monkeypatch):
+    # an opponent that keeps playing 1 once it has played 1 can leave closed
+    # classes of different gains, which relative value iteration hands to the LP
+    hits = []
+    lp = laff.mdp._multichain_lp
+    monkeypatch.setattr(laff.mdp, "_multichain_lp", lambda *a: hits.append(a) or lp(*a))
+    for name, seed in product(GAME_NAMES, range(4)):
+        g = builtin_game(name)
+        mdp = induce_mdp(g, _seeded_table(g, seed, seed % 2 == 0, absorbing=True),
+                         w1=0.0, w2=float(seed // 2), K=1)
+        gain, _ = optimal_average_reward(mdp)
+        assert abs(gain - max(enumerate_deterministic_gains(mdp))) <= 1e-6, (name, seed)
+    assert hits
 
 
 def test_reachable_from_initial_follows_every_action():
