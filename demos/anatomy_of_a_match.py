@@ -21,7 +21,7 @@ opp = build_agent(opponent, game, 2, cfg)
 
 print(f"game: {game.name}   opponent: {opponent}   T={cfg.T}")
 print(f"targets (bully, bully, ebs, ebs, security): "
-      f"{[round(t, 4) for t in laff.targets]}")
+      f"{[round(t, 4) for t, _ in laff.guards]}")
 print(f"fairness level V1 = {laff.kit.ebs.u1:.4f}, epoch H = {laff.H}, "
       f"subepoch = {laff.subepoch}")
 

@@ -209,6 +209,9 @@ def cmd_replicator(args) -> int:
     names = result.names
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    open(out, "a").close()  # an unusable path fails before any generation
+    if args.svg:
+        open(out.with_suffix(".svg"), "a").close()
     shares = replicator_run(result, args.generations, args.runs, seed=args.seed)
     mean = shares.mean(axis=0)
     std = shares.std(axis=0)

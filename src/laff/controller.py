@@ -93,20 +93,19 @@ def follower_rate(t: int, n: int) -> float:
 class Laff(Agent):
     """Lead-and-follow expert controller for one seat of a repeated game."""
 
-    N_EXPERTS = 6
-
     def __init__(self, game: BimatrixGame, player: int, config: MatchConfig, rng):
         self.config = config
         self.rng = rng
-        self.kit = LeaderKit.build(game, player, EnforceParams(config.K, config.eps))
-        self.targets = [self.kit.bully.u1, self.kit.bully.u1,
-                        self.kit.ebs.u1, self.kit.ebs.u1, self.kit.mu_s_own]
+        kit = self.kit = LeaderKit.build(game, player, EnforceParams(config.K, config.eps))
+        # slots 1-5's switch tests: the target and the map that sets the slack
+        self.guards = [(kit.bully.u1, kit.bully_map)] * 2 + [
+            (kit.ebs.u1, kit.ebs_map)] * 2 + [(kit.mu_s_own, kit.ebs_map)]
         self.H = max(1, int(math.isqrt(config.T)))
         self.subepoch = max(1, math.ceil(math.sqrt(self.H)))
         self.S = StateLayout(game.n1, game.n2, config.K).n_states
         self.follower = TabularQ(self.kit.n_own, follower_rate, self.kit.ebs_weight)
         self.follower_tripped = False
-        self.expert_index = 1   # the schedule slot, 1..N_EXPERTS
+        self.expert_index = 1   # the schedule slot, 1..6
         self.switch_times: list = []
         self._enter_slot()
 
@@ -133,11 +132,6 @@ class Laff(Agent):
     def act(self, state, t):
         return self._act(state, t)
 
-    def _slack(self) -> float:
-        # the test guards the target solution of the current schedule slot
-        m = self.kit.solution_map("bully" if self.expert_index <= 2 else "ebs")
-        return switch_slack(self.tau, self.config.T, m, self.config.eps)
-
     def observe(self, t, opp_action, r_own, r_opp):
         cfg, active = self.config, self.active
         active.observe(t, opp_action, r_own, r_opp)
@@ -156,8 +150,9 @@ class Laff(Agent):
                                             self.opp_r_tau, cfg.T))
             if tripped:
                 self._activate(LeaderCore(self.kit, "ebs", self.rng))
-        if tau % self.H == 0 and self.expert_index < self.N_EXPERTS:
-            if self.r_tau / tau < self.targets[self.expert_index - 1] - self._slack():
+        if tau % self.H == 0 and self.expert_index <= len(self.guards):
+            target, m = self.guards[self.expert_index - 1]
+            if self.r_tau / tau < target - switch_slack(tau, cfg.T, m, cfg.eps):
                 self.expert_index += 1
                 self.switch_times.append(t)
                 self._enter_slot()

@@ -44,11 +44,9 @@ def _sample(dist: np.ndarray, rng) -> int:
 
 @dataclass(frozen=True)
 class SolutionMap:
-    """A pair solution expressed as global cells keyed by the signal bit."""
+    """A pair solution as the seat's play table over the global state codes."""
 
-    cell1: JointAction   # played when the signal bit is 1 (probability = weight)
-    cell0: JointAction
-    weight: float
+    weight: float        # probability of signal bit 1, which picks the smaller cell
     Kp: int
     r: float             # deviation profit of the solution's action set
     # the seat's target action at every state code, or ~a where the opponent
@@ -86,8 +84,7 @@ def _canonical_map(solution: PairSolution, player: int, ep: EnforceParams,
         bits >>= 1
         opp_actions, last = np.divmod(opp_actions, n_opp)
         deviated |= last != expected[bits & 1]
-    return SolutionMap(cell1=xa, cell0=xb, weight=float(w), Kp=Kp,
-                       r=solution.deviation_profit,
+    return SolutionMap(weight=float(w), Kp=Kp, r=solution.deviation_profit,
                        plays=tuple(np.where(deviated, ~play, play).tolist()))
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from laff import BimatrixGame, security_value
+from laff import BimatrixGame, JointAction, security_value
 from laff.cli import _fmt
 from laff.engine import StateLayout
 from laff.games import _TOL
@@ -296,6 +296,22 @@ def enumerate_deterministic_gains(mdp: InducedMdp) -> list:
     return gains
 
 
+def solution_cells(kit, which: str, player: int):
+    """The global cells of the ``which`` solution of the leader in seat
+    ``player``, indexed by the leader's signal bit; None for the security
+    fallback.
+
+    Worked out from the kit's own-frame `PairSolution`, not from its map:
+    signal bit 1 picks the lexicographically smaller cell.
+    """
+    solution = kit.ebs if which == "ebs" else kit.bully
+    if solution.is_fallback:
+        return None
+    cells = [x if player == 1 else JointAction(x.a2, x.a1)
+             for x in (solution.xA, solution.xB)]
+    return max(cells), min(cells)
+
+
 def compliant_policy(kit, player: int, K: int, which: str = "ebs"):
     """Opponent policy that always plays its half of the solution of the
     leader in seat ``player``, on memory-K states.
@@ -303,8 +319,8 @@ def compliant_policy(kit, player: int, K: int, which: str = "ebs"):
     Compliance tracks the leader's (public) signal bit, read off the state
     code.
     """
-    m = kit.solution_map(which)
-    if m is None:
+    cells = solution_cells(kit, which, player)
+    if cells is None:
         raise ValueError("no enforceable solution to comply with")
     opp_is_p2 = player == 1
     n1, n2 = (kit.n_own, kit.n_opp) if opp_is_p2 else (kit.n_opp, kit.n_own)
@@ -312,7 +328,7 @@ def compliant_policy(kit, player: int, K: int, which: str = "ebs"):
     def policy(state: int) -> np.ndarray:
         _, _, y1, y2 = decode(state, n1, n2, K)
         bit = (y1 if opp_is_p2 else y2)[-1]
-        cell = m.cell1 if bit else m.cell0
+        cell = cells[bit]
         d = np.zeros(kit.n_opp)
         d[cell.a2 if opp_is_p2 else cell.a1] = 1.0
         return d
@@ -320,9 +336,9 @@ def compliant_policy(kit, player: int, K: int, which: str = "ebs"):
     return policy
 
 
-def leader_distribution(core, player: int, state) -> np.ndarray:
-    """`LeaderCore.policy_distribution` of a leader in seat ``player``,
-    worked out on a state's digit tuples.
+def leader_distribution(core, which, player: int, state) -> np.ndarray:
+    """`LeaderCore.policy_distribution` of the ``which`` leader in seat
+    ``player``, worked out on a state's digit tuples.
 
     The seat's current signal bit picks the target cell.  The opponent has
     deviated when, at any of the last Kp steps, its action was not its half
@@ -334,7 +350,7 @@ def leader_distribution(core, player: int, state) -> np.ndarray:
     own, opp = (0, 1) if player == 1 else (1, 0)
     a1, a2, y1, y2 = state
     own_bits, opp_actions = (y1, y2)[own], (a1, a2)[opp]
-    cells = (m.cell0, m.cell1)
+    cells = solution_cells(kit, which, player)
     point = np.zeros(kit.n_own)
     point[cells[own_bits[-1]][own]] = 1.0
     if any(opp_actions[-k] != cells[own_bits[-k - 1]][opp]
@@ -351,7 +367,7 @@ def leader_deviated(kit, which, player: int, K: int, state) -> bool:
     m = kit.solution_map(which)
     n = (kit.n_own, kit.n_opp) if player == 1 else (kit.n_opp, kit.n_own)
     layout = StateLayout(*n, K)
-    expected = (m.cell0[2 - player], m.cell1[2 - player])
+    expected = [cell[2 - player] for cell in solution_cells(kit, which, player)]
     bits = state // layout.signals_unit(player)
     opp_actions = state // layout.actions_unit(3 - player)
     for _ in range(m.Kp):

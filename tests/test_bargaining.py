@@ -188,8 +188,7 @@ def test_slack_b():
 
 def _map(r, Kp):
     """A solution map carrying only what the switch slack reads."""
-    cell = JointAction(0, 0)
-    return SolutionMap(cell1=cell, cell0=cell, weight=1.0, Kp=Kp, r=r, plays=())
+    return SolutionMap(weight=1.0, Kp=Kp, r=r, plays=())
 
 
 def test_slack_b_enforced_shrinks_with_margin():

@@ -867,20 +867,29 @@ def test_unusable_path_is_one_line(tmp_path, capsys, argv):
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["regret", "--game", "chicken", "--p2", "qlearn", "--opp-class",
-     "follower_unconditional", "--T", "20000", "--seeds", "3", "--out", "{out}"],
-    ["tournament", "--algorithms", "laff,qlearn", "--games", "chicken,cyclic",
-     "--trials", "2", "--T", "20000", "--out", "{out}"],
-    ["match", "--game", "chicken", "--p1", "laff", "--p2", "qlearn",
-     "--T", "200000", "--trace", "{dir}"],
-    ["replicator", "--input", "{csv}", "--generations", "20000", "--runs", "50",
-     "--out", "{out}/population.csv"],
-], ids=["regret", "tournament", "match_trace", "replicator"])
-def test_unusable_out_fails_before_any_match(tmp_path, capsys, monkeypatch, argv):
+EXISTS, IS_DIR = "[Errno 17] File exists: '{out}'", "[Errno 21] Is a directory: '{dir}'"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["regret", "--game", "chicken", "--p2", "qlearn", "--opp-class",
+      "follower_unconditional", "--T", "20000", "--seeds", "3", "--out", "{out}"], EXISTS),
+    (["tournament", "--algorithms", "laff,qlearn", "--games", "chicken,cyclic",
+      "--trials", "2", "--T", "20000", "--out", "{out}"], EXISTS),
+    (["match", "--game", "chicken", "--p1", "laff", "--p2", "qlearn",
+      "--T", "200000", "--trace", "{dir}"], IS_DIR),
+    (["replicator", "--input", "{csv}", "--generations", "20000", "--runs", "50",
+      "--out", "{out}/population.csv"], EXISTS),
+    (["replicator", "--input", "{csv}", "--generations", "200000", "--runs", "50",
+      "--out", "{dir}"], IS_DIR),
+    (["replicator", "--input", "{csv}", "--generations", "200000", "--runs", "50",
+      "--out", "{dir}/plot.csv", "--svg"],
+     "[Errno 21] Is a directory: '{dir}/plot.svg'"),
+], ids=["regret", "tournament", "match_trace", "replicator", "replicator_dir",
+        "replicator_svg_dir"])
+def test_unusable_out_fails_before_any_match(tmp_path, capsys, monkeypatch, argv, error):
     # --out used to be created only after every match had been played, the
-    # trace written only after the match and the replicator's --out parent
-    # only after every generation
+    # trace written only after the match and the replicator's --out parent,
+    # --out itself and its .svg sibling only after every generation
     def no_match(*args, **kwargs):
         raise AssertionError("a match was played")
 
@@ -888,12 +897,10 @@ def test_unusable_out_fails_before_any_match(tmp_path, capsys, monkeypatch, argv
         monkeypatch.setattr(f"laff.cli.{work}", no_match)
     out, csv = tmp_path / "out", tmp_path / "pair_game_trial.csv"
     out.write_text("")
+    (tmp_path / "plot.svg").mkdir()
     csv.write_text("alg1,alg2,game,trial,m1,m2\nlaff,laff,chicken,0,0.5,0.5\n")
     argv = [a.format(dir=tmp_path, csv=csv, out=out) for a in argv]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2
     assert stdout == ""
-    if argv[0] == "match":
-        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
-    else:
-        assert err == f"error: [Errno 17] File exists: '{out}'\n"
+    assert err == f"error: {error.format(dir=tmp_path, out=out)}\n"

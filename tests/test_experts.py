@@ -13,10 +13,12 @@ from laff import (BimatrixGame, EnforceParams, LeaderKit, MatchConfig,
                   builtin_game, rq_bound, security_value)
 from laff.evaluation import _match_job, check_entrants, round_robin
 from laff.games import GAME_NAMES, load_game
-from laff.engine import Agent, FixedActionAgent, StateLayout, agent_rng, run_match
+from laff.engine import (Agent, FixedActionAgent, StateLayout, _doubles, agent_rng,
+                         run_match)
 from laff.controller import Laff, follower_rate, follower_trip, maximin_trip
-from laff.experts import LeaderCore, MaximinPolicy, TabularQ
-from oracles import decode, encode, leader_deviated, leader_distribution
+from laff.experts import LeaderCore, MaximinPolicy, TabularQ, _sample
+from oracles import (decode, encode, leader_deviated, leader_distribution,
+                     solution_cells)
 
 EP = EnforceParams(1, 0.05)
 
@@ -56,14 +58,14 @@ class CompliantAgent(Agent):
 
     def __init__(self, kit, which, player, K):
         self.player = player
-        self.map = kit.solution_map(which)
+        self.cells = solution_cells(kit, which, 3 - player)
         self.n = (kit.n_own, kit.n_opp) if player == 2 else (kit.n_opp, kit.n_own)
         self.K = K
 
     def act(self, state, t):
         _, _, y1, y2 = decode(state, *self.n, self.K)
         bit = (y1 if self.player == 2 else y2)[-1]
-        cell = self.map.cell1 if bit else self.map.cell0
+        cell = self.cells[bit]
         return cell.a2 if self.player == 2 else cell.a1
 
 
@@ -94,14 +96,14 @@ def test_leader_never_punishes_with_zero_length():
     kit = LeaderKit.build(g, 1, EP)
     assert kit.ebs_map.Kp == 0
     core = LeaderCore(kit, "ebs", agent_rng(0, 1))
+    cells = solution_cells(kit, "ebs", 1)
 
     class AlwaysDeviate(Agent):
         player = 2
 
         def act(self, state, t):
             y1 = decode(state, 2, 2, 1)[2]
-            cell = kit.ebs_map.cell1 if y1[-1] else kit.ebs_map.cell0
-            return 1 - cell.a2
+            return 1 - cells[y1[-1]].a2
 
     class Wrap(Agent):
         player = 1
@@ -133,6 +135,21 @@ def test_leader_punishment_branch_and_amnesty():
     assert core.punish_steps == 1
     compliant = encode(((0,), (0,), (1, 1), (1, 1)), 2, 2)
     assert core.act(compliant, 3) == 0
+
+
+def test_sample_plays_the_last_action_when_the_draw_passes_every_partial_sum():
+    # ten tenths add up to 1 - 2**-53 in floats, which is the largest double
+    # an agent stream draws, so that draw passes every partial sum
+    top = _doubles(np.array([2 ** 64 - 1], dtype=np.uint64))[0]
+    assert top == 1 - 2 ** -53
+    dist = np.full(10, 0.1)
+    assert np.cumsum(dist)[-1] == top
+
+    class Top:
+        def random(self):
+            return top
+
+    assert _sample(dist, Top()) == 9
 
 
 def test_leader_fallback_plays_maximin():
@@ -173,7 +190,8 @@ def test_leader_policy_matches_the_tuple_reference(game, K):
             core = LeaderCore(kit, which, agent_rng(0, player), punish_prob=p)
             punishing += core.map is not None and core.map.Kp > 0
             got = np.array([core.policy_distribution(code) for code in codes])
-            want = np.array([leader_distribution(core, player, s) for s in states])
+            want = np.array([leader_distribution(core, which, player, s)
+                             for s in states])
             bad = np.flatnonzero((got != want).any(axis=1))
             assert not bad.size, (player, which, states[bad[0]])
     # chicken's solutions need no punishment, the 3x2 game's seat 1 does
@@ -194,7 +212,7 @@ def test_leader_play_table_equals_the_digit_loop(K):
                 m = kit.solution_map(which)
                 if m is None:
                     continue
-                target = (m.cell0[player - 1], m.cell1[player - 1])
+                target = [cell[player - 1] for cell in solution_cells(kit, which, player)]
                 want = [target[code // unit & 1] for code in codes]
                 want = [~a if leader_deviated(kit, which, player, K, code) else a
                         for code, a in zip(codes, want)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laff import (BimatrixGame, EnforceParams, GAME_NAMES, JointAction, Laff,
+from laff import (BimatrixGame, EnforceParams, GAME_NAMES, Laff,
                   MatchConfig, build_agent, builtin_game, bully_solution,
                   enforceable_ebs, play_match, run_match, security_value,
                   switch_slack)
@@ -18,7 +18,8 @@ def _mk(game, T=10000, seed=0):
 
 def test_targets_chicken():
     laff, _ = _mk(builtin_game("chicken"))
-    assert laff.targets == pytest.approx([1.0, 1.0, 0.625, 0.625, 0.25])
+    targets = [target for target, _ in laff.guards]
+    assert targets == pytest.approx([1.0, 1.0, 0.625, 0.625, 0.25])
     assert laff.kit.ebs.u1 == pytest.approx(0.625)
 
 
@@ -33,10 +34,10 @@ def test_fallback_targets_collapse_to_security():
                      [[0.5, 0.5], [0.5, 0.5]])
     laff, _ = _mk(g)
     muS1, _ = security_value(g, 1)
-    assert laff.targets == pytest.approx([muS1] * 5)
+    assert [target for target, _ in laff.guards] == pytest.approx([muS1] * 5)
 
 
-def test_switch_slack_without_a_target_solution_is_the_bare_slack():
+def test_switch_slack_without_a_target_solution_is_the_bare_slack(monkeypatch):
     # both leader maps of flat2 are security fallbacks, so the switch test
     # has no enforcement margin to carry and takes the bare slack
     g = BimatrixGame("flat2", [[0.3, 0.7], [0.2, 0.9]],
@@ -45,23 +46,29 @@ def test_switch_slack_without_a_target_solution_is_the_bare_slack():
     laff = build_agent("laff", g, 1, cfg)
     assert laff.kit.solution_map("bully") is None
     assert laff.kit.solution_map("ebs") is None
-    seen, slack = [], laff._slack
-
-    def spy():
-        seen.append((laff.tau, slack()))
-        return seen[-1][1]
-
-    laff._slack = spy
+    seen = _spy_slack(monkeypatch, laff)
     run_match(g, laff, build_agent("qlearn", g, 2, cfg), cfg)
     assert seen
-    assert all(value == switch_slack(tau, cfg.T, None, cfg.eps)
-               for tau, value in seen)
+    for _, tau, m, value in seen:
+        assert m is None
+        assert value == switch_slack(tau, cfg.T, None, cfg.eps)
+
+
+def _spy_slack(monkeypatch, laff):
+    """Record (slot, tau, map, slack) of each switch test that ``laff`` runs."""
+    seen = []
+
+    def spy(tau, T, m, eps):
+        seen.append((laff.expert_index, tau, m, switch_slack(tau, T, m, eps)))
+        return seen[-1][3]
+
+    monkeypatch.setattr("laff.controller.switch_slack", spy)
+    return seen
 
 
 def _map(r, Kp):
     """A solution map carrying only what the switch slack reads."""
-    cell = JointAction(0, 0)
-    return SolutionMap(cell1=cell, cell0=cell, weight=1.0, Kp=Kp, r=r, plays=())
+    return SolutionMap(weight=1.0, Kp=Kp, r=r, plays=())
 
 
 # (tau, T, (r, Kp) of the map or None, eps, slack.hex()) as the three
@@ -94,30 +101,22 @@ def test_switch_slack_matches_the_recorded_values():
         assert got.hex() == expected, (tau, T, m, eps)
 
 
-def test_slots_3_to_5_take_their_slack_from_the_egalitarian_map():
+def test_slots_3_to_5_take_their_slack_from_the_egalitarian_map(monkeypatch):
     # slot 5's target is the own security value, yet its slack carries the
     # egalitarian solution's margin, as slots 3 and 4 do; slots 1 and 2
     # carry the bully solution's, and slot 6 runs no switch test
     laff, cfg = _mk(builtin_game("asym_unfair"), T=10000)
     bully, ebs = laff.kit.bully_map, laff.kit.ebs_map
     assert (bully.r, bully.Kp) != (ebs.r, ebs.Kp)
-    seen, slack = [], laff._slack
-
-    def spy():
-        seen.append((laff.expert_index, laff.tau, slack()))
-        return seen[-1][2]
-
-    laff._slack = spy
+    seen = _spy_slack(monkeypatch, laff)
     t = 0
     while laff.expert_index < 6 and t < cfg.T:  # starved of reward
         _feed(laff, [0.0] * laff.H, start=t + 1)
         t += laff.H
-    assert {j for j, _, _ in seen} == {1, 2, 3, 4, 5}
-    for j, tau, value in seen:
-        m = bully if j <= 2 else ebs
+    assert {j for j, _, _, _ in seen} == {1, 2, 3, 4, 5}
+    for j, tau, m, value in seen:
+        assert m is (bully if j <= 2 else ebs), (j, tau)
         assert value == switch_slack(tau, cfg.T, m, cfg.eps), (j, tau)
-        other = ebs if j <= 2 else bully
-        assert value != switch_slack(tau, cfg.T, other, cfg.eps), (j, tau)
 
 
 def _feed(laff, rewards, start=1):
