@@ -39,7 +39,7 @@ def _sample(dist: np.ndarray, rng) -> int:
         acc += p
         if x < acc:
             return i
-    return len(dist) - 1
+    return int(np.flatnonzero(dist > 0)[-1])  # the sums fell short of x
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Against an opponent whose action distribution depends only on the current
 state (and whose signal weight is constant), the repeated game seen by
 player 1 is an MDP.  This module builds dense transition/reward tensors
 over the states reachable from the engine's start only, and solves for the
-optimal gain and a gain-optimal policy (relative value iteration, with a
-multichain LP fallback).  An MDP above ``MAX_STATES`` reachable states is
-refused before any array is built.
+optimal gain and a gain-optimal policy by relative value iteration, which
+also settles per-state gains where the reachable class is not
+communicating.  An MDP above ``MAX_STATES`` reachable states is refused
+before any array is built.
 """
 
 from __future__ import annotations
@@ -131,9 +132,12 @@ def optimal_average_reward(mdp: InducedMdp):
     distribution, with the standard self-loop transformation so periodic
     chains still converge.  If the reachable class is not communicating the
     span never contracts (different sub-chains support different gains);
-    that case is detected and handed to the multichain linear program.
-    Returns (gain, policy) where ``policy`` maps reachable state index ->
-    action (argmax ties to the lowest index).
+    once that stall is detected the sweeps go on until every state's
+    increment, its gain g, settles.  The gain is then init @ g, and each
+    state plays the action of largest P_a g (within 1e-10), then largest
+    value (Puterman 1994, section 9.4).  Returns (gain, policy) where
+    ``policy`` maps reachable state index -> action (argmax ties to the
+    lowest index).
     """
     reach = mdp.reachable_from_initial()
     P = mdp.transition
@@ -146,7 +150,7 @@ def optimal_average_reward(mdp: InducedMdp):
 
     tau = 0.5  # aperiodicity transform: P~ = (1-tau) I + tau P, same gain
     h = np.zeros(n)
-    last_span = np.inf
+    last_span, settling = np.inf, None
     for sweep in range(_MAX_SWEEPS):
         q = r + tau * np.einsum("ijk,k->ij", P, h) + (1 - tau) * h[:, None]
         v = q.max(axis=1)
@@ -157,43 +161,18 @@ def optimal_average_reward(mdp: InducedMdp):
             gain = 0.5 * (diff.max() + diff.min())
             policy = q.argmax(axis=1)
             return float(gain), {int(reach[i]): int(policy[i]) for i in range(n)}
-        if sweep % 2000 == 1999:
+        if settling is not None:
+            if np.abs(diff - settling).max() <= _SPAN_TOL:
+                break  # every state's gain has settled
+            settling = diff
+        elif sweep % 2000 == 1999:
             if span > last_span * (1 - 1e-3):
-                break  # stalled: the class is not communicating
+                settling = diff  # stalled: the class is not communicating
             last_span = span
     else:
         raise RuntimeError(f"relative value iteration did not reach span "
                            f"{_SPAN_TOL} within {_MAX_SWEEPS} sweeps")
-    gain, policy = _multichain_lp(P, r, init)
-    return gain, {int(reach[i]): int(policy[i]) for i in range(n)}
-
-
-def _multichain_lp(P, r, init):
-    """Multichain average-reward LP: per-state gains g and biases h.
-
-    minimize init'g subject to g(s) >= sum p(s'|s,a) g(s') and
-    g(s) + h(s) >= r(s,a) + sum p(s'|s,a) h(s') for all (s, a).
-    """
-    from scipy.optimize import linprog
-
-    n = len(P)
-    eye, zero = np.eye(n), np.zeros((n, n))
-    # variables (g, h); per action a, (P_a - I) g <= 0 and -g + (P_a - I) h <= -r_a
-    A_ub = np.vstack([np.block([[Pa - eye, zero], [-eye, Pa - eye]])
-                      for Pa in P.swapaxes(0, 1)])
-    b_ub = np.concatenate([np.r_[np.zeros(n), -ra] for ra in r.T])
-    res = linprog(np.r_[init, np.zeros(n)], A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * (2 * n), method="highs")
-    if not res.success:
-        raise RuntimeError(f"multichain gain LP failed: {res.message}")
-    g = res.x[:n]
-    h = res.x[n:]
-    # greedy policy: improve the gain first, then the bias
-    gain_q = np.einsum("iak,k->ia", P, g)
-    bias_q = r + np.einsum("iak,k->ia", P, h)
-    policy = np.zeros(n, dtype=int)
-    for s in range(n):
-        best = np.nonzero(gain_q[s] > gain_q[s].max() - 1e-10)[0]
-        policy[s] = best[np.argmax(bias_q[s, best])]
-    return float(init @ g), policy
-
+    gain_q = np.einsum("iak,k->ia", P, diff)
+    tied = gain_q > gain_q.max(axis=1, keepdims=True) - 1e-10
+    policy = np.where(tied, q, -np.inf).argmax(axis=1)
+    return float(init @ diff), {int(reach[i]): int(policy[i]) for i in range(n)}

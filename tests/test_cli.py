@@ -355,14 +355,14 @@ def test_regret_player_flag_is_gone(tmp_path, capsys):
 
 def test_runtime_error_is_one_line(capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise RuntimeError("multichain gain LP failed: infeasible")
+        raise RuntimeError("relative value iteration did not converge")
 
     monkeypatch.setattr("laff.cli.benchmark_for", fail)
     code, out, err = run_cli(capsys, "benchmark", "--game", "chicken",
                              "--opponent", "bully")
     assert code == 2
     assert out == ""
-    assert err == "error: multichain gain LP failed: infeasible\n"
+    assert err == "error: relative value iteration did not converge\n"
 
 
 def test_seed_flag_defaults_to_zero(tmp_path, capsys):

@@ -152,6 +152,25 @@ def test_sample_plays_the_last_action_when_the_draw_passes_every_partial_sum():
     assert _sample(dist, Top()) == 9
 
 
+def test_sample_never_plays_a_zero_probability_action():
+    # seat 1's punishment strategy on this 4x4 game sums to 1 - 2**-53 before
+    # its last entry, 0.0, so the largest draw passes every partial sum
+    g = BimatrixGame("punish4", np.array([[2, 3, 2, 1], [0, 3, 1, 3], [2, 0, 0, 2],
+                                          [1, 3, 1, 1]]) / 3,
+                     np.array([[1, 2, 0, 1], [3, 0, 1, 1], [1, 1, 0, 3],
+                               [3, 0, 3, 1]]) / 3)
+    punish = LeaderKit.build(g, 1, EP).punish
+    assert punish.tolist() == [0.6, 0.19999999999999998, 0.19999999999999998, 0.0]
+    top = _doubles(np.array([2 ** 64 - 1], dtype=np.uint64))[0]
+    assert np.cumsum(punish)[-1] == top
+
+    class Top:
+        def random(self):
+            return top
+
+    assert _sample(punish, Top()) == 2
+
+
 def test_leader_fallback_plays_maximin():
     g = BimatrixGame("flat2", [[0.3, 0.7], [0.2, 0.9]],
                      [[0.5, 0.5], [0.5, 0.5]])

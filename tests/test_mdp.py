@@ -188,17 +188,9 @@ def test_reachable_mdp_equals_full_space_block_on_random_games(g, K, opp):
     _reachable_block(g, K, opp)
 
 
-def test_multichain_fallback_two_absorbing_states(monkeypatch):
+def test_multichain_fallback_two_absorbing_states():
     # two absorbing classes with different gains: the span never contracts,
-    # so the stall detector must hand over to the multichain LP
-    calls = []
-    lp = laff.mdp._multichain_lp
-
-    def spy(*args):
-        calls.append(args)
-        return lp(*args)
-
-    monkeypatch.setattr(laff.mdp, "_multichain_lp", spy)
+    # so the stall detector hands over to sweeps that settle each state's gain
     s0 = encode(((0,), (0,), (0, 0), (0, 0)), 2, 2)
     s1 = encode(((1,), (0,), (0, 0), (0, 0)), 2, 2)
     trans = np.zeros((2, 2, 2))
@@ -210,7 +202,6 @@ def test_multichain_fallback_two_absorbing_states(monkeypatch):
                      initial=np.array([0.5, 0.5]))
     gain, policy = optimal_average_reward(mdp)
     assert gain == pytest.approx(0.5, abs=1e-9)
-    assert len(calls) == 1
     assert set(policy) == {0, 1}
 
 
@@ -236,19 +227,28 @@ def test_optimal_gain_tops_every_deterministic_policy_on_random_games(g, w2, see
     assert abs(gain - max(enumerate_deterministic_gains(mdp))) <= 1e-6
 
 
-def test_multichain_fallback_matches_enumeration_on_absorbing_opponents(monkeypatch):
+def test_multichain_fallback_matches_enumeration_on_absorbing_opponents():
     # an opponent that keeps playing 1 once it has played 1 can leave closed
-    # classes of different gains, which relative value iteration hands to the LP
-    hits = []
-    lp = laff.mdp._multichain_lp
-    monkeypatch.setattr(laff.mdp, "_multichain_lp", lambda *a: hits.append(a) or lp(*a))
+    # classes of different gains, which relative value iteration settles per
+    # state; the returned policy must earn the gain.  The first case is a grim
+    # trigger on sym_winwin (player 2 plays 0 while the newest joint action is
+    # (0, 0)): after a defection the gain is 1/3, not 1, so a policy read off
+    # gains pinned only at the start defects there and earns about 0
+    g = builtin_game("sym_winwin")
+    u1, u2 = StateLayout(2, 2, 1).units[:2]
+    grim = lambda s: _point(2, int(s // u1 % 2 != 0 or s // u2 % 2 != 0))
+    cases = [("grim", induce_mdp(g, grim, w1=0.0, w2=0.0, K=1))]
     for name, seed in product(GAME_NAMES, range(4)):
         g = builtin_game(name)
-        mdp = induce_mdp(g, _seeded_table(g, seed, seed % 2 == 0, absorbing=True),
-                         w1=0.0, w2=float(seed // 2), K=1)
-        gain, _ = optimal_average_reward(mdp)
-        assert abs(gain - max(enumerate_deterministic_gains(mdp))) <= 1e-6, (name, seed)
-    assert hits
+        cases.append(((name, seed), induce_mdp(
+            g, _seeded_table(g, seed, seed % 2 == 0, absorbing=True),
+            w1=0.0, w2=float(seed // 2), K=1)))
+    for case, mdp in cases:
+        gain, policy = optimal_average_reward(mdp)
+        assert abs(gain - max(enumerate_deterministic_gains(mdp))) <= 1e-6, case
+        earned = policy_average_reward(mdp, [policy[i] for i in range(mdp.n_states)])
+        assert abs(earned - gain) <= 1e-8, case
+    assert optimal_average_reward(cases[0][1])[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_reachable_from_initial_follows_every_action():

@@ -15,6 +15,17 @@ argv = sys.argv[1:]
 assert not argv or main(argv) == 0
 print("scipy" in sys.modules)
 """
+# solves sym_winwin against a grim trigger, whose induced MDP stalls relative
+# value iteration (two closed classes of different gains), with scipy
+# unimportable; CI's scipy-less step runs the same line
+GRIM_PROBE = ('import sys; sys.modules["scipy"] = None; '
+              'from laff import builtin_game, induce_mdp, optimal_average_reward; '
+              'from laff.engine import StateLayout; '
+              'u1, u2, _, _ = StateLayout(2, 2, 1).units; '
+              'grim = lambda s: [0.0, 1.0] if s // u1 % 2 or s // u2 % 2 else [1.0, 0.0]; '
+              'mdp = induce_mdp(builtin_game("sym_winwin"), grim, 0.0, 0.0, 1); '
+              'gain, _ = optimal_average_reward(mdp); '
+              'assert abs(gain - 1.0) < 1e-9, gain')
 
 
 def test_public_names_resolve():
@@ -41,3 +52,9 @@ def test_scipy_is_not_imported_to_solve_or_play_a_game(tmp_path, argv):
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+def test_multichain_gain_is_solved_without_scipy():
+    src = str(Path(laff.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", GRIM_PROBE],
+                   env={**os.environ, "PYTHONPATH": src}, check=True)
