@@ -12,9 +12,8 @@ from .bargaining import (EnforceParams, JointAction, PairSolution,
                          punishment_length)
 from .controller import Laff, rq_bound, switch_slack
 from .engine import Agent, MatchConfig, MatchTrace, run_match
-from .evaluation import (benchmark_for, exploiter_regret, play_match,
-                         pure_nash, regret_curve, replicator_run,
-                         replicator_step, round_robin)
+from .evaluation import (benchmark_for, play_match, pure_nash, regret_curve,
+                         replicator_run, replicator_step, round_robin)
 from .experts import LeaderKit
 from .games import (BimatrixGame, EVALUATION_GAMES, GAME_NAMES, TRAINING_GAMES,
                     builtin_game, load_game, punishment_strategy,
@@ -28,7 +27,7 @@ __all__ = [
     "MatchConfig", "MatchTrace", "PairSolution", "TRAINING_GAMES",
     "benchmark_for", "bounded_memory_policy", "build_agent", "builtin_game",
     "bully_solution", "deviation_profit", "enforceable_ebs",
-    "exploiter_regret", "induce_mdp", "load_game",
+    "induce_mdp", "load_game",
     "optimal_average_reward", "play_match", "punishment_length",
     "punishment_strategy", "pure_nash", "regret_curve",
     "replicator_run", "replicator_step", "round_robin", "rq_bound",

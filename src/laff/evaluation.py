@@ -12,12 +12,10 @@ import numpy as np
 from .bargaining import EnforceParams, bully_solution, enforceable_ebs
 from .engine import MatchConfig, run_match
 from .experts import LeaderKit
-from .games import BimatrixGame, security_value
+from .games import PAYOFF_TIE, BimatrixGame, security_value
 from .mdp import induce_mdp, optimal_average_reward
 from .opponents import build_agent
 
-# Payoff gap below a row or column maximum that `pure_nash` still counts as a tie.
-_TIE_TOL = 1e-12
 OPPONENT_CLASSES = ("adversarial", "follower_conditional", "follower_unconditional",
                     "bounded_memory")  # the classes `benchmark_for` knows
 
@@ -34,11 +32,6 @@ def regret_curve(rewards: np.ndarray, benchmark: float) -> np.ndarray:
     rewards = np.asarray(rewards, dtype=float)
     t = np.arange(1, len(rewards) + 1)
     return t * benchmark - np.cumsum(rewards)
-
-
-def exploiter_regret(trace, mu_e2: float, c: float) -> np.ndarray:
-    """Player 2's regret against the egalitarian value plus a margin c."""
-    return regret_curve(trace.r2, mu_e2 + c)
 
 
 def benchmark_for(game: BimatrixGame, opponent_class: str, config: MatchConfig,
@@ -80,8 +73,8 @@ def pure_nash(m1: np.ndarray, m2: np.ndarray):
     m2 = np.asarray(m2, dtype=float)
     if m1.shape != m2.shape:
         raise ValueError("payoff matrices must share a shape")
-    tops = ((m1 >= m1.max(axis=0) - _TIE_TOL)
-            & (m2 >= m2.max(axis=1, keepdims=True) - _TIE_TOL))
+    tops = ((m1 >= m1.max(axis=0) - PAYOFF_TIE)
+            & (m2 >= m2.max(axis=1, keepdims=True) - PAYOFF_TIE))
     return [(int(i), int(j)) for i, j in np.argwhere(tops)]
 
 

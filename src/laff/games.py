@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 _TOL = 1e-9
-# Entrywise tolerance of `BimatrixGame.is_symmetric`.
-_SYMMETRY_TOL = 1e-12
+# Payoffs this close are equal: `is_symmetric`, `evaluation.pure_nash` and
+# fictitious play's best response all read it.
+PAYOFF_TIE = 1e-12
 # Characters a game name may not carry into CSV cells, file names and SVG
 # text; a lone surrogate has no UTF-8 encoding.
 _BAD_NAME_CHARS = re.compile(r'[,"/\\\x00-\x1f\x7f-\x9f\ud800-\udfff]')
@@ -79,7 +80,7 @@ class BimatrixGame:
     def is_symmetric(self) -> bool:
         """True when swapping players and actions leaves the game unchanged."""
         return self.R1.shape[0] == self.R1.shape[1] and np.allclose(
-            self.R2, self.R1.T, atol=_SYMMETRY_TOL
+            self.R2, self.R1.T, rtol=0, atol=PAYOFF_TIE
         )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ from .bargaining import EnforceParams
 from .controller import Laff
 from .engine import Agent, FixedActionAgent, MatchConfig, agent_rng
 from .experts import LeaderCore, LeaderKit, MaximinPolicy, TabularQ
-from .games import BimatrixGame, security_value
+from .games import PAYOFF_TIE, BimatrixGame, security_value
 
 
 class LeaderOpponent(LeaderCore):
@@ -71,23 +72,28 @@ class EpsGreedyQAgent(TabularQ):
 class FictitiousPlayAgent(Agent):
     """Best response to the empirical marginal of the opponent's past actions.
 
-    State-independent; starts from a uniform prior and breaks ties toward
-    the lowest action index.  Deterministic given the opponent's sequence.
+    Each own action's score, in plain floats, is its row sum (the uniform
+    prior, scaled) until the first observation, then its total payoff
+    against the opponent's actions.  Scores within PAYOFF_TIE per
+    observation of the best tie; the lowest action wins, on any host.
     """
 
     def __init__(self, game: BimatrixGame, player: int, *_):
         # build_agent also passes the config and rng, which FP does not need
-        self.M = game.R1 if player == 1 else game.R2.T  # own x opponent payoffs
-        self.counts = np.zeros(self.M.shape[1])
-        self.seen = 0  # observations so far, self.counts.sum()
-        self.prior = np.full(self.M.shape[1], 1.0 / self.M.shape[1])
+        rows = (game.R1 if player == 1 else game.R2.T).tolist()  # own x opponent
+        self.columns = list(zip(*rows))  # own payoffs per opponent action
+        self.scores = [math.fsum(row) for row in rows]
+        self.seen = 0  # observations so far
 
     def act(self, state, t):
-        phat = self.counts / self.seen if self.seen else self.prior
-        return int((self.M @ phat).argmax())
+        floor = max(self.scores) - PAYOFF_TIE * max(self.seen, 1)
+        for action, score in enumerate(self.scores):
+            if score >= floor:
+                return action
 
     def observe(self, t, opp_action, r_own, r_opp):
-        self.counts[opp_action] += 1
+        column = self.columns[opp_action]  # the first observation replaces the prior
+        self.scores = list(map(add, self.scores, column)) if self.seen else list(column)
         self.seen += 1
 
 

@@ -104,6 +104,14 @@ def test_sym_inferior_layout():
     assert g.is_symmetric()
 
 
+def test_is_symmetric_holds_payoffs_to_the_absolute_tie_tolerance():
+    # entries 2e-6 apart, which numpy's default rtol of 1e-5 would forgive
+    g = BimatrixGame("g", [[.5, .25], [1, .3]], [[.5, 1], [.25, .300002]])
+    assert not g.is_symmetric()
+    g = BimatrixGame("g", [[.5, .25], [1, .3]], [[.5, 1], [.25, .3 + 1e-13]])
+    assert g.is_symmetric()
+
+
 def test_swap_players():
     g = builtin_game("asym_biased")
     s = swap_players(g)

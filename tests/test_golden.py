@@ -27,6 +27,11 @@ GAMES = ("chicken", "cyclic", "rect3x2")
 RECT = {"name": "rect3x2",
         "R1": [[0.512, 0.95], [0.144, 0.949], [0.312, 0.423]],
         "R2": [[0.828, 0.409], [0.55, 0.028], [0.754, 0.538]]}
+# player 2's two rows tie exactly under FP's uniform prior:
+# (1/3 + 0.1 + 0.1) / 3 = (1/3 + 0.2 + 0) / 3, so its first action is 0
+FP_TIE = {"name": "fp_tie", "R1": [[0.7, 0.2], [0.7, 0.1], [0, 0]],
+          "R2": [[1 / 3, 1 / 3], [0.1, 0.2], [0.1, 0]]}
+JSON_GAMES = {"rect3x2": RECT, "fp_tie": FP_TIE}
 MATCH_T = 300
 # non-default parameters, so that their plumbing is pinned too
 PARAM_MATCHES = (
@@ -72,11 +77,11 @@ def _run(argv):
 
 
 def _game_arg(game, work: Path) -> str:
-    if game != "rect3x2":
+    if game not in JSON_GAMES:
         return game
-    path = work / "rect3x2.json"
+    path = work / f"{game}.json"
     if not path.exists():
-        path.write_text(json.dumps(RECT))
+        path.write_text(json.dumps(JSON_GAMES[game]))
     return str(path)
 
 
@@ -94,6 +99,14 @@ def match_digests(game, K, work: Path) -> dict:
         _run(argv)
         out[_case_id(p1, p2, params1, params2)] = _sha(trace.read_bytes())
     return out
+
+
+def fp_tie_digests(work: Path) -> dict:
+    """FP against itself on `FP_TIE`, where the lowest-index tie rule decides."""
+    trace = work / "trace.csv"
+    _run(["match", "--game", _game_arg("fp_tie", work), "--p1", "fp", "--p2", "fp",
+          "--T", "3000", "--seed", "4", "--trace", str(trace)])
+    return {"fp fp": _sha(trace.read_bytes())}
 
 
 def benchmark_digests(work: Path) -> dict:
@@ -402,6 +415,10 @@ GOLDEN = {
         'fixed:1 {"weight": 0.5} laff':
             '09abc6e813a7430ab1b6f6a0ca0adaa916fe1a9b6d238a2d85906fbc8e59707d',
     },
+    'match fp_tie K=1': {
+        'fp fp':
+            '7e4846bbeb8d64b16af804b023c717583682c55beb746341fa895a3ed205ca03',
+    },
     'benchmark': {
         'chicken K=1 bully':
             '5e9dadc597d872a34aeae63565a4bbbd47cbb7d411fc76628cba7f541fd071a0',
@@ -513,6 +530,10 @@ def test_match_trace_digests(game, K, tmp_path):
     assert match_digests(game, K, tmp_path) == GOLDEN[f"match {game} K={K}"]
 
 
+def test_fp_tie_trace_digest(tmp_path):
+    assert fp_tie_digests(tmp_path) == GOLDEN["match fp_tie K=1"]
+
+
 def test_benchmark_stdout_digests(tmp_path):
     assert benchmark_digests(tmp_path) == GOLDEN["benchmark"]
 
@@ -532,6 +553,7 @@ def test_tournament_and_replicator_digests(tmp_path):
 def _current(work: Path) -> dict:
     table = {f"match {g} K={K}": match_digests(g, K, work)
              for g in GAMES for K in (1, 2)}
+    table["match fp_tie K=1"] = fp_tie_digests(work)
     table["benchmark"] = benchmark_digests(work)
     table["solve"] = solve_digests(work)
     table["regret"] = regret_digests(work)

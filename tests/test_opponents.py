@@ -1,10 +1,11 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
 
-from laff import (EnforceParams, MatchConfig, builtin_game, enforceable_ebs,
-                  play_match, run_match)
+from laff import (BimatrixGame, EnforceParams, MatchConfig, builtin_game,
+                  enforceable_ebs, play_match, run_match)
 from laff.engine import FixedActionAgent
 from laff.opponents import (AGENT_NAMES, BOUNDED_MEMORY, EpsGreedyQAgent,
                             FictitiousPlayAgent, bounded_memory_policy,
@@ -89,8 +90,6 @@ def test_fictitious_play_best_responds():
 
 
 def test_fictitious_play_tiebreak_and_determinism():
-    from laff import BimatrixGame
-
     flat = BimatrixGame("flat", [[0.5, 0.5], [0.5, 0.5]],
                         [[0.5, 0.5], [0.5, 0.5]])
     fp = FictitiousPlayAgent(flat, 2)
@@ -99,6 +98,21 @@ def test_fictitious_play_tiebreak_and_determinism():
     t1 = play_match(g, "qlearn", "fp", MatchConfig(T=500, seed=8))
     t2 = play_match(g, "qlearn", "fp", MatchConfig(T=500, seed=8))
     assert np.array_equal(t1.a2, t2.a2)
+
+
+def test_fictitious_play_gives_exact_ties_to_action_zero():
+    # fp_tie's uniform prior: (1/3 + 0.1 + 0.1) / 3 = (1/3 + 0.2 + 0) / 3
+    fp_tie = BimatrixGame("fp_tie", [[0.7, 0.2], [0.7, 0.1], [0, 0]],
+                          [[1 / 3, 1 / 3], [0.1, 0.2], [0.1, 0]])
+    assert FictitiousPlayAgent(fp_tie, 2).act(None, 1) == 0
+    # asym_biased in seat 2 after counts (1, 3): 3 * 2/3 = 1 + 3 * 1/3,
+    # though the float sums need not agree, in any order of observation
+    g = builtin_game("asym_biased")
+    for history in set(itertools.permutations((0, 1, 1, 1))):
+        fp = FictitiousPlayAgent(g, 2)
+        for t, opp_action in enumerate(history, 1):
+            fp.observe(t, opp_action, 0.0, 0.0)
+        assert fp.act(None, len(history) + 1) == 0, history
 
 
 def test_manipulator_stays_leader_against_compliant():
