@@ -84,18 +84,19 @@ def deviation_profit(game: BimatrixGame, X) -> float:
 def _solve(game: BimatrixGame, ep: EnforceParams, selfish: bool) -> PairSolution:
     muS1, _ = security_value(game, 1)
     muS2, _ = security_value(game, 2)
-    cells = [JointAction(i, j) for i in range(game.n1) for j in range(game.n2)]
+    # each cell with its (R1, R2, deviation profit), read once as Python floats
+    cells = [(x, float(game.R1[x]), float(game.R2[x]), float(deviation_profit(game, [x])))
+             for x in (JointAction(i, j) for i in range(game.n1) for j in range(game.n2))]
 
     best = None  # (score, u1, solution)
     for ia, x in enumerate(cells):
         for y in cells[ia:]:
-            xA, xB = (x, y) if game.R2[x] >= game.R2[y] else (y, x)
-            r1a, r1b = float(game.R1[xA]), float(game.R1[xB])
-            r2a, r2b = float(game.R2[xA]), float(game.R2[xB])
-            r = deviation_profit(game, {xA, xB})
+            (xA, r1a, r2a, ra), (xB, r1b, r2b, rb) = (x, y) if x[2] >= y[2] else (y, x)
+            r = max(ra, rb)  # r(X) is a max over the cells of X
+            s1, s2 = r1a - r1b, r2a - r2b
             # least weight on xA that enforces the mix; with equal R2, any or none
             if r2a > r2b + _TOL:
-                lo = (r + ep.eps + ep.K * (muS2 - r2b)) / (ep.K * (r2a - r2b))
+                lo = (r + ep.eps + ep.K * (muS2 - r2b)) / (ep.K * s2)
                 if lo > 1 + _TOL:
                     continue
                 lo = min(max(lo, 0.0), 1.0)
@@ -104,46 +105,26 @@ def _solve(game: BimatrixGame, ep: EnforceParams, selfish: bool) -> PairSolution
             else:
                 continue
 
-            s1 = r1a - r1b
-            if xA == xB:
+            if not selfish:
+                # both players' rewards weakly increase toward xA unless s1 < 0;
+                # then den <= s1 < -1e-12, as xA has the larger R2
+                peak = 1.0 if s1 >= -1e-12 else (r2b - r1b + muS1 - muS2) / (s1 - s2)
+                alpha = min(max(peak, lo), 1.0)
+            elif s1 > _TOL or xA == xB:
                 alpha = 1.0
-            elif not selfish:
-                if s1 >= -1e-12:
-                    # both players' rewards weakly increase toward xA
-                    alpha = 1.0
-                else:  # den <= s1 < -1e-12: r2b - r2a <= 0, as xA has the larger R2
-                    den = (r1a - r1b) + (r2b - r2a)
-                    peak = (r2b - r1b + muS1 - muS2) / den
-                    alpha = min(max(peak, lo), 1.0)
-            else:
-                # selfish objective u1; the solution must stay inside U
-                s2 = r2a - r2b
-                lo2, hi = lo, 1.0
-                if s2 > _TOL:
-                    lo2 = max(lo2, (muS2 - r2b) / s2)
-                # else the mix is enforced with r < _TOL - eps: r2b >= muS2 - _TOL
-                if s1 > _TOL:
-                    lo2 = max(lo2, (muS1 - r1b) / s1)
-                elif s1 < -_TOL:
-                    hi = min(hi, (muS1 - r1b) / s1)
-                elif r1b < muS1 - _TOL:
-                    continue
-                lo2 = min(max(lo2, 0.0), 1.0)
-                if lo2 > hi + _TOL:
-                    continue
-                hi = max(hi, lo2)
-                alpha = hi if s1 > _TOL else lo2
+            else:  # the least weight that enforces the mix and holds u2 at muS2;
+                # with s2 <= _TOL, r < _TOL - eps enforces it: r2b >= muS2 - _TOL
+                alpha = min(max(lo, (muS2 - r2b) / s2) if s2 > _TOL else lo, 1.0)
 
-            alpha = float(alpha) + 0.0  # normalize -0.0
+            alpha += 0.0  # normalize -0.0
             u1 = alpha * r1a + (1 - alpha) * r1b
             u2 = alpha * r2a + (1 - alpha) * r2b
             score = u1 if selfish else min(u1 - muS1, u2 - muS2)
+            # the selfish objective must stay inside U, the individually rational set
             if selfish and (u1 < muS1 - _TOL or u2 < muS2 - _TOL):
                 continue
-            cand = PairSolution(xA=xA, xB=xB, alpha=float(alpha),
-                                u1=float(u1), u2=float(u2),
-                                deviation_profit=float(r),
-                                kind=BULLY if selfish else EBS)
+            cand = PairSolution(xA=xA, xB=xB, alpha=alpha, u1=u1, u2=u2,
+                                deviation_profit=r, kind=BULLY if selfish else EBS)
             if best is None or score > best[0] + 1e-12 or (
                     score > best[0] - 1e-12 and u1 > best[1] + 1e-12):
                 best = (score, u1, cand)
