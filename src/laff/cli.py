@@ -293,7 +293,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (KeyError, ValueError, OSError, RuntimeError) as e:
+    except (KeyError, ValueError, OSError, RuntimeError, MemoryError) as e:
         # str() of a KeyError is the repr of its message, quotes and all
         msg = e.args[0] if isinstance(e, KeyError) else e
         print(f"error: {msg}", file=sys.stderr)

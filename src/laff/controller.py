@@ -56,6 +56,8 @@ def switch_slack(tau: int, T: int, m: Optional[SolutionMap], eps: float) -> floa
         return C1 / tau + C3 * root
     # tau >= 1, and xi > 0: -r >= eps > 0, or (eps + min(r, 0)) / 2K' > 0
     r, Kp = m.r, m.Kp
+    if r == -math.inf:  # an opponent with one action: the limit as xi -> inf
+        return Kp / tau + C3 * root
     xi = -r if r <= -eps else (eps if r >= 0 else eps + r) / (2 * max(1, Kp))
     return ((Kp * xi + C1 * max(T / 20.0, 1.0) + Kp + 1) / (xi * tau)
             + C3 * (3.0 + xi) / xi * root)

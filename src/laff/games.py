@@ -23,6 +23,8 @@ PAYOFF_TIE = 1e-12
 # Characters a game name may not carry into CSV cells, file names and SVG
 # text; a lone surrogate has no UTF-8 encoding.
 _BAD_NAME_CHARS = re.compile(r'[,"/\\\x00-\x1f\x7f-\x9f\ud800-\udfff]')
+# Most actions per player in a JSON game: a kit's exact LPs grow steeply past it.
+_MAX_JSON_ACTIONS = 16
 
 
 @dataclass
@@ -264,9 +266,13 @@ def game_from_json(path) -> BimatrixGame:
                          f"a non-empty string without , \" / \\, control "
                          f"characters or lone surrogates, got {name!r}")
     try:
-        return BimatrixGame(name=name, **mats)
+        game = BimatrixGame(name=name, **mats)
+        if max(game.R1.shape) > _MAX_JSON_ACTIONS:
+            raise ValueError(f"a {game.n1}x{game.n2} game exceeds the cap of "
+                             f"{_MAX_JSON_ACTIONS} actions per player")
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
+    return game
 
 
 def load_game(name_or_path: str) -> BimatrixGame:

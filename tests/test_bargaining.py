@@ -267,3 +267,12 @@ def test_punishment_length_is_the_least_that_enforces(g):
                 assert Kp * gap >= need - 1e-9, (K, eps, sol.kind)
                 if Kp >= 1:
                     assert (Kp - 1) * gap < need + 1e-9, (K, eps, sol.kind)
+
+
+def test_bully_stays_inside_the_individually_rational_set():
+    # no cell with u1 = 1 is enforceable; mixing in (0, 0) enforces (1, 0) at
+    # alpha = 0.05, but u1 = 0.95 falls below player 1's security value of 1
+    g = BimatrixGame("below", [[0, 1], [1, 1]], [[1, 0], [0, 0]])
+    assert security_value(g, 1)[0] == 1.0
+    sol = bully_solution(g, EP)
+    assert sol.is_fallback and (sol.u1, sol.u2) == (1.0, 0.0)

@@ -186,9 +186,13 @@ def test_non_finite_reward_file(tmp_path, capsys):
     ('{"R1": [["0.5", true], [0, 1]], "R2": [[0.5, "1e-1"], [false, 0]]}',
      "field R1"),
     ('{"R1": [[]], "R2": [[]]}', "need at least one action per player"),
+    # a kit's exact LPs grow steeply with the actions; JSON games stop at 16
+    (json.dumps({"R1": [[0.5]] * 17, "R2": [[0.5]] * 17}),
+     "a 17x1 game exceeds the cap of 16 actions per player"),
+    (json.dumps({"R1": [[0.5] * 17], "R2": [[0.5] * 17]}), "a 1x17 game"),
 ], ids=["directory", "list", "missing_R2", "ragged_R1", "not_json",
         "one_dimensional", "out_of_range", "string_reward", "boolean_reward",
-        "string_and_boolean_rewards", "no_columns"])
+        "string_and_boolean_rewards", "no_columns", "17_rows", "17_columns"])
 def test_malformed_game_file_is_one_line(tmp_path, capsys, content, says):
     path = tmp_path / "game.json"
     if content is None:
@@ -363,6 +367,15 @@ def test_runtime_error_is_one_line(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: relative value iteration did not converge\n"
+
+
+def test_output_too_large_to_allocate_is_one_line(capsys):
+    # numpy refuses the match's 7 PiB per-step array at once, with a MemoryError
+    code, out, err = run_cli(capsys, "match", "--game", "chicken", "--p1", "fixed:0",
+                             "--p2", "fixed:0", "--T", "1000000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 def test_seed_flag_defaults_to_zero(tmp_path, capsys):

@@ -125,6 +125,9 @@ def test_load_game_file(tmp_path):
                              "R2": [[0.5, 0.0]]}))
     g = load_game(str(p))
     assert g.name == "mini" and g.n1 == 1 and g.n2 == 2
+    # 16 actions per player is the cap; one more is refused (tests/test_cli.py)
+    p.write_text(json.dumps({"R1": [[0.5] * 16] * 16, "R2": [[0.5] * 16] * 16}))
+    assert load_game(str(p)).R1.shape == (16, 16)
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"R1": [[1.5]], "R2": [[0.0]]}))

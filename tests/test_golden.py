@@ -31,7 +31,9 @@ RECT = {"name": "rect3x2",
 # (1/3 + 0.1 + 0.1) / 3 = (1/3 + 0.2 + 0) / 3, so its first action is 0
 FP_TIE = {"name": "fp_tie", "R1": [[0.7, 0.2], [0.7, 0.1], [0, 0]],
           "R2": [[1 / 3, 1 / 3], [0.1, 0.2], [0.1, 0]]}
-JSON_GAMES = {"rect3x2": RECT, "fp_tie": FP_TIE}
+# player 2 has one action, so LAFF's switch slack in seat 1 takes its r = -inf limit
+COLUMN = {"name": "col2x1", "R1": [[0.2], [0.9]], "R2": [[0.5], [0.5]]}
+JSON_GAMES = {"rect3x2": RECT, "fp_tie": FP_TIE, "col2x1": COLUMN}
 MATCH_T = 300
 # non-default parameters, so that their plumbing is pinned too
 PARAM_MATCHES = (
@@ -107,6 +109,14 @@ def fp_tie_digests(work: Path) -> dict:
     _run(["match", "--game", _game_arg("fp_tie", work), "--p1", "fp", "--p2", "fp",
           "--T", "3000", "--seed", "4", "--trace", str(trace)])
     return {"fp fp": _sha(trace.read_bytes())}
+
+
+def single_action_digests(work: Path) -> dict:
+    """LAFF on `COLUMN` against player 2's one action, leaving slot 1 at t=44."""
+    trace = work / "trace.csv"
+    _run(["match", "--game", _game_arg("col2x1", work), "--p1", "laff",
+          "--p2", "fixed:0", "--T", "2000", "--seed", "1", "--trace", str(trace)])
+    return {"laff fixed:0": _sha(trace.read_bytes())}
 
 
 def benchmark_digests(work: Path) -> dict:
@@ -419,6 +429,10 @@ GOLDEN = {
         'fp fp':
             '7e4846bbeb8d64b16af804b023c717583682c55beb746341fa895a3ed205ca03',
     },
+    'match col2x1 K=1': {
+        'laff fixed:0':
+            '9bdef36258580790cc8c90db64d7f53126616b27275ad649da36a4b0d5c914fa',
+    },
     'benchmark': {
         'chicken K=1 bully':
             '5e9dadc597d872a34aeae63565a4bbbd47cbb7d411fc76628cba7f541fd071a0',
@@ -534,6 +548,10 @@ def test_fp_tie_trace_digest(tmp_path):
     assert fp_tie_digests(tmp_path) == GOLDEN["match fp_tie K=1"]
 
 
+def test_single_action_opponent_trace_digest(tmp_path):
+    assert single_action_digests(tmp_path) == GOLDEN["match col2x1 K=1"]
+
+
 def test_benchmark_stdout_digests(tmp_path):
     assert benchmark_digests(tmp_path) == GOLDEN["benchmark"]
 
@@ -554,6 +572,7 @@ def _current(work: Path) -> dict:
     table = {f"match {g} K={K}": match_digests(g, K, work)
              for g in GAMES for K in (1, 2)}
     table["match fp_tie K=1"] = fp_tie_digests(work)
+    table["match col2x1 K=1"] = single_action_digests(work)
     table["benchmark"] = benchmark_digests(work)
     table["solve"] = solve_digests(work)
     table["regret"] = regret_digests(work)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from laff import (BimatrixGame, EnforceParams, GAME_NAMES, Laff,
                   MatchConfig, build_agent, builtin_game, bully_solution,
                   enforceable_ebs, play_match, run_match, security_value,
                   switch_slack)
-from laff.controller import maximin_trip
+from laff.controller import C3, DELTA, maximin_trip
 from laff.engine import agent_rng
 from laff.experts import LeaderCore, MaximinPolicy, SolutionMap, TabularQ
 from oracles import encode
@@ -99,6 +101,32 @@ def test_switch_slack_matches_the_recorded_values():
     for tau, T, m, eps, expected in RECORDED_SLACKS:
         got = switch_slack(tau, T, None if m is None else _map(*m), eps)
         assert got.hex() == expected, (tau, T, m, eps)
+
+
+# player 2 has one action, so both of player 1's maps have r = -inf
+COLUMN = BimatrixGame("col", [[0.2], [0.9]], [[0.5], [0.5]])
+ROW = BimatrixGame("row", COLUMN.R2.T, COLUMN.R1.T)  # the same game, seats swapped
+
+
+def test_switch_slack_against_a_single_action_opponent_is_the_limit():
+    # xi = -r = inf made Kp * xi = 0 * inf a NaN, and the switch test never fired
+    laff, _ = _mk(COLUMN)
+    root = math.sqrt(math.log(10000 / DELTA) / (2 * 100))
+    for m in (laff.kit.bully_map, laff.kit.ebs_map, _map(-math.inf, 1)):
+        assert m.r == -math.inf
+        assert switch_slack(100, 10000, m, 0.05) == m.Kp / 100 + C3 * root
+    # as r falls, the slack approaches that limit from above
+    far = [switch_slack(100, 10000, _map(-x, 1), 0.05)
+           for x in (1e3, 1e6, 1e9, math.inf)]
+    assert far == sorted(far, reverse=True) and len(set(far)) == 4
+
+
+@pytest.mark.parametrize("T", [2000, 20000])
+def test_laff_leaves_slot_1_against_a_single_action_opponent(T):
+    # the follower earns below the bully target of 0.9 and is dropped
+    cfg = MatchConfig(T=T, seed=1)
+    assert play_match(COLUMN, "laff", "fixed:0", cfg).expert1.max() > 1
+    assert play_match(ROW, "fixed:0", "laff", cfg).expert2.max() > 1
 
 
 def test_slots_3_to_5_take_their_slack_from_the_egalitarian_map(monkeypatch):
