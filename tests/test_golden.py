@@ -130,6 +130,13 @@ def benchmark_digests(work: Path) -> dict:
     return out
 
 
+def benchmark_k3_digests() -> dict:
+    """The K=3 benchmark on the 2x2 games, where the induced MDP is largest."""
+    return {f"{game} K=3 {opp}": _sha(_run(["benchmark", "--game", game, "--K", "3",
+                                             "--opponent", opp]).encode())
+            for game in GAMES[:2] for opp in BENCH_OPPONENTS}
+
+
 def solve_digests(work: Path) -> dict:
     return {f"{game} K={K}": _sha(_run(["solve", "--game", _game_arg(game, work),
                                         "--K", str(K)]).encode())
@@ -507,6 +514,32 @@ GOLDEN = {
         'rect3x2 K=2 fixed:1':
             '4ec87884c123639d8d3b3c83da3835a7fd57cd0f60bef8870a55eba755fa78d9',
     },
+    'benchmark K=3': {
+        'chicken K=3 bully':
+            '5e9dadc597d872a34aeae63565a4bbbd47cbb7d411fc76628cba7f541fd071a0',
+        'chicken K=3 ftft':
+            'fcf122b02fd9a175ef31906721b49a3a7fa86e0622cc4568a1235b5ae5613efc',
+        'chicken K=3 egal':
+            '24a6d792c77f445a8628e86e2ea171714107d96e94cac103c2049078c2470454',
+        'chicken K=3 maximin':
+            '9887a31d6fd63a6e6f99113709d5e105048493b5f8de9aba1b78338da29c3a1c',
+        'chicken K=3 fixed:0':
+            '5d7c804fee717f907ee5e18a7e506712d03df8b46cfb4266118660675deaca71',
+        'chicken K=3 fixed:1':
+            '82ccaab3db9ea6c10e821f7d151b8682335d6eac5415d811518ab2200e66463a',
+        'cyclic K=3 bully':
+            'b78ecae093a7211f4fbf43f0fa18718e2797a7e38758e7d13f8c52aa1381b0db',
+        'cyclic K=3 ftft':
+            '3ea836126b99de023eb97ddf3a01b0a38d057647622a1ecd20bd9c72931f7293',
+        'cyclic K=3 egal':
+            '2d86f4a4945edd1097baa7e6083fd51dbe378ff9f8c72a2e4e9df2e1bcc1e68b',
+        'cyclic K=3 maximin':
+            'a2b04ff92c80065f51e64ea9a7a061e210be6e900161c9ebe6ccce2bf9d0fd6d',
+        'cyclic K=3 fixed:0':
+            '8760a47494f8cfefc252963c6454961a30cc27752327df5039b3dbddb4eebad0',
+        'cyclic K=3 fixed:1':
+            '379ea0f98fb68497775e5413135585857e289a82567c58e4985b34a85dc4e11e',
+    },
     'solve': {
         'chicken K=1':
             '63f6164a90e0f3ae89c4d00551c25df42bf6cabd333fc60009ce25c0b047e8ed',
@@ -556,6 +589,10 @@ def test_benchmark_stdout_digests(tmp_path):
     assert benchmark_digests(tmp_path) == GOLDEN["benchmark"]
 
 
+def test_benchmark_k3_stdout_digests():
+    assert benchmark_k3_digests() == GOLDEN["benchmark K=3"]
+
+
 def test_solve_stdout_digests(tmp_path):
     assert solve_digests(tmp_path) == GOLDEN["solve"]
 
@@ -574,6 +611,7 @@ def _current(work: Path) -> dict:
     table["match fp_tie K=1"] = fp_tie_digests(work)
     table["match col2x1 K=1"] = single_action_digests(work)
     table["benchmark"] = benchmark_digests(work)
+    table["benchmark K=3"] = benchmark_k3_digests()
     table["solve"] = solve_digests(work)
     table["regret"] = regret_digests(work)
     table["population"] = population_digests(work)
