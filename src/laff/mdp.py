@@ -2,12 +2,12 @@
 
 Against an opponent whose action distribution depends only on the current
 state (and whose signal weight is constant), the repeated game seen by
-player 1 is an MDP.  This module builds dense transition/reward tensors
-over the states reachable from the engine's start only, and solves for the
-optimal gain and a gain-optimal policy by relative value iteration, which
-also settles per-state gains where the reachable class is not
-communicating.  An MDP above ``MAX_STATES`` reachable states is refused
-before any array is built.
+player 1 is an MDP.  This module explores the states reachable from the
+engine's start breadth first, a layer of array work at a time, builds dense
+transition/reward tensors over them, and solves for the optimal gain and a
+gain-optimal policy by relative value iteration, which also settles
+per-state gains where the reachable class is not communicating.  An MDP
+above ``MAX_STATES`` reachable states is refused before its tensors exist.
 """
 
 from __future__ import annotations
@@ -70,58 +70,63 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
 
     ``opp_policy(state) -> array of len n2`` gives the opponent's action
     distribution at an engine state code; it is called, and checked to be a
-    distribution, once per reachable state.  States are explored forward
-    from the support of the engine's start distribution under every
-    player-1 action, and listed in ascending code order.  Transitions shift
+    distribution, once per reachable state.  States are explored breadth
+    first from the support of the engine's start distribution under every
+    player-1 action, a layer of new states at a time, each layer's successors
+    in one array; they are listed in ascending code order.  Transitions shift
     the action digits and refresh the signal bits with the four joint
     outcomes implied by the shared draw.  Rewards are the expected stage
-    rewards of the current joint action.
+    rewards of the current joint action, one per distinct opponent law.
     """
     sig = [(bits, p) for bits, p in signal_outcome_probs(w1, w2).items() if p > 0]
     A, n2 = game.n1, game.n2
-    successor = StateLayout(A, n2, K).successor
+    layout = StateLayout(A, n2, K)
 
     # engine start: action histories all zero, K+1 signal draws shifted in
     start = {0: 1.0}
     for _ in range(K + 1):
-        start = {successor(s, 0, 0, b1, b2): p * ps
+        start = {layout.successor(s, 0, 0, b1, b2): p * ps
                  for s, p in start.items() for (b1, b2), ps in sig}
 
-    explored = {}  # reachable state -> (expected rewards by a, [(a, next, prob)])
-    seen = set(start)
-    frontier = sorted(start)
+    (b1, b2), ps = np.array([bits for bits, _ in sig]).T, np.array([p for _, p in sig])
+    moves = (np.arange(A)[:, None, None], np.arange(n2)[:, None], b1, b2)
+    dtype = np.int64 if layout.n_states < 2 ** 62 else object  # codes past int64 stay exact
+    # per layer: codes, (F, n2) laws, (F, A, n2, len(sig)) next codes (-1: never played)
+    layers, seen, frontier = [], set(start), sorted(start)
     while frontier:
         if len(seen) > MAX_STATES:
             raise ValueError(f"K={K} gives the induced MDP over {MAX_STATES} states")
-        s = frontier.pop()
-        pi2 = np.asarray(opp_policy(s), dtype=float)
-        if pi2.shape != (n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
-            raise ValueError(f"opponent policy is not a distribution at state code {s}")
-        out = []
-        explored[s] = ([game.R1[a] @ pi2 for a in range(A)], out)
-        for a in range(A):
-            for b, pb in enumerate(pi2):
-                if pb <= 0:
-                    continue
-                for (b1, b2), ps in sig:
-                    nxt = successor(s, a, b, b1, b2)
-                    out.append((a, nxt, pb * ps))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
+        law = [np.asarray(opp_policy(s), dtype=float) for s in frontier]
+        bad = [pi2.shape != (n2,) for pi2 in law]
+        if not any(bad):
+            law = np.array(law)
+            bad = (np.abs(law.sum(axis=1) - 1.0) > 1e-9) | np.any(law < -1e-12, axis=1)
+        if np.any(bad):
+            raise ValueError("opponent policy is not a distribution at state code "
+                             f"{frontier[np.argmax(bad)]}")
+        code = np.array(frontier, dtype)
+        nxt = np.where(law[:, None, :, None] > 0,
+                       layout.successor(code[:, None, None, None], *moves), -1)
+        layers.append((code, law, nxt))
+        frontier = sorted(set(nxt[nxt >= 0].tolist()) - seen)
+        seen.update(frontier)
 
-    states = sorted(explored)
-    index = {s: i for i, s in enumerate(states)}
-    S = len(states)
+    codes, law, nxt = (np.concatenate(part) for part in zip(*layers))
+    order = np.argsort(codes)
+    index, law, nxt = codes[order], law[order], nxt[order]
+    S = len(index)
+    # successor is one-to-one in (b, b1, b2) for a state and action: each entry is set once
+    i, a, b, k = np.nonzero(nxt >= 0)
     transition = np.zeros((S, A, S))
-    for i, s in enumerate(states):
-        for a, nxt, p in explored[s][1]:
-            transition[i, a, index[nxt]] += p
-    reward1 = np.array([explored[s][0] for s in states])
+    transition[i, a, np.searchsorted(index, nxt[i, a, b, k])] = law[i, b] * ps[k]
+    # one R1[a] @ law per byte-distinct law; states that share a law share its rewards
+    distinct, inverse = np.unique(law.view(f"V{8 * n2}")[:, 0], return_inverse=True)
+    reward1 = np.array([[r @ u for r in game.R1]
+                        for u in distinct.view(float).reshape(-1, n2)])[inverse]
     initial = np.zeros(S)
-    initial[[index[s] for s in start]] = list(start.values())
+    initial[np.searchsorted(index, list(start))] = list(start.values())
 
-    return InducedMdp(states=states, n_actions=A, transition=transition,
+    return InducedMdp(states=index.tolist(), n_actions=A, transition=transition,
                       reward1=reward1, initial=initial)
 
 
