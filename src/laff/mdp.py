@@ -99,8 +99,8 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
         law = [np.asarray(opp_policy(s), dtype=float) for s in frontier]
         bad = [pi2.shape != (n2,) for pi2 in law]
         if not any(bad):
-            law = np.array(law)
-            bad = (np.abs(law.sum(axis=1) - 1.0) > 1e-9) | np.any(law < -1e-12, axis=1)
+            law = np.array(law)  # NaN fails both checks below
+            bad = ~((abs(law.sum(axis=1) - 1) <= 1e-9) & (law >= -1e-12).all(axis=1))
         if np.any(bad):
             raise ValueError("opponent policy is not a distribution at state code "
                              f"{frontier[np.argmax(bad)]}")

@@ -209,7 +209,9 @@ def induce_mdp_full(game, opp_policy, w1: float, w2: float, K: int) -> InducedMd
     reward1 = np.zeros((S, A))
     for i, s in enumerate(states):
         pi2 = np.asarray(opp_policy(encode(s, game.n1, game.n2)), dtype=float)
-        if pi2.shape != (game.n2,) or abs(pi2.sum() - 1.0) > 1e-9 or np.any(pi2 < -1e-12):
+        # phrased so that NaN fails them
+        if (pi2.shape != (game.n2,) or not abs(pi2.sum() - 1.0) <= 1e-9
+                or not np.all(pi2 >= -1e-12)):
             raise ValueError(f"opponent policy is not a distribution at state {s}")
         a1, a2, y1, y2 = s
         for a in range(A):

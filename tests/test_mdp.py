@@ -289,8 +289,10 @@ def test_value_iteration_sweep_cap_raises(monkeypatch):
         optimal_average_reward(mdp)
 
 
-@pytest.mark.parametrize("bad", [[1 / 3] * 3, [0.6, 0.6], [1.5, -0.5]],
-                         ids=["wrong_shape", "sum_not_one", "negative"])
+@pytest.mark.parametrize("bad", [[1 / 3] * 3, [0.6, 0.6], [1.5, -0.5],
+                                 [np.nan, np.nan], [1.0, np.nan]],
+                         ids=["wrong_shape", "sum_not_one", "negative",
+                              "nan_nan", "one_nan"])
 def test_policy_that_is_not_a_distribution_names_the_state_code(bad):
     uniform = np.full(2, 0.5)
     code = induce_mdp(RECT, lambda s: uniform, w1=0.5, w2=0.3, K=1).states[-1]
@@ -301,3 +303,35 @@ def test_policy_that_is_not_a_distribution_names_the_state_code(bad):
     with pytest.raises(ValueError) as err:
         induce_mdp(RECT, policy, w1=0.5, w2=0.3, K=1)
     assert str(err.value) == f"opponent policy is not a distribution at state code {code}"
+    with pytest.raises(ValueError, match="opponent policy is not a distribution"):
+        induce_mdp_full(RECT, policy, w1=0.5, w2=0.3, K=1)
+
+
+def test_state_codes_past_int64_stay_exact():
+    # player 1 has one action and the signals are certain, so K=30 reaches
+    # K+1 states against a fixed reply, and their codes pass 2**63
+    g = BimatrixGame("row1x2", [[0.2, 0.9]], [[0.5, 0.4]])
+    successor = StateLayout(1, 2, 30).successor
+    code = 0
+    for _ in range(31):
+        code = successor(code, 0, 0, 1, 1)
+    codes = [code]
+    for _ in range(30):
+        codes.append(successor(codes[-1], 0, 1, 1, 1))
+    mdp = induce_mdp(g, lambda s: _point(2, 1), w1=1.0, w2=1.0, K=30)
+    assert mdp.states == sorted(codes) and max(codes) > 2 ** 63
+    assert optimal_average_reward(mdp)[0] == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("game", [builtin_game("chicken"), RECT], ids=["chicken", "rect3x2"])
+@pytest.mark.parametrize("K", [1, 2])
+def test_opponent_policy_runs_once_per_reachable_state(game, K):
+    policy, w2 = bounded_memory_policy("ftft", game, MatchConfig(T=1, K=K))
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return policy(s)
+
+    mdp = induce_mdp(game, counting, w1=0.5, w2=w2, K=K)
+    assert sorted(calls) == mdp.states  # states are distinct: each called exactly once
