@@ -119,10 +119,9 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
     i, a, b, k = np.nonzero(nxt >= 0)
     transition = np.zeros((S, A, S))
     transition[i, a, np.searchsorted(index, nxt[i, a, b, k])] = law[i, b] * ps[k]
-    # one R1[a] @ law per byte-distinct law; states that share a law share its rewards
-    distinct, inverse = np.unique(law.view(f"V{8 * n2}")[:, 0], return_inverse=True)
-    reward1 = np.array([[r @ u for r in game.R1]
-                        for u in distinct.view(float).reshape(-1, n2)])[inverse]
+    # one R1[a] @ law per distinct law (numpy 2.0.0 returns the inverse as a column)
+    distinct, inverse = np.unique(law, axis=0, return_inverse=True)
+    reward1 = np.array([[r @ u for r in game.R1] for u in distinct])[inverse.reshape(-1)]
     initial = np.zeros(S)
     initial[np.searchsorted(index, list(start))] = list(start.values())
 
