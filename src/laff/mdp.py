@@ -76,7 +76,7 @@ def induce_mdp(game, opp_policy: Callable, w1: float, w2: float, K: int) -> Indu
     in one array; they are listed in ascending code order.  Transitions shift
     the action digits and refresh the signal bits with the four joint
     outcomes implied by the shared draw.  Rewards are the expected stage
-    rewards of the current joint action, one per distinct opponent law.
+    rewards of the current joint action, computed once per distinct opponent law.
     """
     sig = [(bits, p) for bits, p in signal_outcome_probs(w1, w2).items() if p > 0]
     A, n2 = game.n1, game.n2
